@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -279,18 +280,142 @@ def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float,
     return 0.5 * (lo + hi)
 
 
+# A fold pair whose fold-cubic discriminant is below 2^-46 (64 ulps) of its
+# largest terms is tangent to round-off, as at the onset of bistability.
+_TANGENT_BITS = 46
+
+
+def _plane_cubics(p: ModelParams, y_drive: float = 0.0):
+    """Root cubic F and fold cubic H of the plane-wave state equation.
+
+    With A = 1 + delta^2, multiplying the state equation by (X + A)^2 gives
+    F(X) = N(X) - Y (X + A)^2 with N(X) = X Q(X + A) and
+    Q(u) = (1 + theta^2) u^2 + 4C(1 - delta theta) u + 4 C^2 A.  Since
+    F'(X) = H(X)/(X + A) with H(X) = N'(X)(X + A) - 2 N(X), the slope is
+    dY/dX = H(X)/(X + A)^3 and the folds are the positive roots of H.
+
+    Returns the float coefficients of F and H, highest power first, and
+    whether H's discriminant is positive beyond round-off (three distinct
+    real roots).  Everything is computed exactly in integers, with each
+    input written as an integer over a common power of two 2^k, and each
+    coefficient is rounded once: float-formed coefficients move the roots
+    near the critical point by more than the fold pair is wide.
+    """
+    ratios = [float(v).as_integer_ratio() for v in (p.c, p.delta, p.theta, y_drive)]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    s = 1 << k
+    c, d, t, y = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    # numerators over s^n, n in the trailing comments
+    a = s * s + t * t                                    # 1 + theta^2, 2
+    a_sat = s * s + d * d                                # A, 2
+    b = 4 * c * (s * s - d * t)                          # 4C(1 - delta theta), 3
+    n2 = 2 * a * a_sat + b * s                           # 4
+    n1 = (a * a_sat + b * s + 4 * c * c * s * s) * a_sat  # 6
+    h = (a, 3 * a * a_sat, 2 * n2 * a_sat - n1, n1 * a_sat)  # 2, 4, 6, 8
+    f = (a * s ** 4, n2 * s * s - y * s ** 5, n1 - 2 * y * a_sat * s ** 3,
+         -y * a_sat * a_sat * s)                          # all 6
+    h3, h2, h1, h0 = h
+    # H's discriminant: every term has weight 20 in s, so its sign is exact
+    terms = (18 * h3 * h2 * h1 * h0, -4 * h2 ** 3 * h0, h2 * h2 * h1 * h1,
+             -4 * h3 * h1 ** 3, -27 * h3 * h3 * h0 * h0)
+    distinct = (sum(terms) << _TANGENT_BITS) > max(abs(v) for v in terms)
+    f_out = tuple(v / s ** 6 for v in f)
+    h_out = tuple(v / s ** n for v, n in zip(h, (2, 4, 6, 8)))
+    return f_out, h_out, distinct
+
+
+def _cubic(coeffs, x: float) -> float:
+    c3, c2, c1, c0 = coeffs
+    return ((c3 * x + c2) * x + c1) * x + c0
+
+
+def _cubic_root(coeffs, lo: float, hi: float) -> float:
+    """Root of a cubic on [lo, hi], over which it changes sign once.
+
+    Newton starts from the end where the cubic and its curvature share a
+    sign, so that the iterates close in from one side when no inflection
+    lies between, and falls back to bisection whenever a step leaves the
+    bracket or fails to halve the step before last.  Stops at round-off.
+    """
+    c3, c2, c1, _ = coeffs
+    flo, fhi = _cubic(coeffs, lo), _cubic(coeffs, hi)
+    rising = flo < 0.0
+    if fhi * (3.0 * c3 * hi + c2) > 0.0:
+        x = hi
+    elif flo * (3.0 * c3 * lo + c2) > 0.0:
+        x = lo
+    else:
+        x = 0.5 * (lo + hi)
+    dx_old = dx = hi - lo
+    for _ in range(200):
+        fx = _cubic(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        dfx = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        dx_old, dx = dx, (fx / dfx if dfx != 0.0 else math.inf)
+        if abs(dx) <= 2.0 * sys.float_info.epsilon * abs(x):
+            return x - dx
+        x_new = x - dx
+        if not (lo < x_new < hi and abs(dx) < 0.5 * abs(dx_old)):
+            x_new = 0.5 * (lo + hi)
+            dx = x - x_new
+            if hi - lo <= 2.0 * sys.float_info.epsilon * abs(x_new):
+                return x_new
+        x = x_new
+    return x
+
+
+def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
+    """Positive roots of the fold cubic H: none, or a fold pair.
+
+    H(0) > 0 and H has positive leading coefficient, so its positive roots
+    come in pairs around its local minimum.  ``distinct`` is False when H
+    has no two distinct real roots beyond the one at negative X.
+    """
+    h3, h2, h1, h0 = h
+    if not (distinct and h1 < 0.0):
+        return ()
+    # larger root of H' = 3 h3 X^2 + 2 h2 X + h1, free of cancellation
+    x_min = -h1 / (h2 + math.sqrt(h2 * h2 - 3.0 * h3 * h1))
+    h_min = _cubic(h, x_min)
+    if not h_min < 0.0:
+        return ()
+    # Fujiwara's bound on the magnitude of every root
+    x_top = 2.0 * max(h2 / h3, math.sqrt(-h1 / h3), (0.5 * h0 / h3) ** (1.0 / 3.0))
+    return _cubic_root(h, 0.0, x_min), _cubic_root(h, x_min, x_top)
+
+
 def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     """Locate the folds of the steady-state response below ``x_max``.
 
-    Scans a dense logarithmic grid for sign changes of dY/dX and refines
-    each to 1e-10 relative by bisection.  Returns 0, 1 or 2 points; exactly
-    2 means the response is bistable within the scanned window.
+    ``x_max`` defaults to 100 (1 + delta^2).  For a plane wave the folds are
+    the positive roots of the fold cubic H (see ``_plane_cubics``), whose
+    coefficients are formed exactly; a fold pair tangent to round-off, as at
+    the onset of bistability, counts as no fold.  Gaussian profiles still
+    scan a dense logarithmic grid for sign changes of dY/dX and refine each
+    to 1e-10 relative by bisection.  Returns 0, 1 or 2 points; exactly 2
+    means the response is bistable within the window.
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
         x_max = 100.0 * a_sat
     if not x_max > 0:
         raise ValueError(f"x_max must be > 0, got {x_max}")
+    if isinstance(p.transverse, PlaneWave):
+        _, h, distinct = _plane_cubics(p)
+        points = tuple(x for x in _plane_folds(h, distinct) if x < x_max)
+    else:
+        points = _binned_folds(p, x_max)
+    ys = tuple(state_equation(x, p) for x in points)
+    return TurningPoints(points, ys, len(points) == 2)
+
+
+def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
+    a_sat = 1.0 + p.delta * p.delta
     x_lo = min(1e-9 * a_sat, 1e-6 * x_max)
     grid = np.geomspace(x_lo, x_max, 4096)
     slopes = state_equation_slope(grid, p)
@@ -310,8 +435,7 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
             f"found {len(deduped)} slope sign changes at {p!r}; "
             "the saturable response should fold at most twice"
         )
-    ys = tuple(state_equation(x, p) for x in deduped)
-    return TurningPoints(tuple(deduped), ys, len(deduped) == 2)
+    return tuple(deduped)
 
 
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
@@ -346,25 +470,65 @@ def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
 def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     """All steady states at drive intensity Y, sorted by increasing X.
 
-    Roots are bracketed on monotone segments of the response (split at the
-    turning points), refined by bisection and polished with Newton steps.
-    Three roots are labeled lower/middle/upper and the middle one is always
-    unstable; a single root is labeled monostable.
+    Roots are bracketed on the monotone segments of the response, split at
+    the folds below Y.  For a plane wave they are the roots of the exact
+    root cubic F (see ``_plane_cubics``), each polished by safeguarded
+    Newton on F inside its bracket.  Gaussian profiles still find the folds
+    on a grid (see ``turning_points``) and refine each root by bisection
+    and Newton steps on the binned state equation.  Three roots are labeled
+    lower/middle/upper and the middle one is always unstable; a single root
+    is labeled monostable.
     """
     if not (np.isfinite(y_drive) and y_drive >= 0):
         raise ValueError(f"drive intensity Y must be finite and >= 0, got {y_drive}")
     if y_drive == 0.0:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
+    if isinstance(p.transverse, PlaneWave):
+        roots = _plane_roots(y_drive, p)
+    else:
+        roots = _binned_roots(y_drive, p)
+    deduped: list[float] = []
+    for x in sorted(roots):
+        if not deduped or x - deduped[-1] > 1e-9 * max(x, 1e-300):
+            deduped.append(x)
+
+    if len(deduped) == 3:
+        labels = [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+    elif len(deduped) == 2:
+        # drive sits exactly on a fold ordinate: middle and one outer root merged
+        labels = [Branch.LOWER, Branch.UPPER]
+    else:
+        labels = [Branch.MONOSTABLE] * len(deduped)
+    return [
+        _assemble_state(x, y_drive, p, lab) for x, lab in zip(deduped, labels)
+    ]
+
+
+def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
+    # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
+    # monotone between the folds.  F(Y) can round below zero only when the
+    # root sits at X = Y (no atoms), hence the widened top edge.
+    f, h, distinct = _plane_cubics(p, y_drive)
+    top = y_drive if _cubic(f, y_drive) >= 0.0 else 2.0 * y_drive
+    edges = [0.0, *(x for x in _plane_folds(h, distinct) if x < top), top]
+    fvals = [_cubic(f, x) for x in edges]
+    roots = [x for x, fx in zip(edges, fvals) if fx == 0.0]
+    for lo, hi, flo, fhi in zip(edges, edges[1:], fvals, fvals[1:]):
+        if (flo < 0.0 < fhi) or (fhi < 0.0 < flo):
+            roots.append(_cubic_root(f, lo, hi))
+    return roots
+
+
+def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     # roots satisfy X <= Y, so the fold scan never needs to look beyond Y;
     # the lower bracket edge sits below Y / max(state-equation factor)
     s, ws, a_sat = _geometry(p)
     g0 = float(np.sum(ws)) / a_sat
     factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
         abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
-    tps = turning_points(p, x_max=y_drive)
     edges = [0.25 * y_drive / factor_max]
-    edges.extend(x for x in tps.points if edges[0] < x < y_drive)
+    edges.extend(x for x in _binned_folds(p, y_drive) if edges[0] < x < y_drive)
     edges.append(y_drive)
 
     f = lambda x: state_equation(x, p) - y_drive
@@ -393,22 +557,7 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
                 break
             x = x_new
         roots.append(x)
-
-    deduped: list[float] = []
-    for x in sorted(roots):
-        if not deduped or x - deduped[-1] > 1e-9 * max(x, 1e-300):
-            deduped.append(x)
-
-    if len(deduped) == 3:
-        labels = [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
-    elif len(deduped) == 2:
-        # drive sits exactly on a fold ordinate: middle and one outer root merged
-        labels = [Branch.LOWER, Branch.UPPER]
-    else:
-        labels = [Branch.MONOSTABLE] * len(deduped)
-    return [
-        _assemble_state(x, y_drive, p, lab) for x, lab in zip(deduped, labels)
-    ]
+    return roots
 
 
 def peak_transmission(y_drive: float, p: ModelParams) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,6 +237,96 @@ def test_root_residuals_and_invariants():
         if isinstance(p.transverse, PlaneWave):
             assert len(states[0].bins) == 1
             assert states[0].bins[0].u == 1.0 and states[0].bins[0].w == 1.0
+
+
+# independent route: the plane-wave state equation times (X + A)^2 is a cubic
+# in X, built here in exact rationals from the float inputs
+
+def _pmul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _padd(p, q, sign=1):
+    n = max(len(p), len(q))
+    p = list(p) + [Fraction(0)] * (n - len(p))
+    q = list(q) + [Fraction(0)] * (n - len(q))
+    return [a + sign * b for a, b in zip(p, q)]
+
+
+def _exact_cubics(c, delta, theta, y):
+    """(F, H), lowest power first: F = 0 at the roots, H = 0 at the folds."""
+    c, delta, theta, y = (Fraction(v) for v in (c, delta, theta, y))
+    a_sat = 1 + delta * delta
+    absorb = [a_sat + 2 * c, Fraction(1)]
+    disperse = [theta * a_sat - 2 * c * delta, theta]
+    n = _pmul([Fraction(0), Fraction(1)],
+              _padd(_pmul(absorb, absorb), _pmul(disperse, disperse)))
+    u = [a_sat, Fraction(1)]
+    f = _padd(n, [y * v for v in _pmul(u, u)], -1)
+    dn = [k * v for k, v in enumerate(n)][1:]
+    h = _padd(_pmul(dn, u), [2 * v for v in n], -1)
+    return f, h[:4]
+
+
+def _discriminant(cubic):
+    d, c, b, a = cubic
+    return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+            - 4 * a * c ** 3 - 27 * a * a * d * d)
+
+
+def _mid_window_drive(c, delta, theta):
+    _, h = _exact_cubics(c, delta, theta, 0.0)
+    folds = [r.real for r in np.roots([float(v) for v in h[::-1]])
+             if abs(r.imag) == 0.0 and r.real > 0.0]
+    assert len(folds) == 2
+    p = ModelParams(c=c, delta=delta, theta=theta)
+    return 0.5 * sum(state_equation(x, p) for x in folds)
+
+
+def test_near_critical_absorptive_roots():
+    # the fold pair (width ~0.008) is narrower than a fixed grid can resolve
+    p = absorptive(4.0 * (1.0 + 1e-6))
+    states = solve_steady_states(27.000036, p)
+    assert [s.branch for s in states] == [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+    assert [s.stable for s in states] == [True, False, True]
+    xs = [s.intensity for s in states]
+    assert xs == pytest.approx([2.99308, 3.00000, 3.00694], abs=1e-5)
+    assert turning_points(p) == turning_points(p, x_max=27.000036)
+
+
+@pytest.mark.parametrize("c, delta, theta", [
+    (150.12888 * (1.0 + 1e-6), -20.0, -12.0),
+    (8.447839 * (1.0 + 1e-6), 3.0, 1.0),
+])
+def test_near_critical_dispersive_roots(c, delta, theta):
+    p = ModelParams(c=c, delta=delta, theta=theta)
+    y = _mid_window_drive(c, delta, theta)
+    states = solve_steady_states(y, p)
+    assert [s.branch for s in states] == [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+    tp = turning_points(p)
+    assert tp.bistable
+    assert tp == turning_points(p, x_max=y)
+
+
+def test_plane_wave_roots_against_exact_discriminant():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        p = ModelParams(
+            c=float(np.exp(rng.uniform(0.0, np.log(500.0)))),
+            delta=float(rng.uniform(-30.0, 30.0)),
+            theta=float(rng.uniform(-10.0, 10.0)),
+        )
+        y = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e4))))
+        disc = _discriminant(_exact_cubics(p.c, p.delta, p.theta, y)[0])
+        states = solve_steady_states(y, p)
+        assert len(states) == (3 if disc > 0 else 1), (p, y)
+        for s in states:
+            assert abs(state_equation(s.intensity, p) - y) <= 1e-9 * y
+            assert s.stable == (state_equation_slope(s.intensity, p) > 0.0)
 
 
 def test_drive_gauge_is_real_positive():

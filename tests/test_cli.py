@@ -2,10 +2,15 @@
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavsqueeze
 from cavsqueeze.cli import main
 from cavsqueeze.config import ConfigError, DEFAULTS, load_config
 
@@ -255,3 +260,14 @@ def test_floats_roundtrip_exactly():
     from cavsqueeze import ModelParams, state_equation
 
     assert abs(state_equation(x, ModelParams(c=220.0, delta=-20.0)) - y) < 1e-9 * y
+
+
+@pytest.mark.parametrize("module", ["cavsqueeze.cli", "cavsqueeze"])
+def test_module_entry_points_run_the_cli(module):
+    src = str(Path(cavsqueeze.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", module, "steady"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "X,Y,branch,stable,slope"
