@@ -31,7 +31,6 @@ from .spectra import (
     DetectionChain,
     FluctuationSystem,
     QuadratureSpectrum,
-    apply_efficiency,
     build_fluctuation_system,
     drift_eigenvalues,
     efficiency_matrix,
@@ -84,7 +83,6 @@ __all__ = [
     "TraceSample",
     "TurningPoints",
     "analyzer_chain",
-    "apply_efficiency",
     "bin_layout",
     "build_fluctuation_system",
     "calibrate_and_correct",

@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,21 +195,51 @@ def gaussian_susceptibility_limit(x_int, a_sat):
     return out
 
 
-def _susceptibility(x_int: np.ndarray, a_sat: float,
-                    s: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    # G(X) = sum_j w_j s_j / (A + s_j X); ws = w*s precomputed
-    return np.sum(ws / (a_sat + np.multiply.outer(x_int, s)), axis=-1)
-
-def _susceptibility_slope(x_int: np.ndarray, a_sat: float,
-                          s: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    # dG/dX = -sum_j w_j s_j^2 / (A + s_j X)^2
-    return -np.sum(ws * s / (a_sat + np.multiply.outer(x_int, s)) ** 2, axis=-1)
-
-
 def _geometry(p: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
     u, w = bin_layout(p.transverse)
     s = u * u
     return s, w * s, 1.0 + p.delta * p.delta
+
+
+class _Response(NamedTuple):
+    g: np.ndarray         # G, the profile-averaged susceptibility
+    g1: np.ndarray        # dG/dX
+    g2: np.ndarray        # d2G/dX2
+    absorb: np.ndarray    # 1 + 2 C G
+    disperse: np.ndarray  # theta - 2 C delta G, the effective cavity detuning
+    y: np.ndarray         # Y(X)
+    y1: np.ndarray        # dY/dX
+    y2: np.ndarray        # d2Y/dX2
+
+
+def _response(x_int, p: ModelParams) -> _Response:
+    """The state equation and its first two derivatives at X >= 0.
+
+    With the bin reciprocals r_j = 1/(A + s_j X), formed once,
+    G = sum_j w_j s_j r_j, G' = -sum_j w_j s_j^2 r_j^2 and
+    G'' = 2 sum_j w_j s_j^3 r_j^3.  Entries are arrays shaped like X.
+    """
+    s, ws, a_sat = _geometry(p)
+    x = np.asarray(x_int, dtype=float)
+    r = 1.0 / (a_sat + np.multiply.outer(x, s))
+    g = r @ ws
+    rk = r * r
+    g1 = -(rk @ (ws * s))
+    rk *= r
+    g2 = 2.0 * (rk @ (ws * s * s))
+    c = p.c
+    absorb = 1.0 + 2.0 * c * g
+    disperse = p.theta - 2.0 * c * p.delta * g
+    proj = absorb - p.delta * disperse
+    factor = absorb ** 2 + disperse ** 2
+    y1 = factor + 4.0 * c * x * g1 * proj
+    y2 = (8.0 * c * g1 * proj + 4.0 * c * x * g2 * proj
+          + 8.0 * c ** 2 * x * g1 ** 2 * a_sat)
+    return _Response(g, g1, g2, absorb, disperse, x * factor, y1, y2)
+
+
+def _as_output(a: np.ndarray):
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def state_equation(x_int, p: ModelParams):
@@ -220,48 +251,12 @@ def state_equation(x_int, p: ModelParams):
     x_arr = np.asarray(x_int, dtype=float)
     if np.any(x_arr < 0) or not np.all(np.isfinite(x_arr)):
         raise ValueError("intracavity intensity X must be finite and >= 0")
-    s, ws, a_sat = _geometry(p)
-    g = _susceptibility(x_arr, a_sat, s, ws)
-    absorb = 1.0 + 2.0 * p.c * g
-    disperse = p.theta - 2.0 * p.c * p.delta * g
-    y = x_arr * (absorb ** 2 + disperse ** 2)
-    if y.ndim == 0:
-        return float(y)
-    return y
+    return _as_output(_response(x_arr, p).y)
 
 
 def state_equation_slope(x_int, p: ModelParams):
     """Analytic dY/dX; negative slope marks the unstable branch."""
-    x_arr = np.asarray(x_int, dtype=float)
-    s, ws, a_sat = _geometry(p)
-    g = _susceptibility(x_arr, a_sat, s, ws)
-    gp = _susceptibility_slope(x_arr, a_sat, s, ws)
-    absorb = 1.0 + 2.0 * p.c * g
-    disperse = p.theta - 2.0 * p.c * p.delta * g
-    slope = (absorb ** 2 + disperse ** 2
-             + 4.0 * p.c * x_arr * gp * (absorb - p.delta * disperse))
-    if slope.ndim == 0:
-        return float(slope)
-    return slope
-
-
-def _state_equation_curvature(x_int, p: ModelParams):
-    # d2Y/dX2, used to pin degenerate folds where the slope only touches zero
-    x_arr = np.asarray(x_int, dtype=float)
-    s, ws, a_sat = _geometry(p)
-    g = _susceptibility(x_arr, a_sat, s, ws)
-    gp = _susceptibility_slope(x_arr, a_sat, s, ws)
-    denom = a_sat + np.multiply.outer(x_arr, s)
-    gpp = 2.0 * np.sum(ws * s * s / denom ** 3, axis=-1)
-    absorb = 1.0 + 2.0 * p.c * g
-    disperse = p.theta - 2.0 * p.c * p.delta * g
-    proj = absorb - p.delta * disperse
-    curv = (8.0 * p.c * gp * proj
-            + 4.0 * p.c * x_arr * gpp * proj
-            + 8.0 * p.c ** 2 * x_arr * gp ** 2 * (1.0 + p.delta ** 2))
-    if curv.ndim == 0:
-        return float(curv)
-    return curv
+    return _as_output(_response(x_int, p).y1)
 
 
 def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float,
@@ -329,33 +324,33 @@ def _cubic(coeffs, x: float) -> float:
     return ((c3 * x + c2) * x + c1) * x + c0
 
 
-def _cubic_root(coeffs, lo: float, hi: float) -> float:
-    """Root of a cubic on [lo, hi], over which it changes sign once.
+def _newton_start(lo: float, hi: float, flo: float, fhi: float,
+                  clo: float, chi: float) -> float:
+    # the end where f and its curvature (clo, chi) share a sign, so that
+    # Newton closes in from one side when no inflection lies between
+    if fhi * chi > 0.0:
+        return hi
+    if flo * clo > 0.0:
+        return lo
+    return 0.5 * (lo + hi)
 
-    Newton starts from the end where the cubic and its curvature share a
-    sign, so that the iterates close in from one side when no inflection
-    lies between, and falls back to bisection whenever a step leaves the
-    bracket or fails to halve the step before last.  Stops at round-off.
+
+def _newton(fdf, lo: float, hi: float, x: float, rising: bool) -> float:
+    """Root of f on [lo, hi], over which it changes sign once, from x.
+
+    ``fdf(x)`` returns (f(x), f'(x)); ``rising`` says f(lo) < 0.  Falls back
+    to bisection whenever a Newton step leaves the bracket or fails to halve
+    the step before it.  Stops at round-off.
     """
-    c3, c2, c1, _ = coeffs
-    flo, fhi = _cubic(coeffs, lo), _cubic(coeffs, hi)
-    rising = flo < 0.0
-    if fhi * (3.0 * c3 * hi + c2) > 0.0:
-        x = hi
-    elif flo * (3.0 * c3 * lo + c2) > 0.0:
-        x = lo
-    else:
-        x = 0.5 * (lo + hi)
     dx_old = dx = hi - lo
     for _ in range(200):
-        fx = _cubic(coeffs, x)
+        fx, dfx = fdf(x)
         if fx == 0.0:
             return x
         if (fx < 0.0) == rising:
             lo = x
         else:
             hi = x
-        dfx = (3.0 * c3 * x + 2.0 * c2) * x + c1
         dx_old, dx = dx, (fx / dfx if dfx != 0.0 else math.inf)
         if abs(dx) <= 2.0 * sys.float_info.epsilon * abs(x):
             return x - dx
@@ -367,6 +362,15 @@ def _cubic_root(coeffs, lo: float, hi: float) -> float:
                 return x_new
         x = x_new
     return x
+
+
+def _cubic_root(coeffs, lo: float, hi: float) -> float:
+    """Root of a cubic on [lo, hi], over which it changes sign once."""
+    c3, c2, c1, _ = coeffs
+    flo, fhi = _cubic(coeffs, lo), _cubic(coeffs, hi)
+    x = _newton_start(lo, hi, flo, fhi, 3.0 * c3 * lo + c2, 3.0 * c3 * hi + c2)
+    fdf = lambda x: (_cubic(coeffs, x), (3.0 * c3 * x + 2.0 * c2) * x + c1)
+    return _newton(fdf, lo, hi, x, flo < 0.0)
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -395,10 +399,11 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     ``x_max`` defaults to 100 (1 + delta^2).  For a plane wave the folds are
     the positive roots of the fold cubic H (see ``_plane_cubics``), whose
     coefficients are formed exactly; a fold pair tangent to round-off, as at
-    the onset of bistability, counts as no fold.  Gaussian profiles still
-    scan a dense logarithmic grid for sign changes of dY/dX and refine each
-    to 1e-10 relative by bisection.  Returns 0, 1 or 2 points; exactly 2
-    means the response is bistable within the window.
+    the onset of bistability, counts as no fold.  Gaussian profiles bracket
+    the folds on a logarithmic grid to which the local minima of dY/dX are
+    added (see ``_binned_folds``), and refine each by safeguarded Newton on
+    dY/dX.  Returns 0, 1 or 2 points; exactly 2 means the response is
+    bistable within the window.
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -414,18 +419,42 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     return TurningPoints(points, ys, len(points) == 2)
 
 
+def _slope_minima(grid: np.ndarray, curv: np.ndarray,
+                  p: ModelParams) -> np.ndarray:
+    """Local minima of dY/dX over ``grid``, where d2Y/dX2 is ``curv``.
+
+    Each - to + sign change of the curvature between grid points is refined
+    by bisection of the curvature; no derivative of it is at hand.
+    """
+    f = lambda x: _response(x, p).y2
+    steps = np.flatnonzero((curv[:-1] < 0.0) & (curv[1:] >= 0.0))
+    return np.array([_bisect(f, grid[i], grid[i + 1], curv[i], 1e-12)
+                     for i in steps])
+
+
 def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
+    # A fold pair narrower than the grid step leaves no sign change of dY/dX
+    # on the grid, but the slope minimum between the folds is negative:
+    # adding the minima to the grid brackets every fold.
     a_sat = 1.0 + p.delta * p.delta
     x_lo = min(1e-9 * a_sat, 1e-6 * x_max)
     grid = np.geomspace(x_lo, x_max, 4096)
-    slopes = state_equation_slope(grid, p)
-    sign_flip = np.flatnonzero(np.sign(slopes[:-1]) != np.sign(slopes[1:]))
+    on_grid = _response(grid, p)
+    minima = _slope_minima(grid, on_grid.y2, p)
+    xs = np.concatenate((grid, minima))
+    slopes = np.concatenate((on_grid.y1, _response(minima, p).y1))
+    order = np.argsort(xs)
+    xs, slopes = xs[order], slopes[order]
 
-    f = lambda x: state_equation_slope(x, p)
-    points = []
-    for i in sign_flip:
-        points.append(_bisect(f, grid[i], grid[i + 1], slopes[i], 1e-10))
-    # collapse grid-level duplicates (can only come from slope noise at a fold)
+    def fdf(x):
+        at = _response(x, p)
+        return at.y1, at.y2
+
+    points = [
+        _newton(fdf, xs[i], xs[i + 1], 0.5 * (xs[i] + xs[i + 1]), slopes[i] < 0.0)
+        for i in np.flatnonzero(np.sign(slopes[:-1]) != np.sign(slopes[1:]))
+    ]
+    # collapse duplicates (can only come from slope noise at a fold)
     deduped: list[float] = []
     for x in sorted(points):
         if not deduped or x - deduped[-1] > 1e-8 * x:
@@ -440,13 +469,11 @@ def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
 
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
                     branch: Branch) -> SteadyState:
-    s, ws, a_sat = _geometry(p)
+    s, _, a_sat = _geometry(p)
     u, w = bin_layout(p.transverse)
-    g = _susceptibility(np.asarray(x_root, dtype=float), a_sat, s, ws)
-    absorb = 1.0 + 2.0 * p.c * g
-    disperse = p.theta - 2.0 * p.c * p.delta * g
+    at = _response(x_root, p)
     if y_drive > 0:
-        x_amp = (x_root / math.sqrt(y_drive)) * complex(absorb, -disperse)
+        x_amp = (x_root / math.sqrt(y_drive)) * complex(at.absorb, -at.disperse)
     else:
         x_amp = 0.0 + 0.0j
     dsat = a_sat / (a_sat + s * x_root)
@@ -455,7 +482,7 @@ def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
         BinSteady(float(u[j]), float(w[j]), complex(pol[j]), float(dsat[j]))
         for j in range(len(u))
     )
-    slope = state_equation_slope(x_root, p)
+    slope = float(at.y1)
     return SteadyState(
         x=complex(x_amp),
         intensity=float(x_root),
@@ -463,7 +490,7 @@ def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
         bins=bins,
         branch=branch,
         stable=slope > 0.0,
-        slope=float(slope),
+        slope=slope,
     )
 
 
@@ -473,11 +500,11 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     Roots are bracketed on the monotone segments of the response, split at
     the folds below Y.  For a plane wave they are the roots of the exact
     root cubic F (see ``_plane_cubics``), each polished by safeguarded
-    Newton on F inside its bracket.  Gaussian profiles still find the folds
-    on a grid (see ``turning_points``) and refine each root by bisection
-    and Newton steps on the binned state equation.  Three roots are labeled
-    lower/middle/upper and the middle one is always unstable; a single root
-    is labeled monostable.
+    Newton on F inside its bracket.  Gaussian profiles take the folds from
+    ``_binned_folds`` and polish each root by the same safeguarded Newton on
+    the binned state equation.  Three roots are labeled lower/middle/upper
+    and the middle one is always unstable; a single root is labeled
+    monostable.
     """
     if not (np.isfinite(y_drive) and y_drive >= 0):
         raise ValueError(f"drive intensity Y must be finite and >= 0, got {y_drive}")
@@ -527,12 +554,16 @@ def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     g0 = float(np.sum(ws)) / a_sat
     factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
         abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
-    edges = [0.25 * y_drive / factor_max]
-    edges.extend(x for x in _binned_folds(p, y_drive) if edges[0] < x < y_drive)
-    edges.append(y_drive)
+    x_lo = 0.25 * y_drive / factor_max
+    edges = np.array([x_lo, *(x for x in _binned_folds(p, y_drive)
+                              if x_lo < x < y_drive), y_drive])
+    at_edges = _response(edges, p)
+    fvals, curv = at_edges.y - y_drive, at_edges.y2
 
-    f = lambda x: state_equation(x, p) - y_drive
-    fvals = [f(x) for x in edges]
+    def fdf(x):
+        at = _response(x, p)
+        return at.y - y_drive, at.y1
+
     roots: list[float] = []
     for i in range(len(edges) - 1):
         lo, hi, flo, fhi = edges[i], edges[i + 1], fvals[i], fvals[i + 1]
@@ -545,18 +576,8 @@ def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
             continue
         if (flo < 0) == (fhi < 0):
             continue
-        x = _bisect(f, lo, hi, flo, 1e-14)
-        # Newton polish; keep the bisection value if the step misbehaves
-        for _ in range(3):
-            dfdx = state_equation_slope(x, p)
-            if dfdx == 0.0:
-                break
-            step = f(x) / dfdx
-            x_new = x - step
-            if not (lo <= x_new <= hi):
-                break
-            x = x_new
-        roots.append(x)
+        x = _newton_start(lo, hi, flo, fhi, curv[i], curv[i + 1])
+        roots.append(_newton(fdf, lo, hi, x, flo < 0.0))
     return roots
 
 
@@ -568,18 +589,11 @@ def peak_transmission(y_drive: float, p: ModelParams) -> float:
     """
     if not y_drive > 0:
         raise ValueError(f"drive intensity must be > 0, got {y_drive}")
-    s, ws, a_sat = _geometry(p)
-
-    def h(x):
-        g = _susceptibility(np.asarray(x, dtype=float), a_sat, s, ws)
-        return x * (1.0 + 2.0 * p.c * g) ** 2
 
     # monotone segments of h: sign changes of (1 + 2CG) + 4CXG'
     def hslope_factor(x):
-        xa = np.asarray(x, dtype=float)
-        g = _susceptibility(xa, a_sat, s, ws)
-        gp = _susceptibility_slope(xa, a_sat, s, ws)
-        return 1.0 + 2.0 * p.c * g + 4.0 * p.c * xa * gp
+        at = _response(x, p)
+        return at.absorb + 4.0 * p.c * np.asarray(x) * at.g1
 
     grid = np.geomspace(1e-12 * y_drive, y_drive, 2048)
     fac = hslope_factor(grid)
@@ -588,7 +602,7 @@ def peak_transmission(y_drive: float, p: ModelParams) -> float:
         edges.append(_bisect(hslope_factor, grid[i], grid[i + 1], fac[i], 1e-12))
     edges.append(y_drive)
 
-    fh = lambda x: h(x) - y_drive
+    fh = lambda x: x * _response(x, p).absorb ** 2 - y_drive
     for i in range(len(edges) - 1, 0, -1):
         lo, hi = edges[i - 1], edges[i]
         flo, fhi = fh(lo), fh(hi)
@@ -662,8 +676,8 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     folds of the response merge into a degenerate point with dY/dX = 0 and
     d2Y/dX2 = 0, together with that point's coordinates.  ``p.c`` is ignored
     except as a search hint.  Solved by bisecting the minimum slope over X
-    (negative iff bistable) as a function of C, the inner minimum being
-    pinned by the curvature zero.
+    (negative iff bistable) as a function of C, that minimum being the
+    lowest of the local minima found as in ``_binned_folds``.
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -671,18 +685,14 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     grid = np.geomspace(1e-6 * a_sat, x_max, 4096)
 
     def min_slope(c: float) -> tuple[float, float]:
+        # a response without a local slope minimum rises monotonically
         pc = replace(p, c=c)
-        slopes = state_equation_slope(grid, pc)
+        minima = _slope_minima(grid, _response(grid, pc).y2, pc)
+        if minima.size == 0:
+            return math.inf, math.nan
+        slopes = _response(minima, pc).y1
         i = int(np.argmin(slopes))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        f = lambda x: _state_equation_curvature(x, pc)
-        flo, fhi = f(lo), f(hi)
-        if (flo < 0) != (fhi < 0):
-            x_star = _bisect(f, lo, hi, flo, 1e-13)
-        else:
-            x_star = grid[i]
-        return state_equation_slope(x_star, pc), x_star
+        return float(slopes[i]), float(minima[i])
 
     c_hi = c_hint if c_hint and c_hint > 0 else 1.0
     for _ in range(60):

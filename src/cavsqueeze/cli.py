@@ -71,20 +71,20 @@ def _omega_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _cmd_steady(cfg: RunConfig) -> None:
+def _cmd_steady(cfg: RunConfig, args: argparse.Namespace) -> None:
     p = cfg.model_params()
     roots = sorted(solve_steady_states(cfg["scan.drive_Y"], p), key=lambda r: r.intensity)
     rows = [[r.intensity, r.drive, r.branch.name, r.stable, r.slope] for r in roots]
     _write_csv(cfg, ["X", "Y", "branch", "stable", "slope"], rows)
 
 
-def _cmd_turning(cfg: RunConfig) -> None:
+def _cmd_turning(cfg: RunConfig, args: argparse.Namespace) -> None:
     tp = turning_points(cfg.model_params())
     rows = [[x, y] for x, y in zip(tp.points, tp.ordinates)]
     _write_csv(cfg, ["X", "Y"], rows)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> None:
+def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> None:
     p = cfg.model_params()
     stable = [r for r in solve_steady_states(cfg["scan.drive_Y"], p) if r.stable]
     if not stable:
@@ -102,20 +102,20 @@ def _trace_rows(trace):
     ]
 
 
-def _cmd_release(cfg: RunConfig) -> None:
+def _cmd_release(cfg: RunConfig, args: argparse.Namespace) -> None:
     trace = free_release_scan(
         cfg.scan_config(ScanMode.RELEASE), cfg.cloud_params(), cfg.model_params()
     )
     _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
 
 
-def _cmd_piezo(cfg: RunConfig) -> None:
+def _cmd_piezo(cfg: RunConfig, args: argparse.Namespace) -> None:
     trace = piezo_scan(cfg.scan_config(ScanMode.PIEZO), cfg.model_params())
     _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
 
 
-def _cmd_fitc(cfg: RunConfig, data_path: str) -> None:
-    fr = fit_cooperativity(read_samples(data_path))
+def _cmd_fitc(cfg: RunConfig, args: argparse.Namespace) -> None:
+    fr = fit_cooperativity(read_samples(args.data))
     header = [
         "c0", "sigma_r_m", "temp_k", "tau_r_s", "tau_g_s",
         "c0_err", "sigma_r_err", "temp_k_err",
@@ -129,7 +129,7 @@ def _cmd_fitc(cfg: RunConfig, data_path: str) -> None:
     _write_csv(cfg, header, [row])
 
 
-def _cmd_mc_cloud(cfg: RunConfig) -> None:
+def _cmd_mc_cloud(cfg: RunConfig, args: argparse.Namespace) -> None:
     cp = cfg.cloud_params()
     times = np.linspace(0.0, cfg["cloud.t_max_s"], int(cfg["cloud.n_times"]))
     est = mc_cooperativity(
@@ -143,7 +143,7 @@ def _cmd_mc_cloud(cfg: RunConfig) -> None:
     _write_csv(cfg, ["t_s", "c_hat", "c_model"], rows)
 
 
-def _cmd_oracle(cfg: RunConfig) -> None:
+def _cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
     spectra = me_oracle_spectrum(
         cfg.model_params(),
         _omega_grid(cfg),
@@ -151,6 +151,18 @@ def _cmd_oracle(cfg: RunConfig) -> None:
         fock_cutoff=int(cfg["model.fock_cutoff"]),
     )
     _write_csv(cfg, SPECTRUM_HEADER, _spectrum_rows(spectra, cfg["detection.eta"]))
+
+
+COMMANDS = {
+    "steady": ("solve the steady states at one drive intensity", _cmd_steady),
+    "turning": ("list the turning points of the steady-state curve", _cmd_turning),
+    "spectrum": ("output noise spectra on an analysis-frequency grid", _cmd_spectrum),
+    "release": ("simulate a noise trace during free fall of the cloud", _cmd_release),
+    "piezo": ("simulate a noise trace during a cavity-length sweep", _cmd_piezo),
+    "fitc": ("fit the cooperativity decay law to measured samples", _cmd_fitc),
+    "mc-cloud": ("Monte Carlo check of the cooperativity decay", _cmd_mc_cloud),
+    "oracle": ("exact single-atom spectra from the master equation", _cmd_oracle),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -163,17 +175,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "e.g. --model.C=50 --scan.drive_Y=900.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "steady": "solve the steady states at one drive intensity",
-        "turning": "list the turning points of the steady-state curve",
-        "spectrum": "output noise spectra on an analysis-frequency grid",
-        "release": "simulate a noise trace during free fall of the cloud",
-        "piezo": "simulate a noise trace during a cavity-length sweep",
-        "fitc": "fit the cooperativity decay law to measured samples",
-        "mc-cloud": "Monte Carlo check of the cooperativity decay",
-        "oracle": "exact single-atom spectra from the master equation",
-    }
-    for name, help_text in descriptions.items():
+    for name, (help_text, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", default=None, help="path to a key = value config file")
         if name == "fitc":
@@ -182,22 +184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns, extra = parser.parse_known_args(argv)
     try:
         cfg = load_config(ns.config, list(extra))
-        if ns.command == "steady":
-            _cmd_steady(cfg)
-        elif ns.command == "turning":
-            _cmd_turning(cfg)
-        elif ns.command == "spectrum":
-            _cmd_spectrum(cfg)
-        elif ns.command == "release":
-            _cmd_release(cfg)
-        elif ns.command == "piezo":
-            _cmd_piezo(cfg)
-        elif ns.command == "fitc":
-            _cmd_fitc(cfg, ns.data)
-        elif ns.command == "mc-cloud":
-            _cmd_mc_cloud(cfg)
-        elif ns.command == "oracle":
-            _cmd_oracle(cfg)
+        COMMANDS[ns.command][1](cfg, ns)
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"error: {problem}", file=sys.stderr)

@@ -114,8 +114,6 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "scan.seed": (12345, lambda v: None),
     "scan.noise_transverse": ("model", _choice("model", "plane")),
     "detection.eta": (0.9, _efficiency),
-    "detection.pd_efficiency": (0.96, _efficiency),
-    "detection.mode_overlap": (0.97, _efficiency),
     "output.path": ("", _any_string),
 }
 
@@ -258,11 +256,7 @@ class RunConfig:
         )
 
     def detection(self) -> DetectionChain:
-        return DetectionChain(
-            eta=self.values["detection.eta"],
-            pd_efficiency=self.values["detection.pd_efficiency"],
-            mode_overlap=self.values["detection.mode_overlap"],
-        )
+        return DetectionChain(eta=self.values["detection.eta"])
 
 
 def load_config(config_path: str | None, flag_tokens: list[str]) -> RunConfig:

@@ -29,8 +29,7 @@ from .bistability import (
     ModelParams,
     PlaneWave,
     SteadyState,
-    _geometry,
-    _susceptibility,
+    _response,
     solve_steady_states,
     state_equation,
     turning_points,
@@ -233,9 +232,7 @@ def _run_scan(
         x_prev = ss.intensity
         xs[i] = ss.intensity
         branches.append(ss.branch.name)
-        s_bins, ws_bins, a_sat = _geometry(p_t)
-        g = float(_susceptibility(np.asarray(ss.intensity), a_sat, s_bins, ws_bins))
-        theta_eff[i] = p_t.theta - 2.0 * p_t.c * p_t.delta * g
+        theta_eff[i] = _response(ss.intensity, p_t).disperse
         ss_n, p_n = _noise_state(ss, p_t, sc)
         q = output_spectrum(build_fluctuation_system(ss_n, p_n), sc.omega_hz)
         ve = efficiency_matrix(q.v, sc.eta)
@@ -255,8 +252,7 @@ def _run_scan(
     shot_f = _video_filter(shot_raw, sc.vbw_hz, sc.dt_s)
     elec_f = _video_filter(elec_raw, sc.vbw_hz, sc.dt_s)
     s_meas = calibrate_and_correct(signal_f, shot_f, elec_f)
-    denom = float(np.mean(shot_f) - np.mean(elec_f))
-    shot_ref = (shot_f - elec_f) / denom
+    shot_ref = calibrate_and_correct(shot_f, shot_f, elec_f)
 
     notes: list[str] = []
     if not (np.any(theta_eff > 0.0) and np.any(theta_eff < 0.0)):

@@ -38,7 +38,6 @@ __all__ = [
     "drift_eigenvalues",
     "output_spectrum",
     "quadrature_extrema",
-    "apply_efficiency",
     "efficiency_matrix",
 ]
 
@@ -166,11 +165,9 @@ class QuadratureSpectrum:
 
 @dataclass(frozen=True)
 class DetectionChain:
-    """Homodyne detection budget; only ``eta`` enters the noise arithmetic."""
+    """Homodyne detection budget: the overall detection efficiency."""
 
     eta: float = 0.9
-    pd_efficiency: float = 0.96   # informational breakdown of eta
-    mode_overlap: float = 0.97    # informational breakdown of eta
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -231,25 +228,12 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
                               s_min=s_min, s_max=s_max, theta_min=theta)
 
 
-def apply_efficiency(s, eta: float):
-    """Noise power after a lossy detection path: S -> eta*S + (1 - eta).
-
-    Acts elementwise; applying it to the eigenvalues of V is exact because
-    the efficiency map eta*V + (1-eta)*I preserves eigenvectors.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise ValueError("noise power must be >= 0")
-    out = eta * s_arr + (1.0 - eta)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def efficiency_matrix(v: np.ndarray, eta: float) -> np.ndarray:
-    """Efficiency map on the full 2x2 spectral matrix."""
+    """Noise after a lossy detection path: V -> eta*V + (1 - eta)*I.
+
+    The map keeps the eigenvectors of V, so each quadrature noise power S
+    goes to eta*S + (1 - eta).
+    """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     v = np.asarray(v, dtype=float)

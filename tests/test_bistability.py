@@ -24,7 +24,7 @@ from cavsqueeze import (
     state_equation_slope,
     turning_points,
 )
-from cavsqueeze.bistability import _state_equation_curvature
+from cavsqueeze.bistability import _response
 
 
 def absorptive(c, delta=0.0, theta=0.0, transverse=None):
@@ -127,17 +127,19 @@ def test_slope_matches_finite_difference():
 
 
 def test_curvature_matches_finite_difference():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = ModelParams(
-            c=float(rng.uniform(0, 100)),
-            delta=float(rng.uniform(-10, 10)),
-            theta=float(rng.uniform(-3, 3)),
-        )
-        x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
-        h = 1e-5 * x
-        fd = (state_equation_slope(x + h, p) - state_equation_slope(x - h, p)) / (2 * h)
-        assert _state_equation_curvature(x, p) == pytest.approx(fd, rel=5e-5, abs=1e-10)
+    for transverse in (PlaneWave(), GaussianBins(16)):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = ModelParams(
+                c=float(rng.uniform(0, 100)),
+                delta=float(rng.uniform(-10, 10)),
+                theta=float(rng.uniform(-3, 3)),
+                transverse=transverse,
+            )
+            x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
+            h = 1e-5 * x
+            fd = (state_equation_slope(x + h, p) - state_equation_slope(x - h, p)) / (2 * h)
+            assert _response(x, p).y2 == pytest.approx(fd, rel=5e-5, abs=1e-10)
 
 
 # === turning points and the critical point ===
@@ -175,8 +177,9 @@ def test_critical_point_detuned_is_consistent():
     p = ModelParams(c=1.0, delta=-20.0, theta=0.0)
     c, x, y = critical_point(p)
     pc = ModelParams(c=c, delta=-20.0, theta=0.0)
-    assert abs(state_equation_slope(x, pc)) <= 1e-6 * y / x
-    assert abs(_state_equation_curvature(x, pc)) <= 1e-6 * y / x ** 2
+    at = _response(x, pc)
+    assert abs(at.y1) <= 1e-6 * y / x
+    assert abs(at.y2) <= 1e-6 * y / x ** 2
     assert state_equation(x, pc) == pytest.approx(y, rel=1e-12)
 
 
@@ -310,6 +313,36 @@ def test_near_critical_dispersive_roots(c, delta, theta):
     tp = turning_points(p)
     assert tp.bistable
     assert tp == turning_points(p, x_max=y)
+
+
+@pytest.mark.parametrize("m, delta, theta, c_crit", [
+    (8, 0.0, 0.0, 8.26115),
+    (64, -20.0, -7.5, None),
+    (64, 3.0, 1.0, None),
+])
+def test_near_critical_gaussian_folds(m, delta, theta, c_crit):
+    # the fold pair is narrower than a step of the fold search's grid
+    p = ModelParams(c=1.0, delta=delta, theta=theta, transverse=GaussianBins(m))
+    c_found, x_crit, _ = critical_point(p)
+    p = ModelParams(c=(c_crit or c_found) * (1.0 + 1e-6), delta=delta, theta=theta,
+                    transverse=GaussianBins(m))
+    tp = turning_points(p)
+    assert tp.bistable
+    wide = turning_points(p, x_max=1e4 * (1.0 + delta ** 2))
+    assert tp.points == pytest.approx(wide.points, rel=1e-10)
+    # independent oracle: sign changes of dY/dX on a dense grid
+    grid = np.linspace(0.98 * x_crit, 1.02 * x_crit, 20001)
+    slopes = state_equation_slope(grid, p)
+    idx = np.flatnonzero(np.sign(slopes[:-1]) != np.sign(slopes[1:]))
+    assert len(idx) == 2
+    for x, i in zip(tp.points, idx):
+        assert grid[i] <= x <= grid[i + 1]
+    y_mid = 0.5 * sum(tp.ordinates)
+    states = solve_steady_states(y_mid, p)
+    assert [s.branch for s in states] == [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+    assert [s.stable for s in states] == [True, False, True]
+    assert states[0].intensity < tp.points[0] < states[1].intensity < tp.points[1]
+    assert tp.points[1] < states[2].intensity
 
 
 def test_plane_wave_roots_against_exact_discriminant():

@@ -7,7 +7,6 @@ from cavsqueeze import (
     DetectionChain,
     GaussianBins,
     ModelParams,
-    apply_efficiency,
     build_fluctuation_system,
     drift_eigenvalues,
     efficiency_matrix,
@@ -251,14 +250,14 @@ def test_quadrature_angle_diagonalizes_the_matrix():
         assert 0.0 <= theta < np.pi
 
 
-def test_apply_efficiency_pinned_values():
-    assert abs(apply_efficiency(1.0, 0.9) - 1.0) < 1e-15
-    assert abs(apply_efficiency(0.0, 0.9) - 0.1) < 1e-15
-    assert abs(apply_efficiency(0.33, 0.9) - 0.397) < 1e-15
+def test_efficiency_matrix_pinned_values():
+    ve = efficiency_matrix(np.diag([1.0, 0.0]), 0.9)
+    assert abs(ve[0, 0] - 1.0) < 1e-15
+    assert abs(ve[1, 1] - 0.1) < 1e-15
+    assert ve[0, 1] == 0.0 and ve[1, 0] == 0.0
+    assert abs(efficiency_matrix(np.diag([0.33, 0.33]), 0.9)[0, 0] - 0.397) < 1e-15
     with pytest.raises(ValueError):
-        apply_efficiency(-0.1, 0.9)
-    with pytest.raises(ValueError):
-        apply_efficiency(0.5, 0.0)
+        efficiency_matrix(np.diag([0.5, 0.5]), 0.0)
 
 
 def test_efficiency_matrix_matches_scalar_map_on_eigenvalues():
@@ -266,8 +265,8 @@ def test_efficiency_matrix_matches_scalar_map_on_eigenvalues():
     ve = efficiency_matrix(v, 0.85)
     s_min, s_max, theta = quadrature_extrema(v)
     e_min, e_max, theta_e = quadrature_extrema(ve)
-    assert abs(e_min - apply_efficiency(s_min, 0.85)) < 1e-12
-    assert abs(e_max - apply_efficiency(s_max, 0.85)) < 1e-12
+    assert abs(e_min - (0.85 * s_min + (1 - 0.85))) < 1e-12
+    assert abs(e_max - (0.85 * s_max + (1 - 0.85))) < 1e-12
     assert abs(theta - theta_e) < 1e-12
 
 
