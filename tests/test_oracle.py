@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavsqueeze import (
     GaussianBins,
@@ -21,7 +22,10 @@ from cavsqueeze import (
     solve_steady_states,
     state_equation,
 )
+from cavsqueeze import oracle
 from cavsqueeze.oracle import (
+    _blocks,
+    _driven_cavity,
     _fock_destroy,
     homodyne_spectrum,
     liouvillian,
@@ -159,3 +163,138 @@ def test_slow_dipole_decay_is_rejected():
     p = ModelParams(c=0.2, n_atoms=1, gamma_par_ratio=2.5)
     with pytest.raises(ValueError):
         me_oracle_spectrum(p, [0.0], drive_y=0.1)
+
+
+@pytest.mark.parametrize("omegas", [[0.0, np.nan], [np.inf], [KAPPA, -KAPPA]])
+def test_bad_frequencies_are_rejected(omegas):
+    p = ModelParams(c=0.2, n_atoms=1)
+    with pytest.raises(ValueError, match="omega_hz must be finite and >= 0"):
+        me_oracle_spectrum(p, omegas, drive_y=0.01, fock_cutoff=4)
+
+
+@pytest.mark.parametrize("cutoff", [-3, -1, 0, 1, 15.0, True, "15"])
+def test_bad_fock_cutoff_is_rejected(cutoff):
+    p = ModelParams(c=0.2, n_atoms=1)
+    with pytest.raises(ValueError, match="fock_cutoff must be an int >= 2"):
+        me_oracle_spectrum(p, [0.0], drive_y=0.01, fock_cutoff=cutoff)
+
+
+def test_singular_regression_solve_names_frequency_and_cutoff(monkeypatch):
+    # with no dissipation L is diagonal, and L + iΩ is exactly singular where Ω
+    # matches a level spacing of h
+    h = np.diag([0.0, 1.0, 3.0]) * KAPPA
+    lv = liouvillian(h, [])
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(RuntimeError, match="omega_hz=2500000.0"):
+        homodyne_spectrum(lv, _fock_destroy(3), rho, KAPPA, [0.5 * KAPPA, KAPPA])
+
+    def singular(*args):
+        raise RuntimeError("master-equation block solve is singular at omega_hz=1.0")
+
+    monkeypatch.setattr(oracle, "homodyne_spectrum", singular)
+    p = ModelParams(c=0.2, n_atoms=1)
+    with pytest.raises(RuntimeError, match="omega_hz=1.0 at fock_cutoff=6"):
+        me_oracle_spectrum(p, [1.0], drive_y=0.01, fock_cutoff=6)
+
+
+# === the banded solver against dense references ===
+
+
+def test_liouvillian_matches_textbook_superoperator():
+    rng = np.random.default_rng(7)
+    n = 5
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x = cplx(n, n)
+    h = x + x.conj().T
+    cs = [cplx(n, n), cplx(n, n)]
+
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for c in cs:
+            cdc = c.conj().T @ c
+            out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
+        return out
+
+    # column k of the matrix is the map applied to the k-th basis matrix
+    ref = np.empty((n * n, n * n), dtype=complex)
+    for k in range(n * n):
+        e = np.zeros(n * n, dtype=complex)
+        e[k] = 1.0
+        ref[:, k] = rhs(e.reshape((n, n), order="F")).reshape(-1, order="F")
+    lv = liouvillian(h, cs)
+    assert np.max(np.abs(lv - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_batched_frequencies_match_single_calls():
+    p = ModelParams(c=0.3, delta=0.5, theta=0.2, gamma_par_ratio=1.2, n_atoms=1)
+    lv, a = _driven_cavity(p, 0.3 * KAPPA, 8)
+    rho = steady_density(lv, a.shape[0])
+    vs = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
+    assert vs.shape == (5, 2, 2)
+    for omega, v in zip(FIVE_POINT_GRID, vs):
+        single = homodyne_spectrum(lv, a, rho, KAPPA, omega)
+        assert single.shape == (2, 2)
+        assert np.max(np.abs(single - v)) < 1e-12
+
+
+def _dense_reference(lv, a_op, omegas):
+    """Steady state from the null space of L, spectra from dense solves of L + iΩ."""
+    n = a_op.shape[0]
+    null = scipy.linalg.null_space(lv)
+    assert null.shape[1] == 1
+    rho = null[:, 0].reshape((n, n), order="F")
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    da = a_op - np.trace(a_op @ rho) * np.eye(n)
+    dad = da.conj().T
+    rhs = np.column_stack([(da @ rho).reshape(-1, order="F"),
+                           (rho @ dad).reshape(-1, order="F")])
+    vs = []
+    for omega in omegas:
+        sol = -scipy.linalg.solve(lv + 1j * omega * np.eye(n * n), rhs)
+        x0, x1 = (sol[:, j].reshape((n, n), order="F") for j in (0, 1))
+        p1, q2 = np.trace(dad @ x0), np.trace(da @ x1)
+        p3, q4 = np.trace(da @ x0), np.trace(dad @ x1)
+        m = 1.0 + 4.0 * KAPPA * (p1 + q2).real
+        z = 4.0 * KAPPA * (p3 + np.conj(q4))
+        vs.append([[m + z.real, z.imag], [z.imag, m - z.real]])
+    return rho, np.array(vs)
+
+
+def _random_dense_system():
+    rng = np.random.default_rng(11)
+    n = 8
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = KAPPA * (x + x.conj().T)
+    a = _fock_destroy(n)
+    return liouvillian(h, [math.sqrt(2.0 * KAPPA) * a, math.sqrt(KAPPA) * a.T @ a]), a
+
+
+@pytest.mark.parametrize("case", ["resonant-8", "dephasing-15", "uncoupled-20", "dense"])
+def test_banded_elimination_matches_dense_reference(case):
+    omegas = np.array([0.5, 1.0, 3.0]) * KAPPA
+    if case == "dense":
+        lv, a = _random_dense_system()
+        assert len(_blocks(lv)) == 1
+    else:
+        p, amp, cutoff = {
+            "resonant-8": (ModelParams(c=0.2, n_atoms=1), 0.3 * KAPPA, 8),
+            "dephasing-15": (ModelParams(c=0.3, delta=0.5, theta=0.2,
+                                         gamma_par_ratio=1.2, n_atoms=1),
+                             0.4 * KAPPA, 15),
+            "uncoupled-20": (ModelParams(c=0.0, theta=0.7, n_atoms=1),
+                             0.4 * KAPPA, 20),
+        }[case]
+        lv, a = _driven_cavity(p, amp, cutoff)
+        # photon-outer ordering: half-bandwidth 2 n_h + 2
+        n_h = 2 * (cutoff + 1)
+        assert _blocks(lv)[0] == slice(0, 2 * n_h + 2)
+    n = a.shape[0]
+    rho_ref, v_ref = _dense_reference(lv, a, omegas)
+    rho = steady_density(lv, n)
+    assert np.max(np.abs(rho - rho_ref)) <= 1e-10 * np.max(np.abs(rho_ref))
+    v = homodyne_spectrum(lv, a, rho, KAPPA, omegas)
+    assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
