@@ -28,7 +28,6 @@ from .bistability import (
     turning_points,
 )
 from .spectra import (
-    DetectionChain,
     FluctuationSystem,
     QuadratureSpectrum,
     build_fluctuation_system,
@@ -48,7 +47,6 @@ from .cloud import (
 )
 from .scans import (
     ScanConfig,
-    ScanMode,
     Trace,
     TraceSample,
     analyzer_chain,
@@ -68,7 +66,6 @@ __all__ = [
     "CloudParams",
     "ConfigError",
     "CooperativitySample",
-    "DetectionChain",
     "FitResult",
     "FluctuationSystem",
     "GaussianBins",
@@ -77,7 +74,6 @@ __all__ = [
     "QuadratureSpectrum",
     "RunConfig",
     "ScanConfig",
-    "ScanMode",
     "SteadyState",
     "Trace",
     "TraceSample",

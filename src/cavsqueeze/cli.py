@@ -20,7 +20,7 @@ from .bistability import solve_steady_states, turning_points
 from .cloud import cooperativity_decay, fit_cooperativity, mc_cooperativity, read_samples
 from .config import ConfigError, RunConfig, load_config
 from .oracle import me_oracle_spectrum
-from .scans import ScanMode, free_release_scan, piezo_scan
+from .scans import free_release_scan, piezo_scan
 from .spectra import build_fluctuation_system, efficiency_matrix, output_spectrum, quadrature_extrema
 
 __all__ = ["main", "entry"]
@@ -103,14 +103,12 @@ def _trace_rows(trace):
 
 
 def _cmd_release(cfg: RunConfig, args: argparse.Namespace) -> None:
-    trace = free_release_scan(
-        cfg.scan_config(ScanMode.RELEASE), cfg.cloud_params(), cfg.model_params()
-    )
+    trace = free_release_scan(cfg.scan_config(), cfg.cloud_params(), cfg.model_params())
     _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
 
 
 def _cmd_piezo(cfg: RunConfig, args: argparse.Namespace) -> None:
-    trace = piezo_scan(cfg.scan_config(ScanMode.PIEZO), cfg.model_params())
+    trace = piezo_scan(cfg.scan_config(), cfg.model_params())
     _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
 
 

@@ -95,18 +95,22 @@ def cooperativity_decay(t_s, cp: CloudParams):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0) or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite and >= 0")
-    tau_r2 = cp.tau_r_s**2
-    tau_g2 = cp.tau_g_s**2
-    denom = tau_r2 + t * t
-    out = cp.c0 * (tau_r2 / denom) * np.exp(-(t**4) / (tau_g2 * denom))
+    out, _, _ = _decay_terms(t, cp.c0, cp.tau_r_s, cp.tau_g_s)
     if np.isscalar(t_s) or np.ndim(t_s) == 0:
         return float(out)
     return out
 
 
-def _decay_from_timescales(t: np.ndarray, c0: float, tau_r: float, tau_g: float):
-    denom = tau_r**2 + t * t
-    return c0 * (tau_r**2 / denom) * np.exp(-(t**4) / (tau_g**2 * denom))
+def _decay_terms(t: np.ndarray, c0: float, tau_r: float, tau_g: float):
+    """The decay law C(t) with its denominator tau_r^2 + t^2 and exponent.
+
+    Returns (C, tau_r^2 + t^2, t^4 / (tau_g^2 (tau_r^2 + t^2))); the fit's
+    Jacobian is built from the last two.
+    """
+    tau_r2 = tau_r**2
+    denom = tau_r2 + t * t
+    expo = t**4 / (tau_g**2 * denom)
+    return c0 * (tau_r2 / denom) * np.exp(-expo), denom, expo
 
 
 def mc_cooperativity(
@@ -189,13 +193,10 @@ class FitResult:
 
 def _fit_model_and_jacobian(t: np.ndarray, log_params: np.ndarray):
     c0, tau_r, tau_g = np.exp(log_params)
-    tau_r2 = tau_r**2
-    denom = tau_r2 + t * t
-    expo = t**4 / (tau_g**2 * denom)
-    m = c0 * (tau_r2 / denom) * np.exp(-expo)
+    m, denom, expo = _decay_terms(t, c0, tau_r, tau_g)
     jac = np.empty((t.size, 3))
     jac[:, 0] = m
-    jac[:, 1] = m * (2.0 * t * t / denom + 2.0 * tau_r2 * t**4 / (tau_g**2 * denom**2))
+    jac[:, 1] = m * (2.0 * t * t / denom + 2.0 * tau_r**2 * t**4 / (tau_g**2 * denom**2))
     jac[:, 2] = m * 2.0 * expo
     return m, jac
 

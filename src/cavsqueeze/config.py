@@ -16,8 +16,7 @@ from typing import Any, Callable
 
 from .bistability import GaussianBins, ModelParams, PlaneWave
 from .cloud import CloudParams
-from .scans import ScanConfig, ScanMode
-from .spectra import DetectionChain
+from .scans import ScanConfig
 
 __all__ = [
     "ConfigError",
@@ -94,7 +93,7 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "cloud.c0": (220.0, _positive),
     "cloud.waist_m": (4e-3 / 15.0, _positive),
     "cloud.mc_samples": (1_000_000, _at_least(10_000)),
-    "cloud.mc_seed": (12345, lambda v: None),
+    "cloud.mc_seed": (12345, _at_least(0)),
     "cloud.t_max_s": (0.030, _positive),
     "cloud.n_times": (16, _at_least(2)),
     "scan.duration_s": (0.025, _positive),
@@ -111,7 +110,7 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "scan.rel_noise": (0.10, _unit_interval_open_top),
     "scan.vbw_hz": (1e5, _positive),
     "scan.elec_floor": (0.10, _nonnegative),
-    "scan.seed": (12345, lambda v: None),
+    "scan.seed": (12345, _at_least(0)),
     "scan.noise_transverse": ("model", _choice("model", "plane")),
     "detection.eta": (0.9, _efficiency),
     "output.path": ("", _any_string),
@@ -236,9 +235,8 @@ class RunConfig:
             c0=self.values["cloud.c0"],
         )
 
-    def scan_config(self, mode: ScanMode) -> ScanConfig:
+    def scan_config(self) -> ScanConfig:
         return ScanConfig(
-            mode=mode,
             duration_s=self.values["scan.duration_s"],
             dt_s=self.values["scan.dt_s"],
             drive_y=self.values["scan.drive_Y"],
@@ -254,9 +252,6 @@ class RunConfig:
             seed=int(self.values["scan.seed"]),
             noise_transverse=self.values["scan.noise_transverse"],
         )
-
-    def detection(self) -> DetectionChain:
-        return DetectionChain(eta=self.values["detection.eta"])
 
 
 def load_config(config_path: str | None, flag_tokens: list[str]) -> RunConfig:

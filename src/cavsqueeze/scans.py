@@ -1,14 +1,18 @@
 """Synthetic measurement scans through the squeezing experiment.
 
-Two time-domain scans reproduce the measurement geometry: ``free_release_scan``
-lets the cooperativity decay after trap release so the dispersive shift sweeps
-the cavity through resonance, and ``piezo_scan`` sweeps the bare cavity
-detuning at fixed atom number.  Both track the steady state quasi-statically
-(branch continuity, hysteretic jumps when a branch ends), evaluate the noise
-envelope at the analysis frequency, and push a local-oscillator phase sample
-through the synthetic detection chain: detection efficiency, multiplicative
-analyzer noise, a single-pole video filter, electronic-noise subtraction, and
-shot-noise calibration.
+Two time-domain scans reproduce the measurement geometry, and the function
+called names the scan: ``free_release_scan`` lets the cooperativity decay
+after trap release so the dispersive shift sweeps the cavity through
+resonance, and ``piezo_scan`` sweeps the bare cavity detuning at fixed atom
+number.  Each turns its schedule into arrays of C and theta, one entry per
+time step; the shared tracker then follows the steady state quasi-statically
+(branch continuity, hysteretic jumps when a branch ends), evaluates the noise
+envelope at the analysis frequency, and pushes a local-oscillator phase sample
+through the synthetic detection chain: detection efficiency, then
+``analyzer_chain`` (multiplicative analyzer noise and a single-pole video
+filter) and ``calibrate_and_correct`` (electronic-noise subtraction and
+shot-noise calibration).  The signal, shot and electronic series draw from
+one Philox stream at ``seed``, in that order.
 
 Scan timescales (ms) sit far above the cavity and atomic relaxation times
 (sub-us), so the quasi-static approximation is exact for all practical
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -43,16 +46,10 @@ from .spectra import (
 )
 
 
-class ScanMode(Enum):
-    RELEASE = "release"
-    PIEZO = "piezo"
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Measurement-scan settings; defaults target the released-cloud trace."""
 
-    mode: ScanMode = ScanMode.RELEASE
     duration_s: float = 0.025
     dt_s: float = 2e-6
     drive_y: float = 800.0
@@ -69,8 +66,6 @@ class ScanConfig:
     noise_transverse: str = "model"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, ScanMode):
-            raise ValueError(f"mode must be a ScanMode, got {self.mode!r}")
         for name in ("duration_s", "dt_s", "lo_freq_hz", "vbw_hz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -94,8 +89,8 @@ class ScanConfig:
             raise ValueError(
                 f"noise_transverse must be 'model' or 'plane', got {self.noise_transverse!r}"
             )
-        if self.mode is ScanMode.PIEZO and self.theta_rate == 0.0:
-            raise ValueError("piezo mode needs a nonzero theta_rate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -143,16 +138,23 @@ def _video_filter(x: np.ndarray, vbw_hz: float, dt_s: float) -> np.ndarray:
     return y
 
 
-def analyzer_chain(s_true: Sequence[float], sc: ScanConfig, seed: int) -> np.ndarray:
+def analyzer_chain(
+    s_true: Sequence[float], sc: ScanConfig, seed: int | np.random.Generator
+) -> np.ndarray:
     """Apply analyzer statistics and video filtering to a noise series.
 
     Each sample is scaled by (1 + rel_noise * xi) with xi standard normal,
-    then the series passes the single-pole video filter at ``vbw_hz``.
+    then the series passes the single-pole video filter at ``vbw_hz``.  An
+    int ``seed`` starts a fresh Philox stream; a ``Generator`` is drawn from
+    in place, so successive calls continue one stream.
     """
     x = np.asarray(s_true, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("s_true must be a non-empty 1D series")
-    rng = np.random.Generator(np.random.Philox(seed))
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.Generator(np.random.Philox(seed))
     noisy = x * (1.0 + sc.rel_noise * rng.standard_normal(x.size))
     return _video_filter(noisy, sc.vbw_hz, sc.dt_s)
 
@@ -204,15 +206,18 @@ def _noise_state(ss: SteadyState, p: ModelParams, sc: ScanConfig):
     return ss_plane, p_plane
 
 
-def _run_scan(
-    sc: ScanConfig,
-    params_at,
-    c_at,
-) -> Trace:
+def _scan_times(sc: ScanConfig) -> np.ndarray:
     n = int(round(sc.duration_s / sc.dt_s))
     if n < 2:
         raise ValueError("scan needs at least 2 samples; increase duration_s")
-    ts = np.arange(n) * sc.dt_s
+    return np.arange(n) * sc.dt_s
+
+
+def _run_scan(
+    sc: ScanConfig, p: ModelParams, ts: np.ndarray, cs: np.ndarray, thetas: np.ndarray
+) -> Trace:
+    """Track the steady state along the schedule C(ts), theta(ts) and measure it."""
+    n = ts.size
     phases = lo_phase(ts, sc)
 
     s_phase = np.empty(n)
@@ -223,11 +228,11 @@ def _run_scan(
     branches: list[str] = []
 
     x_prev = None
-    for i, t in enumerate(ts):
-        p_t = params_at(t)
+    for i in range(n):
+        p_t = replace(p, c=float(cs[i]), theta=float(thetas[i]))
         roots = [r for r in solve_steady_states(sc.drive_y, p_t) if r.stable]
         if not roots:
-            raise RuntimeError(f"no stable steady state at t={t}")
+            raise RuntimeError(f"no stable steady state at t={ts[i]}")
         ss = _pick_start(roots) if x_prev is None else _pick_continuous(roots, x_prev)
         x_prev = ss.intensity
         xs[i] = ss.intensity
@@ -243,14 +248,12 @@ def _run_scan(
         vec = np.array([cphi, sphi])
         s_phase[i] = float(vec @ ve @ vec)
 
+    # one Philox stream, drawn in turn by the signal, shot and electronic
+    # series; the trace at a fixed seed depends on this order
     rng = np.random.Generator(np.random.Philox(sc.seed))
-    xi = rng.standard_normal((3, n))
-    signal_raw = (s_phase + sc.elec_floor) * (1.0 + sc.rel_noise * xi[0])
-    shot_raw = (1.0 + sc.elec_floor) * (1.0 + sc.rel_noise * xi[1])
-    elec_raw = sc.elec_floor * (1.0 + sc.rel_noise * xi[2])
-    signal_f = _video_filter(signal_raw, sc.vbw_hz, sc.dt_s)
-    shot_f = _video_filter(shot_raw, sc.vbw_hz, sc.dt_s)
-    elec_f = _video_filter(elec_raw, sc.vbw_hz, sc.dt_s)
+    signal_f = analyzer_chain(s_phase + sc.elec_floor, sc, rng)
+    shot_f = analyzer_chain(np.full(n, 1.0 + sc.elec_floor), sc, rng)
+    elec_f = analyzer_chain(np.full(n, sc.elec_floor), sc, rng)
     s_meas = calibrate_and_correct(signal_f, shot_f, elec_f)
     shot_ref = calibrate_and_correct(shot_f, shot_f, elec_f)
 
@@ -260,7 +263,6 @@ def _run_scan(
         warnings.warn(msg, stacklevel=3)
         notes.append(msg)
 
-    cs = np.array([c_at(t) for t in ts])
     samples = tuple(
         TraceSample(
             t_s=float(ts[i]),
@@ -286,25 +288,20 @@ def free_release_scan(sc: ScanConfig, cp: CloudParams, p: ModelParams) -> Trace:
     resonance.  The drive and all chain settings come from ``sc``; the cloud
     timescales from ``cp``; atomic and cavity rates from ``p``.
     """
-    if sc.mode is not ScanMode.RELEASE:
-        raise ValueError("free_release_scan needs a ScanConfig in release mode")
-
-    def params_at(t: float) -> ModelParams:
-        c_t = cooperativity_decay(t, cp)
-        return replace(p, c=max(c_t, 0.0), theta=sc.theta0)
-
-    return _run_scan(sc, params_at, lambda t: cooperativity_decay(t, cp))
+    ts = _scan_times(sc)
+    return _run_scan(sc, p, ts, cooperativity_decay(ts, cp), np.full(ts.size, sc.theta0))
 
 
 def piezo_scan(sc: ScanConfig, p: ModelParams) -> Trace:
-    """Scan driven by a linear sweep of the cavity detuning at fixed C."""
-    if sc.mode is not ScanMode.PIEZO:
-        raise ValueError("piezo_scan needs a ScanConfig in piezo mode")
+    """Scan driven by a linear sweep of the cavity detuning at fixed C.
 
-    def params_at(t: float) -> ModelParams:
-        return replace(p, theta=sc.theta0 + sc.theta_rate * t)
-
-    return _run_scan(sc, params_at, lambda t: p.c)
+    The detuning runs from ``sc.theta0`` at ``sc.theta_rate`` per second,
+    which must be nonzero.
+    """
+    if sc.theta_rate == 0.0:
+        raise ValueError("piezo scan needs a nonzero theta_rate")
+    ts = _scan_times(sc)
+    return _run_scan(sc, p, ts, np.full(ts.size, p.c), sc.theta0 + sc.theta_rate * ts)
 
 
 def release_threshold_drive(

@@ -33,7 +33,6 @@ from .bistability import ModelParams, SteadyState
 __all__ = [
     "FluctuationSystem",
     "QuadratureSpectrum",
-    "DetectionChain",
     "build_fluctuation_system",
     "drift_eigenvalues",
     "output_spectrum",
@@ -161,17 +160,6 @@ class QuadratureSpectrum:
     s_min: float
     s_max: float
     theta_min: float  # quadrature angle of s_min, in [0, pi)
-
-
-@dataclass(frozen=True)
-class DetectionChain:
-    """Homodyne detection budget: the overall detection efficiency."""
-
-    eta: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
 
 
 def quadrature_extrema(v: np.ndarray) -> tuple[float, float, float]:

@@ -35,7 +35,6 @@ from cavsqueeze import (
 )
 from cavsqueeze.cli import main
 from cavsqueeze.oracle import me_oracle_spectrum
-from cavsqueeze.scans import ScanMode
 
 KAPPA = 2.5e6
 RELEASE_CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
@@ -237,7 +236,7 @@ def _theta_of_fold_crossing(p, drive_y, bracket, pick):
 def test_criterion_09_piezo_regime():
     start = time.perf_counter()
     p20 = ModelParams(c=20.0, delta=-20.0)
-    sc20 = ScanConfig(mode=ScanMode.PIEZO, duration_s=0.025, dt_s=2e-6,
+    sc20 = ScanConfig(duration_s=0.025, dt_s=2e-6,
                       drive_y=180.0, theta0=-8.0, theta_rate=360.0)
     trace = piezo_scan(sc20, p20)
     s_env = np.array([s.s_min for s in trace.samples])
@@ -253,7 +252,7 @@ def test_criterion_09_piezo_regime():
     step = 50.0 * 4e-6
 
     def jump_theta(theta0, rate):
-        sc = ScanConfig(mode=ScanMode.PIEZO, duration_s=6e-3, dt_s=4e-6,
+        sc = ScanConfig(duration_s=6e-3, dt_s=4e-6,
                         drive_y=drive, theta0=theta0, theta_rate=rate,
                         rel_noise=0.0, elec_floor=0.0)
         tr = piezo_scan(sc, p50)

@@ -106,8 +106,7 @@ def test_typed_views_construct_model_objects():
     assert p.transverse.m == 8
     cp = cfg.cloud_params()
     assert cp.c0 == 220.0
-    chain = cfg.detection()
-    assert chain.eta == 0.9
+    assert cfg.scan_config().eta == 0.9
 
 
 # === subcommands ===
@@ -172,6 +171,14 @@ def test_validation_failures_exit_one():
     assert rc == 1
     rc, _, err = run_cli(["release", "--config=/no/such/file.cfg"])
     assert rc == 1 and "config" in err
+
+
+@pytest.mark.parametrize("command, key", [("release", "scan.seed"), ("mc-cloud", "cloud.mc_seed")])
+def test_negative_seeds_are_rejected_before_any_work(tmp_path, command, key):
+    out_path = tmp_path / "out.csv"
+    rc, _, err = run_cli([command, f"--{key}=-1", f"--output.path={out_path}"])
+    assert rc == 1 and key in err
+    assert not out_path.exists()
 
 
 def test_runtime_failures_exit_two():

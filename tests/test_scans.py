@@ -18,13 +18,13 @@ from cavsqueeze import (
     piezo_scan,
     release_threshold_drive,
 )
-from cavsqueeze.scans import ScanMode, _video_filter
+from cavsqueeze.scans import _video_filter
 
 CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
 
 
 def _release_config(**kw):
-    base = dict(mode=ScanMode.RELEASE, duration_s=1.5e-3, dt_s=2e-6,
+    base = dict(duration_s=1.5e-3, dt_s=2e-6,
                 drive_y=800.0, theta0=-7.5, rel_noise=0.0, elec_floor=0.0)
     base.update(kw)
     return ScanConfig(**base)
@@ -94,6 +94,35 @@ def test_calibration_normalizes_shot_and_cancels_electronics():
         calibrate_and_correct(sig, elec, elec)
 
 
+def test_analyzer_chain_calls_on_one_generator_continue_one_stream():
+    sc = ScanConfig(rel_noise=0.1)
+    for n in (1, 7, 1001):
+        series = [np.linspace(0.5, 1.5, n), np.full(n, 1.1), np.full(n, 0.1)]
+        rng = np.random.Generator(np.random.Philox(5))
+        outs = [analyzer_chain(x, sc, rng) for x in series]
+        xi = np.random.Generator(np.random.Philox(5)).standard_normal((3, n))
+        for k, x in enumerate(series):
+            expected = _video_filter(x * (1.0 + 0.1 * xi[k]), sc.vbw_hz, sc.dt_s)
+            assert np.array_equal(outs[k], expected)
+
+
+def test_scan_noise_stream_layout_is_pinned():
+    """Signal, shot and electronic series take the rows of one (3, n) draw."""
+    sc = ScanConfig(duration_s=2e-3, dt_s=4e-6, drive_y=12.0, theta0=-5.0,
+                    theta_rate=5000.0, rel_noise=0.1, elec_floor=0.1, seed=2024)
+    tr = piezo_scan(sc, ModelParams(c=0.0, delta=0.0))  # true noise is 1
+    n = len(tr.samples)
+    xi = np.random.Generator(np.random.Philox(sc.seed)).standard_normal((3, n))
+    sig, shot, elec = (
+        _video_filter(level * (1.0 + 0.1 * row), sc.vbw_hz, sc.dt_s)
+        for level, row in zip((1.1, 1.1, 0.1), xi)
+    )
+    s_meas = calibrate_and_correct(sig, shot, elec)
+    shot_ref = calibrate_and_correct(shot, shot, elec)
+    assert np.max(np.abs([s.s_meas for s in tr.samples] - s_meas)) < 1e-12
+    assert np.max(np.abs([s.shot_ref for s in tr.samples] - shot_ref)) < 1e-12
+
+
 # === configuration guards ===
 
 
@@ -112,18 +141,12 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ScanConfig(noise_transverse="banana")
     with pytest.raises(ValueError):
-        ScanConfig(mode=ScanMode.PIEZO, theta_rate=0.0)
-    with pytest.raises(ValueError):
-        ScanConfig(mode="release")
+        ScanConfig(seed=-1)
 
 
-def test_scan_mode_mismatch_is_rejected():
-    p = ModelParams(c=50.0, delta=-20.0)
-    with pytest.raises(ValueError):
-        piezo_scan(_release_config(), p)
-    sc_piezo = ScanConfig(mode=ScanMode.PIEZO, theta_rate=100.0)
-    with pytest.raises(ValueError):
-        free_release_scan(sc_piezo, CLOUD, p)
+def test_piezo_scan_rejects_a_zero_sweep_rate():
+    with pytest.raises(ValueError, match="theta_rate"):
+        piezo_scan(ScanConfig(theta_rate=0.0), ModelParams(c=50.0, delta=-20.0))
 
 
 # === release traces ===
@@ -198,7 +221,7 @@ def test_plane_wave_noise_option_changes_profiled_spectra():
 
 def test_piezo_sweep_of_empty_cavity_traces_a_lorentzian():
     p = ModelParams(c=0.0, delta=0.0)
-    sc = ScanConfig(mode=ScanMode.PIEZO, duration_s=0.01, dt_s=4e-6,
+    sc = ScanConfig(duration_s=0.01, dt_s=4e-6,
                     drive_y=12.0, theta0=-5.0, theta_rate=1000.0,
                     rel_noise=0.0, elec_floor=0.0)
     tr = piezo_scan(sc, p)
@@ -221,7 +244,7 @@ def test_piezo_hysteresis_jumps_at_the_fold_edges():
     p = ModelParams(c=50.0, delta=-20.0)
 
     def sweep(theta0, rate):
-        sc = ScanConfig(mode=ScanMode.PIEZO, duration_s=6e-3, dt_s=4e-6,
+        sc = ScanConfig(duration_s=6e-3, dt_s=4e-6,
                         drive_y=900.0, theta0=theta0, theta_rate=rate,
                         rel_noise=0.0, elec_floor=0.0)
         tr = piezo_scan(sc, p)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cavsqueeze import (
-    DetectionChain,
     GaussianBins,
     ModelParams,
     build_fluctuation_system,
@@ -258,6 +257,8 @@ def test_efficiency_matrix_pinned_values():
     assert abs(efficiency_matrix(np.diag([0.33, 0.33]), 0.9)[0, 0] - 0.397) < 1e-15
     with pytest.raises(ValueError):
         efficiency_matrix(np.diag([0.5, 0.5]), 0.0)
+    with pytest.raises(ValueError):
+        efficiency_matrix(np.diag([0.5, 0.5]), 1.2)
 
 
 def test_efficiency_matrix_matches_scalar_map_on_eigenvalues():
@@ -268,15 +269,6 @@ def test_efficiency_matrix_matches_scalar_map_on_eigenvalues():
     assert abs(e_min - (0.85 * s_min + (1 - 0.85))) < 1e-12
     assert abs(e_max - (0.85 * s_max + (1 - 0.85))) < 1e-12
     assert abs(theta - theta_e) < 1e-12
-
-
-def test_detection_chain_bounds():
-    chain = DetectionChain()
-    assert 0.0 < chain.eta <= 1.0
-    with pytest.raises(ValueError):
-        DetectionChain(eta=0.0)
-    with pytest.raises(ValueError):
-        DetectionChain(eta=1.2)
 
 
 # === squeezing in the measurement regime ===
