@@ -248,20 +248,35 @@ def state_equation(x_int, p: ModelParams):
     Accepts a scalar or array X >= 0; the map is single-valued in this
     direction even when the response X(Y) is multivalued.
     """
-    x_arr = np.asarray(x_int, dtype=float)
-    if np.any(x_arr < 0) or not np.all(np.isfinite(x_arr)):
-        raise ValueError("intracavity intensity X must be finite and >= 0")
-    return _as_output(_response(x_arr, p).y)
+    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p).y)
 
 
 def state_equation_slope(x_int, p: ModelParams):
     """Analytic dY/dX; negative slope marks the unstable branch."""
-    return _as_output(_response(x_int, p).y1)
+    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p).y1)
 
 
-def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float,
-            max_iter: int = 200) -> float:
-    for _ in range(max_iter):
+def _checked(value, name: str, positive: bool = False) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``name`` unless it is
+    finite and >= 0 (> 0 if ``positive``)."""
+    v = np.asarray(value, dtype=float)
+    # scalars compare as floats: under a microsecond on every solve
+    lo, hi = ((float(v),) * 2 if v.ndim == 0
+              else (v.min(initial=math.inf), v.max(initial=0.0)))
+    if not ((lo > 0.0 if positive else lo >= 0.0) and hi < math.inf):
+        sign = ">" if positive else ">="
+        raise ValueError(f"{name} must be finite and {sign} 0, got {value}")
+    return v
+
+
+def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float) -> float:
+    """Sign change of f on [lo, hi], where f(lo) is ``flo``, by bisection.
+
+    Used only where no derivative of f is at hand: the slope minima (on
+    d2Y/dX2) and the two searches over C.  Stops once the bracket is
+    narrower than ``rel_tol`` times its midpoint.
+    """
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(abs(mid), 1e-300):
             return mid
@@ -324,17 +339,6 @@ def _cubic(coeffs, x: float) -> float:
     return ((c3 * x + c2) * x + c1) * x + c0
 
 
-def _newton_start(lo: float, hi: float, flo: float, fhi: float,
-                  clo: float, chi: float) -> float:
-    # the end where f and its curvature (clo, chi) share a sign, so that
-    # Newton closes in from one side when no inflection lies between
-    if fhi * chi > 0.0:
-        return hi
-    if flo * clo > 0.0:
-        return lo
-    return 0.5 * (lo + hi)
-
-
 def _newton(fdf, lo: float, hi: float, x: float, rising: bool) -> float:
     """Root of f on [lo, hi], over which it changes sign once, from x.
 
@@ -364,13 +368,30 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool) -> float:
     return x
 
 
-def _cubic_root(coeffs, lo: float, hi: float) -> float:
-    """Root of a cubic on [lo, hi], over which it changes sign once."""
+def _segment_roots(fdf, edges, fvals, curvs) -> list[float]:
+    """Roots of f on the segments between ascending ``edges``.
+
+    ``fvals`` and ``curvs`` hold f and (the sign of) f'' at the edges, and
+    f is monotone on each segment.  Returns every edge where f is 0, then
+    one ``_newton`` root in each segment over which f changes sign.  Newton
+    starts from the end where f and f'' share a sign, so that it closes in
+    from one side when no inflection lies between, else from the midpoint.
+    """
+    roots = [x for x, fx in zip(edges, fvals) if fx == 0.0]
+    for lo, hi, flo, fhi, clo, chi in zip(edges, edges[1:], fvals, fvals[1:],
+                                          curvs, curvs[1:]):
+        if (flo < 0.0 < fhi) or (fhi < 0.0 < flo):
+            x = hi if fhi * chi > 0.0 else lo if flo * clo > 0.0 else 0.5 * (lo + hi)
+            roots.append(_newton(fdf, lo, hi, x, flo < 0.0))
+    return roots
+
+
+def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
+    # edge values stay Python floats: numpy scalars would double the cost
     c3, c2, c1, _ = coeffs
-    flo, fhi = _cubic(coeffs, lo), _cubic(coeffs, hi)
-    x = _newton_start(lo, hi, flo, fhi, 3.0 * c3 * lo + c2, 3.0 * c3 * hi + c2)
     fdf = lambda x: (_cubic(coeffs, x), (3.0 * c3 * x + 2.0 * c2) * x + c1)
-    return _newton(fdf, lo, hi, x, flo < 0.0)
+    return _segment_roots(fdf, edges, [_cubic(coeffs, x) for x in edges],
+                          [3.0 * c3 * x + c2 for x in edges])
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -390,7 +411,7 @@ def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
         return ()
     # Fujiwara's bound on the magnitude of every root
     x_top = 2.0 * max(h2 / h3, math.sqrt(-h1 / h3), (0.5 * h0 / h3) ** (1.0 / 3.0))
-    return _cubic_root(h, 0.0, x_min), _cubic_root(h, x_min, x_top)
+    return tuple(_cubic_segment_roots(h, [0.0, x_min, x_top]))
 
 
 def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
@@ -403,13 +424,17 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     the folds on a logarithmic grid to which the local minima of dY/dX are
     added (see ``_binned_folds``), and refine each by safeguarded Newton on
     dY/dX.  Returns 0, 1 or 2 points; exactly 2 means the response is
-    bistable within the window.
+    bistable within the window.  ``x_max`` must be finite and > 0.
+
+    Binned profiles have no exact tangency test.  Within about 4e-14
+    (relative) above ``critical_point``'s C, round-off in dY/dX decides
+    whether a fold pair narrower than about 4e-7 is reported, and may
+    misplace it (measured for GaussianBins(64) in the README).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
         x_max = 100.0 * a_sat
-    if not x_max > 0:
-        raise ValueError(f"x_max must be > 0, got {x_max}")
+    _checked(x_max, "x_max", positive=True)
     if isinstance(p.transverse, PlaneWave):
         _, h, distinct = _plane_cubics(p)
         points = tuple(x for x in _plane_folds(h, distinct) if x < x_max)
@@ -506,8 +531,7 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     and the middle one is always unstable; a single root is labeled
     monostable.
     """
-    if not (np.isfinite(y_drive) and y_drive >= 0):
-        raise ValueError(f"drive intensity Y must be finite and >= 0, got {y_drive}")
+    _checked(y_drive, "drive intensity Y")
     if y_drive == 0.0:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
@@ -539,12 +563,7 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     f, h, distinct = _plane_cubics(p, y_drive)
     top = y_drive if _cubic(f, y_drive) >= 0.0 else 2.0 * y_drive
     edges = [0.0, *(x for x in _plane_folds(h, distinct) if x < top), top]
-    fvals = [_cubic(f, x) for x in edges]
-    roots = [x for x, fx in zip(edges, fvals) if fx == 0.0]
-    for lo, hi, flo, fhi in zip(edges, edges[1:], fvals, fvals[1:]):
-        if (flo < 0.0 < fhi) or (fhi < 0.0 < flo):
-            roots.append(_cubic_root(f, lo, hi))
-    return roots
+    return _cubic_segment_roots(f, edges)
 
 
 def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
@@ -558,61 +577,50 @@ def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     edges = np.array([x_lo, *(x for x in _binned_folds(p, y_drive)
                               if x_lo < x < y_drive), y_drive])
     at_edges = _response(edges, p)
-    fvals, curv = at_edges.y - y_drive, at_edges.y2
 
     def fdf(x):
         at = _response(x, p)
         return at.y - y_drive, at.y1
 
-    roots: list[float] = []
-    for i in range(len(edges) - 1):
-        lo, hi, flo, fhi = edges[i], edges[i + 1], fvals[i], fvals[i + 1]
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if fhi == 0.0:
-            if i == len(edges) - 2:
-                roots.append(hi)
-            continue
-        if (flo < 0) == (fhi < 0):
-            continue
-        x = _newton_start(lo, hi, flo, fhi, curv[i], curv[i + 1])
-        roots.append(_newton(fdf, lo, hi, x, flo < 0.0))
-    return roots
+    return _segment_roots(fdf, edges, at_edges.y - y_drive, at_edges.y2)
 
 
 def peak_transmission(y_drive: float, p: ModelParams) -> float:
     """Largest intracavity intensity with the dispersive shift compensated.
 
     This is the peak of a cavity-length scan at fixed drive: the root of
-    X*(1 + 2*C*G(X))^2 = Y with the highest X.
+    h(X) = X*(1 + 2*C*G(X))^2 = Y with the highest X.  Since
+    h' = (1 + 2CG) k with k = (1 + 2CG) + 4CXG', h is monotone between the
+    sign changes of k.  Those are bracketed on a 2048-point log grid over
+    (0, Y] and refined by safeguarded Newton on k; the roots of h - Y on
+    the segments between them are polished by Newton on h (see
+    ``_segment_roots``), and the largest is returned.
     """
-    if not y_drive > 0:
-        raise ValueError(f"drive intensity must be > 0, got {y_drive}")
+    _checked(y_drive, "drive intensity Y", positive=True)
 
-    # monotone segments of h: sign changes of (1 + 2CG) + 4CXG'
-    def hslope_factor(x):
-        at = _response(x, p)
-        return at.absorb + 4.0 * p.c * np.asarray(x) * at.g1
+    def parts(x):
+        # 1 + 2CG and its derivative 2CG', then k and k'
+        at, c = _response(x, p), p.c
+        return (at.absorb, 2.0 * c * at.g1, at.absorb + 4.0 * c * x * at.g1,
+                6.0 * c * at.g1 + 4.0 * c * x * at.g2)
 
     grid = np.geomspace(1e-12 * y_drive, y_drive, 2048)
-    fac = hslope_factor(grid)
-    edges = [grid[0]]
-    for i in np.flatnonzero(np.sign(fac[:-1]) != np.sign(fac[1:])):
-        edges.append(_bisect(hslope_factor, grid[i], grid[i + 1], fac[i], 1e-12))
-    edges.append(y_drive)
+    k = parts(grid)[2]
+    turns = [_newton(lambda x: parts(x)[2:], grid[i], grid[i + 1],
+                     0.5 * (grid[i] + grid[i + 1]), k[i] < 0.0)
+             for i in np.flatnonzero(np.sign(k[:-1]) != np.sign(k[1:]))]
+    edges = np.array([grid[0], *turns, y_drive])
 
-    fh = lambda x: x * _response(x, p).absorb ** 2 - y_drive
-    for i in range(len(edges) - 1, 0, -1):
-        lo, hi = edges[i - 1], edges[i]
-        flo, fhi = fh(lo), fh(hi)
-        if fhi == 0.0:
-            return hi
-        if (flo < 0) != (fhi < 0):
-            return _bisect(fh, lo, hi, flo, 1e-14)
-    raise RuntimeError(
-        f"no transmission peak found for Y={y_drive} at {p!r}"
-    )
+    def hdh(x):
+        absorb, _, kx, _ = parts(x)
+        return x * absorb ** 2 - y_drive, absorb * kx
+
+    absorb, absorb1, k, k1 = parts(edges)
+    roots = _segment_roots(hdh, edges, edges * absorb ** 2 - y_drive,
+                           absorb1 * k + absorb * k1)
+    if not roots:
+        raise RuntimeError(f"no transmission peak found for Y={y_drive} at {p!r}")
+    return float(max(roots))
 
 
 def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
@@ -623,8 +631,9 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
     Both peaks must be in the same (arbitrary) units; when ``drive_y`` is not
     given the peaks are assumed to be in saturation units, so the drive is
     read off the empty-cavity peak.  The peak-transmission ratio is inverted
-    by bisection against the simulated ratio, which decreases monotonically
-    with the cooperativity.
+    by bisection (``_bisect``) against the simulated ratio from
+    ``peak_transmission``, which decreases monotonically with the
+    cooperativity; the bisection stops at 1e-12 relative in C.
     """
     if not (bistable_peak > 0 and empty_peak > 0):
         raise ValueError("transmission peaks must be > 0")
@@ -637,8 +646,7 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
     if ratio == 1.0:
         return 0.0
     y = empty_peak if drive_y is None else drive_y
-    if not y > 0:
-        raise ValueError(f"drive intensity must be > 0, got {y}")
+    _checked(y, "drive intensity Y", positive=True)
 
     def r_of_c(c):
         return peak_transmission(y, replace(p, c=c)) / y
@@ -650,16 +658,8 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
             raise ValueError(
                 f"peak ratio {ratio:.6g} not reachable below C=1e8 at drive {y:.6g}"
             )
-    c_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (c_lo + c_hi)
-        if c_hi - c_lo <= 1e-12 * max(mid, 1.0):
-            break
-        if r_of_c(mid) > ratio:
-            c_lo = mid
-        else:
-            c_hi = mid
-    c_star = 0.5 * (c_lo + c_hi)
+    # an empty cavity (C = 0) transmits the full peak, ratio 1
+    c_star = _bisect(lambda c: r_of_c(c) - ratio, 0.0, c_hi, 1.0 - ratio, 1e-12)
     if abs(r_of_c(c_star) - ratio) > 1e-6:
         raise ValueError(
             f"no cooperativity reproduces peak ratio {ratio:.6g} to 1e-6; "
@@ -675,13 +675,19 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     Returns (c_crit, x_crit, y_crit): the cooperativity at which the two
     folds of the response merge into a degenerate point with dY/dX = 0 and
     d2Y/dX2 = 0, together with that point's coordinates.  ``p.c`` is ignored
-    except as a search hint.  Solved by bisecting the minimum slope over X
-    (negative iff bistable) as a function of C, that minimum being the
-    lowest of the local minima found as in ``_binned_folds``.
+    except as a search hint.  Solved by bisecting (``_bisect``, to 1e-12
+    relative in C) the minimum slope over X, negative iff bistable, as a
+    function of C; that minimum is the lowest of the local minima of dY/dX
+    on a log grid up to ``x_max`` (default 1e4 (1 + delta^2)), found as in
+    ``_binned_folds``.
+
+    For binned profiles, round-off in dY/dX decides the fold count within
+    about 4e-14 (relative) above the returned C (see ``turning_points``).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
         x_max = 1e4 * a_sat
+    _checked(x_max, "x_max", positive=True)
     grid = np.geomspace(1e-6 * a_sat, x_max, 4096)
 
     def min_slope(c: float) -> tuple[float, float]:
@@ -703,16 +709,8 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
         raise RuntimeError(
             f"response never turns bistable below C={c_hi:.3g} at {p!r}"
         )
-    c_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (c_lo + c_hi)
-        if c_hi - c_lo <= 1e-12 * max(mid, 1.0):
-            break
-        if min_slope(mid)[0] < 0.0:
-            c_hi = mid
-        else:
-            c_lo = mid
-    c_crit = 0.5 * (c_lo + c_hi)
+    # an empty cavity (C = 0) responds linearly: no slope minimum
+    c_crit = _bisect(lambda c: min_slope(c)[0], 0.0, c_hi, math.inf, 1e-12)
     _, x_crit = min_slope(c_crit)
     y_crit = state_equation(x_crit, replace(p, c=c_crit))
     return c_crit, x_crit, y_crit

@@ -191,6 +191,9 @@ class FitResult:
     message: str
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _fit_model_and_jacobian(t: np.ndarray, log_params: np.ndarray):
     c0, tau_r, tau_g = np.exp(log_params)
     m, denom, expo = _decay_terms(t, c0, tau_r, tau_g)
@@ -213,7 +216,11 @@ def fit_cooperativity(
     Jacobian.  The fitted timescales are converted back to cloud radius and
     temperature for reporting, with uncertainties propagated from the
     residual covariance.  Degenerate data produce a non-converged result
-    with a diagnostic message rather than an exception.
+    with a diagnostic message rather than an exception.  When the steps
+    drive tau_g so high that the fall term is below round-off at every
+    sample, the samples do not resolve the fall time: C0 and tau_r are
+    fitted in the tau_g -> inf limit and returned, unconverged, with
+    tau_g = inf and NaN in the derived fields.
     """
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
@@ -253,14 +260,18 @@ def fit_cooperativity(
 
     converged = False
     n_iter = 0
+    n_free = 3
     for n_iter in range(1, 201):
         m, jac = _fit_model_and_jacobian(t, lp)
+        if n_free == 3 and np.all(jac[:, 2] < _EPS * m):
+            # the fall term is below round-off at every sample, so the data
+            # no longer see tau_g: fit (C0, tau_r) in the tau_g -> inf limit
+            n_free, lp[2] = 2, math.inf
         r = (m - c) * wts
-        jw = jac * wts[:, None]
-        g = jw.T @ r
-        h = jw.T @ jw
+        jw = jac[:, :n_free] * wts[:, None]
+        step = np.zeros(3)
         try:
-            step = np.linalg.solve(h, g)
+            step[:n_free] = np.linalg.solve(jw.T @ jw, jw.T @ r)
         except np.linalg.LinAlgError:
             return failure("singular normal equations; data do not constrain the model")
         # damped line search on the Gauss-Newton step
@@ -280,6 +291,12 @@ def fit_cooperativity(
             break
 
     c0, tau_r, tau_g = np.exp(lp)
+    if n_free == 2:
+        nan = math.nan
+        return FitResult(float(c0), nan, nan, float(tau_r), math.inf, nan, nan, nan,
+                         nan, n_iter, False,
+                         "fall time tau_g unresolved: the fall term is below "
+                         "round-off at every sample; C0 and tau_r fitted at tau_g -> inf")
     m, jac = _fit_model_and_jacobian(t, lp)
     r = (m - c) * wts
     rss = float(r @ r)

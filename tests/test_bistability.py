@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from cavsqueeze import (
     Branch,
@@ -97,6 +98,32 @@ def test_weak_field_profile_independence():
 def test_state_equation_rejects_negative_intensity():
     with pytest.raises(ValueError):
         state_equation(-1.0, absorptive(1.0))
+
+
+_PW = absorptive(50.0)
+_G8 = absorptive(50.0, transverse=GaussianBins(8))
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: state_equation(math.inf, _PW), "intensity X", id="X-inf"),
+    pytest.param(lambda: state_equation_slope(-5.0, _PW), "intensity X", id="slope-X-negative"),
+    pytest.param(lambda: state_equation_slope(math.nan, _PW), "intensity X", id="slope-X-nan"),
+    pytest.param(lambda: state_equation_slope(np.array([1.0, -1.0]), _G8), "intensity X",
+                 id="slope-X-array"),
+    pytest.param(lambda: solve_steady_states(math.inf, _PW), "drive intensity Y", id="steady-Y-inf"),
+    pytest.param(lambda: peak_transmission(math.inf, _PW), "drive intensity Y", id="peak-Y-inf"),
+    pytest.param(lambda: peak_transmission(0.0, _G8), "drive intensity Y", id="peak-Y-zero"),
+    pytest.param(lambda: cooperativity_from_amplitudes(1.0, 2.0, _PW, drive_y=math.nan),
+                 "drive intensity Y", id="coop-Y-nan"),
+    pytest.param(lambda: critical_point(_PW, x_max=-1.0), "x_max", id="critical-negative"),
+    pytest.param(lambda: critical_point(_G8, x_max=math.nan), "x_max", id="critical-nan"),
+    pytest.param(lambda: turning_points(_G8, x_max=math.inf), "x_max", id="turning-gauss-inf"),
+    pytest.param(lambda: turning_points(_PW, x_max=math.inf), "x_max", id="turning-plane-inf"),
+    pytest.param(lambda: turning_points(_PW, x_max=0.0), "x_max", id="turning-zero"),
+])
+def test_public_entry_points_reject_bad_inputs(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_bin_layout_normalization():
@@ -392,6 +419,55 @@ def test_zero_drive_is_dark():
 
 def test_peak_transmission_empty_cavity():
     assert peak_transmission(17.0, absorptive(0.0, theta=1.5)) == pytest.approx(17.0, rel=1e-12)
+
+
+def _largest_root(h, y: float) -> float:
+    # last sign change of h - Y on a dense log grid, refined by brentq
+    grid = np.geomspace(1e-12 * y, y, 20001)
+    below = np.flatnonzero(h(grid) < y)
+    return brentq(lambda x: h(x) - y, grid[below[-1]], grid[below[-1] + 1],
+                  xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+# C, delta, theta, Y: h(X) = X (1 + 2CG)^2 is non-monotone in all but the
+# first and fifth cases; h = Y has three roots in the last case (and in
+# the third for a plane wave)
+_PEAK_CASES = [(3.0, 0.0, 0.0, 10.0), (100.0, 0.0, 0.0, 40.0),
+               (100.0, 0.0, 0.0, 2000.0), (60.0, 2.0, 1.0, 300.0),
+               (220.0, -20.0, 0.0, 5000.0), (500.0, 1.0, -3.0, 1e5)]
+
+
+@pytest.mark.parametrize("c, delta, theta, y", _PEAK_CASES)
+def test_peak_transmission_plane_wave_against_cubic(c, delta, theta, y):
+    # X (A + X + 2C)^2 = Y (A + X)^2, highest power first
+    a = 1.0 + delta * delta
+    coeffs = np.polymul([1.0, 0.0], np.polymul([1.0, a + 2.0 * c], [1.0, a + 2.0 * c]))
+    coeffs = np.polysub(coeffs, y * np.polymul([1.0, a], [1.0, a]))
+    roots = np.roots(coeffs)
+    x_ref = max(r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r))
+    x = peak_transmission(y, absorptive(c, delta=delta, theta=theta))
+    assert abs(x - x_ref) <= 1e-12 * x_ref
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("c, delta, theta, y", _PEAK_CASES)
+def test_peak_transmission_gaussian_against_brentq(m, c, delta, theta, y):
+    xi, lam = np.polynomial.legendre.leggauss(m)
+    s, v = (xi + 1.0) / 2.0, lam / 2.0     # G = sum_j v_j / (A + s_j X)
+    a = 1.0 + delta * delta
+    h = lambda x: x * (1.0 + 2.0 * c * (v / (a + np.multiply.outer(x, s))).sum(-1)) ** 2
+    x_ref = _largest_root(h, y)
+    x = peak_transmission(y, absorptive(c, delta=delta, theta=theta,
+                                        transverse=GaussianBins(m)))
+    assert abs(x - x_ref) <= 1e-10 * x_ref
+
+
+@pytest.mark.parametrize("c", [0.3, 2.0])
+def test_cooperativity_roundtrip_small_c(c):
+    p = absorptive(c, delta=1.0)
+    y = 25.0
+    c_back = cooperativity_from_amplitudes(peak_transmission(y, p), y, p)
+    assert abs(c_back - c) <= 2e-12 * c
 
 
 def test_cooperativity_ratio_one_means_no_atoms():

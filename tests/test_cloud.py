@@ -1,5 +1,7 @@
 """Tests for released-cloud cooperativity decay, Monte Carlo, and fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,33 @@ def test_fit_recovers_cloud_from_noisy_weighted_points():
     assert abs(fr.c0 - CLOUD.c0) < 4.0 * fr.c0_err
     assert abs(fr.sigma_r_m - CLOUD.sigma_r_m) < 4.0 * fr.sigma_r_err
     assert abs(fr.temp_k - CLOUD.temp_k) < 4.0 * fr.temp_k_err
+
+
+def test_fit_reports_unresolved_fall_time():
+    # 16 samples over 30 ms with 1 % noise: in draws 3, 6, 14 and 17 the
+    # least-squares cost falls monotonically towards tau_g -> inf
+    t = np.linspace(0.0, 0.030, 16)
+    truth = cooperativity_decay(t, CLOUD)
+    for seed in range(20):
+        noisy = truth * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(t.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fr = fit_cooperativity(_samples_from(CLOUD, t, noisy))
+        if seed not in (3, 6, 14, 17):
+            assert fr.converged, seed
+            continue
+        assert not fr.converged and "fall time" in fr.message
+        assert fr.tau_g_s == np.inf and fr.n_iter > 0
+        assert abs(fr.c0 - CLOUD.c0) < 0.02 * CLOUD.c0
+        assert abs(fr.tau_r_s - CLOUD.tau_r_s) < 0.02 * CLOUD.tau_r_s
+        others = (fr.sigma_r_m, fr.temp_k, fr.c0_err, fr.sigma_r_err,
+                  fr.temp_k_err, fr.rms_residual)
+        assert all(np.isnan(v) for v in others)
+        # the tau_g -> inf optimum: the gradient in (C0, tau_r) vanishes
+        model = fr.c0 * fr.tau_r_s ** 2 / (fr.tau_r_s ** 2 + t * t)
+        resid = model - noisy
+        grad = [resid @ model, resid @ (model * t * t / (fr.tau_r_s ** 2 + t * t))]
+        assert max(abs(g) for g in grad) <= 1e-8 * (model @ model)
 
 
 def test_fit_requires_enough_points():
