@@ -101,6 +101,11 @@ class ModelParams:
     loss_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("c", "delta", "theta", "kappa_hz", "gamma_hz", "gamma_par_ratio",
+                     "n_atoms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.c >= 0:
             raise ValueError(f"cooperativity must be >= 0, got {self.c}")
         if not self.kappa_hz > 0:

@@ -259,36 +259,42 @@ def fit_cooperativity(
     lp = best_lp
 
     converged = False
+    message = "iteration limit reached"
     n_iter = 0
     n_free = 3
-    for n_iter in range(1, 201):
-        m, jac = _fit_model_and_jacobian(t, lp)
-        if n_free == 3 and np.all(jac[:, 2] < _EPS * m):
-            # the fall term is below round-off at every sample, so the data
-            # no longer see tau_g: fit (C0, tau_r) in the tau_g -> inf limit
-            n_free, lp[2] = 2, math.inf
-        r = (m - c) * wts
-        jw = jac[:, :n_free] * wts[:, None]
-        step = np.zeros(3)
-        try:
-            step[:n_free] = np.linalg.solve(jw.T @ jw, jw.T @ r)
-        except np.linalg.LinAlgError:
-            return failure("singular normal equations; data do not constrain the model")
-        # damped line search on the Gauss-Newton step
-        base = float(r @ r)
-        scale = 1.0
-        for _ in range(25):
-            trial = lp - scale * step
-            if cost(trial) < base:
+    # a line-search trial, or a point whose tau_g overflows to the tau_g -> inf
+    # limit, may overflow; its non-finite cost is rejected, unwarned, below
+    with np.errstate(all="ignore"):
+        for n_iter in range(1, 201):
+            m, jac = _fit_model_and_jacobian(t, lp)
+            if n_free == 3 and np.all(jac[:, 2] < _EPS * m):
+                # the fall term is below round-off at every sample, so the data
+                # no longer see tau_g: fit (C0, tau_r) in the tau_g -> inf limit
+                n_free, lp[2] = 2, math.inf
+            r = (m - c) * wts
+            jw = jac[:, :n_free] * wts[:, None]
+            step = np.zeros(3)
+            try:
+                step[:n_free] = np.linalg.solve(jw.T @ jw, jw.T @ r)
+            except np.linalg.LinAlgError:
+                return failure("singular normal equations; data do not constrain the model")
+            # damped line search on the Gauss-Newton step
+            base = float(r @ r)
+            scale = 1.0
+            for _ in range(25):
+                trial = lp - scale * step
+                if cost(trial) < base:
+                    break
+                scale *= 0.5
+            else:
+                # no descent along the step: a minimum only if the step is tiny
+                converged = bool(np.max(np.abs(step)) < 1e-6)
+                message = "converged" if converged else "line search failed"
                 break
-            scale *= 0.5
-        else:
-            converged = True
-            break
-        lp = lp - scale * step
-        if np.max(np.abs(scale * step)) < 1e-13:
-            converged = True
-            break
+            lp = lp - scale * step
+            if np.max(np.abs(scale * step)) < 1e-13:
+                converged, message = True, "converged"
+                break
 
     c0, tau_r, tau_g = np.exp(lp)
     if n_free == 2:
@@ -327,7 +333,7 @@ def fit_cooperativity(
         rms_residual=math.sqrt(rss / t.size),
         n_iter=n_iter,
         converged=converged,
-        message="converged" if converged else "iteration limit reached",
+        message=message,
     )
 
 

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .bistability import ModelParams, PlaneWave
-from .spectra import QuadratureSpectrum, quadrature_extrema
+from .spectra import QuadratureSpectrum, _check_dephasing, quadrature_extrema
 
 __all__ = [
     "liouvillian",
@@ -269,11 +269,7 @@ def me_oracle_spectrum(p: ModelParams, omega_grid, drive_y: float | None = None,
     bad = omegas[~(np.isfinite(omegas) & (omegas >= 0))]
     if bad.size:
         raise ValueError(f"omega_hz must be finite and >= 0, got {bad[0]}")
-    if p.gamma_par_ratio > 2.0 + 1e-12:
-        raise ValueError(
-            f"gamma_par_ratio={p.gamma_par_ratio} exceeds 2: total dipole decay "
-            "cannot be slower than half the population decay"
-        )
+    _check_dephasing(p)
 
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     g = math.sqrt(2.0 * kappa * gamma * p.c)

@@ -66,6 +66,10 @@ class ScanConfig:
     noise_transverse: str = "model"
 
     def __post_init__(self) -> None:
+        for name in ("theta0", "theta_rate", "lo_phase0_rad", "elec_floor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("duration_s", "dt_s", "lo_freq_hz", "vbw_hz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

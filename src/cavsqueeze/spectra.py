@@ -1,15 +1,19 @@
 """Quadrature noise spectra of the field leaving the driven cavity.
 
-Fluctuations around a steady state are treated to linear order: the state
-vector (dx_re, dx_im, {dp_re, dp_im, dd} per bin) obeys dv/dt = A v + B xi
-with white input channels xi.  The cavity input is vacuum; each atom bin
-contributes three Langevin channels whose diffusion matrix follows from the
-generalized Einstein relation for the two-level algebra at the bin's
-operating point (population decay at gamma_par plus the pure dephasing
-needed to make the total dipole decay gamma).
+Fluctuations around a steady state are treated to linear order in
+drift-diffusion form: the state vector (dx_re, dx_im, {dp_re, dp_im, dd} per
+bin) obeys dv/dt = A v + noise, where the white noise has diffusion matrix D
+(Hilico, Fabre, Reynaud & Giacobino, PRA 46, 4397 (1992)).  The cavity is
+fed vacuum through two ports, the input mirror at kappa_in and the loss port
+at kappa - kappa_in.  Independent vacua add, so D's cavity block is the full
+2 kappa I2 whatever the loss; only the detected output, which leaves through
+the input mirror, tells the ports apart.  Each atom bin's 3x3 block of D
+follows from the generalized Einstein relation for the two-level algebra at
+the bin's operating point (population decay at gamma_par plus the pure
+dephasing needed to make the total dipole decay gamma).
 
 Normalization: every spectral density is expressed in shot-noise units.
-Input channels carry unit spectral density after dividing the physical
+A vacuum input carries unit spectral density after dividing the physical
 diffusion by the vacuum quadrature density, so an empty cavity returns the
 identity matrix and squeezing shows up as an eigenvalue of V below 1.  The
 atom number enters the per-bin diffusion as 1/(w_j N) and cancels against
@@ -45,40 +49,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluctuationSystem:
-    """Linearized dynamics dv/dt = A v + B xi around one steady state.
+    """Linearized dynamics around one steady state, in drift-diffusion form.
 
-    a          -- real drift matrix, (2+3M) x (2+3M)
-    b          -- channel coupling matrix, (2+3M) x n_channels
-    input_psd  -- symmetric spectral-density matrix of the channels,
-                  shot-normalized (vacuum channel = 1)
-    kappa_in_hz -- input-mirror coupling rate (= kappa when lossless)
-    n_bins     -- number of transverse bins M
+    a           -- real drift matrix A, (2+3M) x (2+3M)
+    d           -- symmetric diffusion matrix D, same shape, shot-normalized:
+                   the cavity block is 2 kappa I2, since the input and loss
+                   ports both feed vacuum and their rates add to kappa; each
+                   bin's 3x3 block is its atomic diffusion, and blocks of
+                   different bins do not mix
+    kappa_in_hz -- input-mirror coupling rate, the port the detected field
+                   leaves by (= kappa when lossless)
     """
 
     a: np.ndarray
-    b: np.ndarray
-    input_psd: np.ndarray
+    d: np.ndarray
     kappa_in_hz: float
-    n_bins: int
 
 
-def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSystem:
-    """Drift, couplings and input spectra for fluctuations around ``ss``.
-
-    Valid on any branch; the resulting spectra are physically meaningful
-    only where the drift is stable.  Rejects gamma_par_ratio > 2, which
-    would require negative pure dephasing.
-    """
+def _check_dephasing(p: ModelParams) -> None:
+    """Reject gamma_par_ratio > 2, which would need negative pure dephasing."""
     if p.gamma_par_ratio > 2.0 + 1e-12:
         raise ValueError(
             f"gamma_par_ratio={p.gamma_par_ratio} exceeds 2: total dipole decay "
             "cannot be slower than half the population decay"
         )
+
+
+def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSystem:
+    """Drift and diffusion for fluctuations around ``ss``.
+
+    Valid on any branch; the resulting spectra are physically meaningful
+    only where the drift is stable.  Rejects gamma_par_ratio > 2, which
+    would require negative pure dephasing.
+    """
+    _check_dephasing(p)
     kappa = p.kappa_hz
     gamma = p.gamma_hz
     gpar = p.gamma_par_hz
-    m = len(ss.bins)
-    n = 2 + 3 * m
+    n = 2 + 3 * len(ss.bins)
     x1, x2 = ss.x.real, ss.x.imag
 
     a = np.zeros((n, n))
@@ -87,17 +95,9 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
     a[1, 0] = -kappa * p.theta
     a[1, 1] = -kappa
 
-    loss = p.loss_fraction
-    kappa_in = kappa * (1.0 - loss)
-    n_cav = 4 if loss > 0.0 else 2
-    n_chan = n_cav + 3 * m
-    b = np.zeros((n, n_chan))
-    psd = np.zeros((n_chan, n_chan))
-    b[0, 0] = b[1, 1] = math.sqrt(2.0 * kappa_in)
-    psd[0, 0] = psd[1, 1] = 1.0
-    if loss > 0.0:
-        b[0, 2] = b[1, 3] = math.sqrt(2.0 * kappa * loss)
-        psd[2, 2] = psd[3, 3] = 1.0
+    # input and loss ports both feed vacuum: together they diffuse at 2 kappa
+    d = np.zeros((n, n))
+    d[0, 0] = d[1, 1] = 2.0 * kappa
 
     # shot normalization: physical vacuum density per quadrature divided out;
     # the atomic diffusion below is divided by the same factor
@@ -129,19 +129,14 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
         a[idd, ip2] = -gpar * u * x2
         a[idd, idd] = -gpar
 
-        c0 = n_cav + 3 * j
-        b[ip1, c0] = b[ip2, c0 + 1] = b[idd, c0 + 2] = 1.0
         if p.c > 0:
-            n_bin = w * p.n_atoms
-            d_phys = np.array([
+            d[ip1:idd + 1, ip1:idd + 1] = np.array([
                 [2.0 * gamma ** 2 / gpar, 0.0, -gpar * p1],
                 [0.0, 2.0 * gamma ** 2 / gpar, -gpar * p2],
                 [-gpar * p1, -gpar * p2, 2.0 * gpar * (1.0 - bn.d)],
-            ]) / n_bin
-            psd[c0:c0 + 3, c0:c0 + 3] = d_phys / sigma_cav
+            ]) / (w * p.n_atoms) / sigma_cav
 
-    return FluctuationSystem(a=a, b=b, input_psd=psd,
-                             kappa_in_hz=kappa_in, n_bins=m)
+    return FluctuationSystem(a=a, d=d, kappa_in_hz=kappa * (1.0 - p.loss_fraction))
 
 
 def drift_eigenvalues(fs: FluctuationSystem) -> np.ndarray:
@@ -191,25 +186,25 @@ def quadrature_extrema(v: np.ndarray) -> tuple[float, float, float]:
 def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectrum:
     """Shot-normalized output quadrature spectrum at analysis frequency Ω.
 
-    Each white channel is propagated through the linear response
-    (-iΩ - A)^(-1) B; the detected field is the transmitted cavity leakage
-    minus the directly reflected input, sqrt(2 kappa_in) dx - dx_in.
+    The detected field is the transmitted cavity leakage minus the directly
+    reflected input, sqrt(2 kappa_in) dx - dx_in.  With R the cavity rows of
+    (-iΩ - A)^(-1) and R_c its cavity columns, its spectral matrix is
+    V = I + 2 kappa_in Re(R D R^H - R_c - R_c^H); the R_c terms are the
+    correlation of the reflected input with the vacuum it drives inside.
     """
     if not (np.isfinite(omega_hz) and omega_hz >= 0):
         raise ValueError(f"omega_hz must be finite and >= 0, got {omega_hz}")
     n = fs.a.shape[0]
     try:
-        resp = np.linalg.solve(-1j * omega_hz * np.eye(n) - fs.a, fs.b)
+        # rows 0-1 of the inverse, from one transposed solve
+        r = np.linalg.solve((-1j * omega_hz * np.eye(n) - fs.a).T, np.eye(n, 2)).T
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"fluctuation response is singular at omega_hz={omega_hz}: "
             "the operating point sits on an instability boundary"
         ) from exc
-    root = math.sqrt(2.0 * fs.kappa_in_hz)
-    w_out = root * resp[:2, :]
-    w_out[0, 0] -= 1.0
-    w_out[1, 1] -= 1.0
-    v = np.real(w_out @ fs.input_psd @ w_out.conj().T)
+    r_c = r[:, :2]
+    v = np.eye(2) + 2.0 * fs.kappa_in_hz * np.real(r @ fs.d @ r.conj().T - r_c - r_c.conj().T)
     v = 0.5 * (v + v.T)
     s_min, s_max, theta = quadrature_extrema(v)
     return QuadratureSpectrum(omega_hz=float(omega_hz), v=v,

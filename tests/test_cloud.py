@@ -220,6 +220,31 @@ def test_fit_reports_unresolved_fall_time():
         assert max(abs(g) for g in grad) <= 1e-8 * (model @ model)
 
 
+def test_fit_with_a_failed_line_search_is_not_converged():
+    # draw 68 of the setup above: the Gauss-Newton step moves log tau_g by
+    # about -6.6e9 and no halving of it lowers the cost
+    t = np.linspace(0.0, 0.030, 16)
+    truth = cooperativity_decay(t, CLOUD)
+    noisy = truth * (1.0 + 0.01 * np.random.default_rng(68).standard_normal(t.size))
+    fr = fit_cooperativity(_samples_from(CLOUD, t, noisy))
+    assert not fr.converged
+    assert fr.message == "line search failed"
+
+
+def test_fit_trials_that_overflow_raise_no_warning():
+    # a 2 mm, 1 mK cloud sampled over 20 ms with 2 % noise sends many line
+    # searches through overflowing trials; the suite turns any
+    # RuntimeWarning into an error
+    cp = CloudParams(sigma_r_m=2e-3, temp_k=1e-3, c0=220.0)
+    t = np.linspace(0.0, 0.020, 16)
+    truth = cooperativity_decay(t, cp)
+    n_converged = 0
+    for seed in range(100):
+        noisy = truth * (1.0 + 0.02 * np.random.default_rng(seed).standard_normal(t.size))
+        n_converged += fit_cooperativity(_samples_from(cp, t, noisy)).converged
+    assert n_converged >= 90
+
+
 def test_fit_requires_enough_points():
     t = np.linspace(0.0, 0.02, 3)
     with pytest.raises(ValueError):

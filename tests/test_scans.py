@@ -144,6 +144,25 @@ def test_config_rejects_bad_values():
         ScanConfig(seed=-1)
 
 
+@pytest.mark.parametrize("cls, name, value", [
+    (ModelParams, "c", math.inf),
+    (ModelParams, "delta", math.nan),
+    (ModelParams, "theta", math.inf),
+    (ModelParams, "theta", -math.inf),
+    (ModelParams, "kappa_hz", math.inf),
+    (ModelParams, "gamma_hz", math.inf),
+    (ModelParams, "gamma_par_ratio", math.nan),
+    (ModelParams, "n_atoms", math.inf),
+    (ScanConfig, "theta0", math.nan),
+    (ScanConfig, "theta_rate", math.inf),
+    (ScanConfig, "lo_phase0_rad", -math.inf),
+    (ScanConfig, "elec_floor", math.inf),
+])
+def test_non_finite_fields_rejected_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
 def test_piezo_scan_rejects_a_zero_sweep_rate():
     with pytest.raises(ValueError, match="theta_rate"):
         piezo_scan(ScanConfig(theta_rate=0.0), ModelParams(c=50.0, delta=-20.0))

@@ -6,6 +6,7 @@ import pytest
 from cavsqueeze import (
     GaussianBins,
     ModelParams,
+    PlaneWave,
     build_fluctuation_system,
     drift_eigenvalues,
     efficiency_matrix,
@@ -140,6 +141,89 @@ def test_extra_loss_channel_stays_passive_and_dilutes_squeezing():
     q_lossy = _spectrum_at(lossy, y, 2.0 * KAPPA)
     assert q_clean.s_min < 1.0
     assert q_clean.s_min < q_lossy.s_min < 1.0
+
+
+# === drift-diffusion form against the channel form ===
+
+
+def _channel_form_spectrum(ss, p, omega_hz):
+    """V from white input channels: vacuum at the input mirror, a separate
+    vacuum loss port and three atomic channels per bin, each propagated
+    through (-iΩ - A)^(-1) B, the reflected input subtracted."""
+    kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
+    a = build_fluctuation_system(ss, p).a
+    n, m = a.shape[0], len(ss.bins)
+    kappa_in = kappa * (1.0 - p.loss_fraction)
+    n_chan = 4 + 3 * m
+    b = np.zeros((n, n_chan))
+    psd = np.zeros((n_chan, n_chan))
+    b[0, 0] = b[1, 1] = np.sqrt(2.0 * kappa_in)
+    b[0, 2] = b[1, 3] = np.sqrt(2.0 * kappa * p.loss_fraction)
+    psd[:4, :4] = np.eye(4)
+    sigma_cav = 2.0 * kappa * p.c / (p.n_atoms * gpar)
+    for j, bn in enumerate(ss.bins):
+        i, c0 = 2 + 3 * j, 4 + 3 * j
+        b[i:i + 3, c0:c0 + 3] = np.eye(3)
+        p1, p2 = bn.p.real, bn.p.imag
+        psd[c0:c0 + 3, c0:c0 + 3] = np.array([
+            [2.0 * gamma ** 2 / gpar, 0.0, -gpar * p1],
+            [0.0, 2.0 * gamma ** 2 / gpar, -gpar * p2],
+            [-gpar * p1, -gpar * p2, 2.0 * gpar * (1.0 - bn.d)],
+        ]) / (bn.w * p.n_atoms * sigma_cav)
+    resp = np.linalg.solve(-1j * omega_hz * np.eye(n) - a, b)
+    w_out = np.sqrt(2.0 * kappa_in) * resp[:2, :]
+    w_out[0, 0] -= 1.0
+    w_out[1, 1] -= 1.0
+    v = np.real(w_out @ psd @ w_out.conj().T)
+    return 0.5 * (v + v.T)
+
+
+def test_output_spectrum_matches_channel_form():
+    rng = np.random.default_rng(8101)
+    profiles = (PlaneWave(), GaussianBins(m=8), GaussianBins(m=64))
+    checked = 0
+    while checked < 240:
+        p = ModelParams(
+            c=float(np.exp(rng.uniform(np.log(2.0), np.log(300.0)))),
+            delta=float(rng.uniform(-25.0, 25.0)),
+            theta=float(rng.uniform(-10.0, 10.0)),
+            loss_fraction=(0.0, 0.1)[(checked // 3) % 2],
+            gamma_par_ratio=(2.0, 1.2)[(checked // 6) % 2],
+            transverse=profiles[checked % 3],
+        )
+        y = float(np.exp(rng.uniform(np.log(1.0), np.log(3e3))))
+        roots = solve_steady_states(y, p)
+        ss = roots[rng.integers(len(roots))]
+        omega = (0.0, 0.5 * KAPPA, 5.0 * KAPPA, 1e10)[(checked // 12) % 4]
+        v = output_spectrum(build_fluctuation_system(ss, p), omega).v
+        ref = _channel_form_spectrum(ss, p, omega)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, y, omega)
+        checked += 1
+
+
+def test_diffusion_matrix_is_symmetric_and_positive_semidefinite():
+    rng = np.random.default_rng(4016)
+    checked = 0
+    while checked < 200:
+        p = ModelParams(
+            c=float(np.exp(rng.uniform(0.0, np.log(300.0)))),
+            delta=float(rng.uniform(-25.0, 25.0)),
+            theta=float(rng.uniform(-10.0, 10.0)),
+            gamma_par_ratio=float(rng.uniform(0.2, 2.0)),
+            loss_fraction=float(rng.uniform(0.0, 0.5)),
+            transverse=GaussianBins(m=8) if checked % 4 == 0 else PlaneWave(),
+        )
+        tp = turning_points(p)
+        if tp.bistable:  # mid-window, where the middle root is unstable
+            y = float(np.mean(tp.ordinates))
+        else:
+            y = float(np.exp(rng.uniform(np.log(1e-1), np.log(5e3))))
+        for ss in solve_steady_states(y, p):
+            d = build_fluctuation_system(ss, p).d
+            assert np.array_equal(d, d.T)
+            eig = np.linalg.eigvalsh(d)
+            assert eig[0] >= -1e-12 * eig[-1], (p, y, ss.branch)
+            checked += 1
 
 
 # === stability bookkeeping ===
