@@ -200,10 +200,10 @@ def gaussian_susceptibility_limit(x_int, a_sat):
     return out
 
 
-def _geometry(p: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
-    u, w = bin_layout(p.transverse)
+def _geometry(transverse: Transverse) -> tuple[np.ndarray, np.ndarray]:
+    u, w = bin_layout(transverse)
     s = u * u
-    return s, w * s, 1.0 + p.delta * p.delta
+    return s, w * s
 
 
 class _Response(NamedTuple):
@@ -217,21 +217,58 @@ class _Response(NamedTuple):
     y2: np.ndarray        # d2Y/dX2
 
 
-def _response(x_int, p: ModelParams) -> _Response:
-    """The state equation and its first two derivatives at X >= 0.
+def _bin_sums(x: np.ndarray, transverse: Transverse, a_sat: float):
+    """G, G' and G'' at X >= 0, arrays shaped like X.
 
     With the bin reciprocals r_j = 1/(A + s_j X), formed once,
     G = sum_j w_j s_j r_j, G' = -sum_j w_j s_j^2 r_j^2 and
-    G'' = 2 sum_j w_j s_j^3 r_j^3.  Entries are arrays shaped like X.
+    G'' = 2 sum_j w_j s_j^3 r_j^3.
     """
-    s, ws, a_sat = _geometry(p)
-    x = np.asarray(x_int, dtype=float)
+    s, ws = _geometry(transverse)
     r = 1.0 / (a_sat + np.multiply.outer(x, s))
     g = r @ ws
     rk = r * r
     g1 = -(rk @ (ws * s))
     rk *= r
     g2 = 2.0 * (rk @ (ws * s * s))
+    return g, g1, g2
+
+
+@lru_cache(maxsize=16)
+def _grid_sums(transverse: Transverse, a_sat: float, x_lo: float, x_max: float):
+    """The 4096-point log grid from ``x_lo`` to ``x_max`` and G, G', G'' on it.
+
+    They depend only on the profile and A = 1 + delta^2, not on C or theta,
+    so a trace, or a search over C, pays for them once.  Read-only, since
+    every caller shares them.
+    """
+    grid = np.geomspace(x_lo, x_max, 4096)
+    out = (grid, *_bin_sums(grid, transverse, a_sat))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _response(x_int, p: ModelParams) -> _Response:
+    """The state equation and its first two derivatives at X >= 0.
+
+    Entries are arrays shaped like X.
+    """
+    x = np.asarray(x_int, dtype=float)
+    a_sat = 1.0 + p.delta * p.delta
+    return _response_from_sums(x, *_bin_sums(x, p.transverse, a_sat), a_sat, p)
+
+
+def _grid_response(p: ModelParams, x_lo: float, x_max: float):
+    """The log grid from ``x_lo`` to ``x_max`` and the response on it."""
+    a_sat = 1.0 + p.delta * p.delta
+    grid, g, g1, g2 = _grid_sums(p.transverse, a_sat, x_lo, x_max)
+    return grid, _response_from_sums(grid, g, g1, g2, a_sat, p)
+
+
+def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float,
+                        p: ModelParams) -> _Response:
+    """The response at X from the bin sums there, for C, delta and theta."""
     c = p.c
     absorb = 1.0 + 2.0 * c * g
     disperse = p.theta - 2.0 * c * p.delta * g
@@ -467,9 +504,7 @@ def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
     # on the grid, but the slope minimum between the folds is negative:
     # adding the minima to the grid brackets every fold.
     a_sat = 1.0 + p.delta * p.delta
-    x_lo = min(1e-9 * a_sat, 1e-6 * x_max)
-    grid = np.geomspace(x_lo, x_max, 4096)
-    on_grid = _response(grid, p)
+    grid, on_grid = _grid_response(p, min(1e-9 * a_sat, 1e-6 * x_max), x_max)
     minima = _slope_minima(grid, on_grid.y2, p)
     xs = np.concatenate((grid, minima))
     slopes = np.concatenate((on_grid.y1, _response(minima, p).y1))
@@ -499,7 +534,8 @@ def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
 
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
                     branch: Branch) -> SteadyState:
-    s, _, a_sat = _geometry(p)
+    s, _ = _geometry(p.transverse)
+    a_sat = 1.0 + p.delta * p.delta
     u, w = bin_layout(p.transverse)
     at = _response(x_root, p)
     if y_drive > 0:
@@ -574,7 +610,8 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
 def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     # roots satisfy X <= Y, so the fold scan never needs to look beyond Y;
     # the lower bracket edge sits below Y / max(state-equation factor)
-    s, ws, a_sat = _geometry(p)
+    _, ws = _geometry(p.transverse)
+    a_sat = 1.0 + p.delta * p.delta
     g0 = float(np.sum(ws)) / a_sat
     factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
         abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
@@ -693,12 +730,12 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     if x_max is None:
         x_max = 1e4 * a_sat
     _checked(x_max, "x_max", positive=True)
-    grid = np.geomspace(1e-6 * a_sat, x_max, 4096)
 
     def min_slope(c: float) -> tuple[float, float]:
         # a response without a local slope minimum rises monotonically
         pc = replace(p, c=c)
-        minima = _slope_minima(grid, _response(grid, pc).y2, pc)
+        grid, on_grid = _grid_response(pc, 1e-6 * a_sat, x_max)
+        minima = _slope_minima(grid, on_grid.y2, pc)
         if minima.size == 0:
             return math.inf, math.nan
         slopes = _response(minima, pc).y1

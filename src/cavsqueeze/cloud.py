@@ -32,6 +32,14 @@ CS_MASS_KG = 2.20695e-25
 STANDARD_GRAVITY = 9.80665
 
 _MC_CHUNK = 65536
+_MC_TIME_BLOCK = 2  # times per in-place pass: two 1 MiB buffers at a full chunk
+
+
+def _require_positive(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +54,7 @@ class CloudParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma_r_m", "temp_k", "c0", "mass_kg", "g_grav"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _require_positive(name, getattr(self, name))
 
     @property
     def sigma_v_m_s(self) -> float:
@@ -135,12 +139,13 @@ def mc_cooperativity(
     equals c0 and later points fluctuate by ~(t/tau_r)/sqrt(n_samples).
 
     Returns a list of (t, C_hat) pairs in the order of ``times_s``.
-    Deterministic for a fixed seed.
+    ``n_samples`` must be an integer of at least 1e4.  Deterministic for a
+    fixed seed.
     """
     if waist_m <= 0.0 or not math.isfinite(waist_m):
         raise ValueError(f"waist_m must be positive, got {waist_m}")
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be at least 1e4, got {n_samples}")
+    if not (n_samples >= 10_000 and float(n_samples).is_integer()):
+        raise ValueError(f"n_samples must be an integer of at least 1e4, got {n_samples}")
     if waist_m > cp.sigma_r_m / 5.0:
         warnings.warn(
             "waist is not small compared to the cloud radius; the thin-beam "
@@ -160,15 +165,31 @@ def mc_cooperativity(
     kernel_sum = np.zeros(t.size)
     rng = np.random.Generator(np.random.Philox(seed))
     remaining = int(n_samples)
+    my_buf = np.empty((_MC_TIME_BLOCK, min(_MC_CHUNK, remaining)))
+    mz_buf = np.empty_like(my_buf)
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
         draws = rng.standard_normal((2, m))
-        vy, vz = sigma_v * draws[0], sigma_v * draws[1]
-        # ballistic displacement of each atom's position distribution
-        my = np.outer(t, vy)
-        mz = np.outer(t, vz) - drop[:, None]
-        kernel_sum += np.exp(-2.0 * (my * my + mz * mz) / w_eff2).sum(axis=1)
+        draws *= sigma_v
+        vy, vz = draws
+        # exp(-2 (my^2 + mz^2) / w_eff2) over the ballistic displacements
+        # my = t vy, mz = t vz - drop of each atom's position distribution,
+        # in place, a block of times at a time; the operations and their
+        # order are those of one (times x samples) pass, so the sums match it
+        for lo in range(0, t.size, _MC_TIME_BLOCK):
+            hi = min(lo + _MC_TIME_BLOCK, t.size)
+            my, mz = my_buf[:hi - lo, :m], mz_buf[:hi - lo, :m]
+            np.multiply(t[lo:hi, None], vy, out=my)
+            my *= my
+            np.multiply(t[lo:hi, None], vz, out=mz)
+            mz -= drop[lo:hi, None]
+            mz *= mz
+            my += mz
+            my *= -2.0
+            my /= w_eff2
+            np.exp(my, out=my)
+            kernel_sum[lo:hi] += my.sum(axis=1)
     c_hat = cp.c0 * kernel_sum / n_samples
     return [(float(ti), float(ci)) for ti, ci in zip(t, c_hat)]
 
@@ -204,6 +225,30 @@ def _fit_model_and_jacobian(t: np.ndarray, log_params: np.ndarray):
     return m, jac
 
 
+def _seed_log_params(t: np.ndarray, c: np.ndarray, wts: np.ndarray,
+                     c0_init: float, span: float) -> np.ndarray | None:
+    """The coarse-grid seed of the fit: log (C0, tau_r, tau_g), or None.
+
+    The grid holds C0 at ``c0_init`` and pairs 25 values of tau_r from
+    span/30 to 3 span with 12 ratios tau_g/tau_r from 1 to 300, all costed
+    in one broadcast pass.  The first seed of least weighted cost wins; a
+    non-finite cost never does, and None means every cost is non-finite.
+    """
+    tau_r = np.geomspace(span / 30.0, 3.0 * span, 25)
+    seeds = np.empty((tau_r.size, 12, 3))
+    seeds[..., 0] = c0_init
+    seeds[..., 1] = tau_r[:, None]
+    seeds[..., 2] = np.geomspace(1.0, 300.0, 12) * tau_r[:, None]
+    lp = np.log(seeds.reshape(-1, 3))
+    with np.errstate(all="ignore"):
+        m, _, _ = _decay_terms(t, *np.exp(lp).T[:, :, None])
+        r = (m - c) * wts
+        costs = np.einsum("ij,ij->i", r, r)
+    costs[~np.isfinite(costs)] = np.inf
+    best = int(np.argmin(costs))
+    return lp[best].copy() if costs[best] < np.inf else None
+
+
 def fit_cooperativity(
     samples: Sequence[CooperativitySample],
     mass_kg: float = CS_MASS_KG,
@@ -215,13 +260,17 @@ def fit_cooperativity(
     a coarse grid seeds a damped Gauss-Newton refinement with the analytic
     Jacobian.  The fitted timescales are converted back to cloud radius and
     temperature for reporting, with uncertainties propagated from the
-    residual covariance.  Degenerate data produce a non-converged result
-    with a diagnostic message rather than an exception.  When the steps
+    residual covariance.  Degenerate data, and weights so large that the
+    weighted residuals overflow at every seed, produce a non-converged
+    result with a diagnostic message rather than an exception; a mass or
+    gravity that is not finite and positive raises ValueError.  When the steps
     drive tau_g so high that the fall term is below round-off at every
     sample, the samples do not resolve the fall time: C0 and tau_r are
     fitted in the tau_g -> inf limit and returned, unconverged, with
     tau_g = inf and NaN in the derived fields.
     """
+    _require_positive("mass_kg", mass_kg)
+    _require_positive("g_grav", g_grav)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
     t = np.array([s.t_s for s in samples])
@@ -242,21 +291,14 @@ def fit_cooperativity(
     if c_sorted[-1] >= c_sorted[0] or np.ptp(c) < 1e-12 * c.max():
         return failure("degenerate data: samples do not decay over the time span")
 
+    lp = _seed_log_params(t, c, wts, float(c_sorted[0]), span)
+    if lp is None:
+        return failure("weighted residuals overflow at every seed of the coarse grid")
+
     def cost(lp: np.ndarray) -> float:
-        m, _ = _fit_model_and_jacobian(t, lp)
+        m, _, _ = _decay_terms(t, *np.exp(lp))
         r = (m - c) * wts
         return float(r @ r)
-
-    # coarse log-grid seed
-    c0_init = float(c_sorted[0])
-    best_lp, best_cost = None, np.inf
-    for tau_r in np.geomspace(span / 30.0, 3.0 * span, 25):
-        for tau_g_fac in np.geomspace(1.0, 300.0, 12):
-            lp = np.log([c0_init, tau_r, tau_g_fac * tau_r])
-            cc = cost(lp)
-            if cc < best_cost:
-                best_lp, best_cost = lp, cc
-    lp = best_lp
 
     converged = False
     message = "iteration limit reached"

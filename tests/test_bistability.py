@@ -25,7 +25,7 @@ from cavsqueeze import (
     state_equation_slope,
     turning_points,
 )
-from cavsqueeze.bistability import _response
+from cavsqueeze.bistability import _grid_response, _grid_sums, _response
 
 
 def absorptive(c, delta=0.0, theta=0.0, transverse=None):
@@ -370,6 +370,32 @@ def test_near_critical_gaussian_folds(m, delta, theta, c_crit):
     assert [s.stable for s in states] == [True, False, True]
     assert states[0].intensity < tp.points[0] < states[1].intensity < tp.points[1]
     assert tp.points[1] < states[2].intensity
+
+
+def test_binned_grid_sums_cache_is_transparent_and_read_only():
+    p = ModelParams(c=150.0, delta=-20.0, theta=-7.5, transverse=GaussianBins(64))
+
+    def run():
+        states = solve_steady_states(3000.0, p)
+        return ([(s.intensity, s.slope, s.x) for s in states], turning_points(p),
+                critical_point(p))
+
+    _grid_sums.cache_clear()
+    cold = run()
+    assert len(cold[0]) == 3 and cold[1].bistable
+    assert _grid_sums.cache_info().currsize == 3  # roots, folds, C search
+    assert run() == cold
+    assert _grid_sums.cache_info().currsize == 3
+    # the cached sums combine to exactly what a full evaluation gives
+    x_lo, x_max = 1e-9 * 401.0, 100.0 * 401.0
+    grid, on_grid = _grid_response(p, x_lo, x_max)
+    direct = _response(np.geomspace(x_lo, x_max, 4096), p)
+    for a, b in zip(on_grid, direct):
+        assert np.array_equal(a, b)
+    for a in _grid_sums(p.transverse, 401.0, x_lo, x_max):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_plane_wave_roots_against_exact_discriminant():

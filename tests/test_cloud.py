@@ -13,6 +13,7 @@ from cavsqueeze import (
     mc_cooperativity,
     read_samples,
 )
+from cavsqueeze.cloud import _decay_terms, _seed_log_params
 
 # a 4 mm cloud at 5 mK: expansion and fall timescales a few ms and ~160 ms
 CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
@@ -111,6 +112,20 @@ def test_mc_is_deterministic_per_seed():
     assert a != c
 
 
+def test_mc_output_is_pinned_at_a_fixed_seed():
+    # frozen values: ten times fill five blocks of two, and 140,000 samples
+    # are two full chunks plus a tail, so a change to the draws, the
+    # chunking or the order of the sums shows here
+    times = [0.0, 0.002, 0.004, 0.007, 0.01, 0.013, 0.017, 0.021, 0.025, 0.03]
+    est = mc_cooperativity(CLOUD, CLOUD.sigma_r_m / 15.0, times,
+                           n_samples=140_000, seed=2024)
+    assert est == list(zip(times, [
+        220.0, 204.0438811755338, 167.5312362514113, 112.12817315030914,
+        74.05578204142309, 50.6229773844048, 32.52055920535158,
+        22.277929157981333, 16.05738459898954, 11.266807263391623,
+    ]))
+
+
 def test_mc_error_scales_like_inverse_root_n():
     w = CLOUD.sigma_r_m / 15.0
     spreads = []
@@ -129,8 +144,9 @@ def test_mc_validation_and_warnings():
     w = CLOUD.sigma_r_m / 15.0
     with pytest.raises(ValueError):
         mc_cooperativity(CLOUD, 0.0, [0.01])
-    with pytest.raises(ValueError):
-        mc_cooperativity(CLOUD, w, [0.01], n_samples=5000)
+    for n in (5000, 1_048_576.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_cooperativity(CLOUD, w, [0.01], n_samples=n)
     with pytest.raises(ValueError):
         mc_cooperativity(CLOUD, w, [])
     with pytest.raises(ValueError):
@@ -243,6 +259,66 @@ def test_fit_trials_that_overflow_raise_no_warning():
         noisy = truth * (1.0 + 0.02 * np.random.default_rng(seed).standard_normal(t.size))
         n_converged += fit_cooperativity(_samples_from(cp, t, noisy)).converged
     assert n_converged >= 90
+
+
+def _scalar_seed_pick(t, c, wts, c0_init, span):
+    # the seed grid as a scalar double loop: a strict < keeps the first
+    # minimum and never takes a NaN or infinite cost
+    best_lp, best_cost = None, np.inf
+    for tau_r in np.geomspace(span / 30.0, 3.0 * span, 25):
+        for tau_g_fac in np.geomspace(1.0, 300.0, 12):
+            lp = np.log([c0_init, tau_r, tau_g_fac * tau_r])
+            with np.errstate(all="ignore"):
+                m, _, _ = _decay_terms(t, *np.exp(lp))
+                r = (m - c) * wts
+                cc = float(r @ r)
+            if cc < best_cost:
+                best_lp, best_cost = lp, cc
+    return best_lp
+
+
+def test_seed_grid_pick_matches_the_scalar_loop():
+    # criterion 02's draws (60 points over 80 ms, noiseless and unweighted,
+    # then 50 with 5 % noise, weighted)
+    t = np.linspace(0.0, 0.080, 60)
+    truth = cooperativity_decay(t, CLOUD)
+    draws = [(t, truth, np.ones(t.size))]
+    for seed in range(50):
+        noise = np.random.default_rng(20_000 + seed).standard_normal(t.size)
+        draws.append((t, np.maximum(truth * (1.0 + 0.05 * noise), 0.0), 1.0 / (0.05 * truth)))
+    # times of order 1e-81 s: 37 seeds cost NaN (0/0 at t = 0), among them
+    # the first, which a plain argmin would pick
+    t_tiny = np.arange(8) * 1e-81
+    draws.append((t_tiny, 100.0 / (1.0 + np.arange(8.0) ** 2 / 4.0), np.ones(8)))
+    for tt, c, wts in draws:
+        ref = _scalar_seed_pick(tt, c, wts, float(c[0]), float(tt[-1]))
+        assert np.array_equal(_seed_log_params(tt, c, wts, float(c[0]), float(tt[-1])), ref)
+    # weights so large that every seed's cost overflows
+    wts = np.full(t.size, 1e160)
+    assert _scalar_seed_pick(t, truth, wts, float(truth[0]), float(t[-1])) is None
+    assert _seed_log_params(t, truth, wts, float(truth[0]), float(t[-1])) is None
+
+
+def test_fit_reports_overflowing_weights_without_raising():
+    t = np.linspace(0.0, 0.030, 20)
+    samples = [CooperativitySample(float(ti), float(ci), sigma_c=1e-160)
+               for ti, ci in zip(t, cooperativity_decay(t, CLOUD))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fr = fit_cooperativity(samples)
+    assert not fr.converged and "overflow" in fr.message
+    assert np.isnan(fr.c0) and fr.n_iter == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("g_grav", -9.8), ("g_grav", 0.0), ("g_grav", float("nan")),
+    ("mass_kg", -1.0), ("mass_kg", float("inf")),
+])
+def test_fit_rejects_bad_mass_and_gravity(name, value):
+    t = np.linspace(0.0, 0.030, 8)
+    samples = _samples_from(CLOUD, t, cooperativity_decay(t, CLOUD))
+    with pytest.raises(ValueError, match=name):
+        fit_cooperativity(samples, **{name: value})
 
 
 def test_fit_requires_enough_points():
