@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,11 +36,17 @@ _MC_CHUNK = 65536
 _MC_TIME_BLOCK = 2  # times per in-place pass: two 1 MiB buffers at a full chunk
 
 
-def _require_positive(name: str, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+def _require_positive(name: str, value) -> float:
+    """``value`` as a float, if it is a finite positive real number.
+
+    numpy's integer and floating scalars count as real numbers, bools do not.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class CloudParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma_r_m", "temp_k", "c0", "mass_kg", "g_grav"):
-            _require_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
 
     @property
     def sigma_v_m_s(self) -> float:
@@ -139,13 +146,15 @@ def mc_cooperativity(
     equals c0 and later points fluctuate by ~(t/tau_r)/sqrt(n_samples).
 
     Returns a list of (t, C_hat) pairs in the order of ``times_s``.
-    ``n_samples`` must be an integer of at least 1e4.  Deterministic for a
-    fixed seed.
+    ``n_samples`` must be an integer of at least 1e4 and ``seed`` a
+    non-negative integer.  Deterministic for a fixed seed.
     """
     if waist_m <= 0.0 or not math.isfinite(waist_m):
         raise ValueError(f"waist_m must be positive, got {waist_m}")
     if not (n_samples >= 10_000 and float(n_samples).is_integer()):
         raise ValueError(f"n_samples must be an integer of at least 1e4, got {n_samples}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if waist_m > cp.sigma_r_m / 5.0:
         warnings.warn(
             "waist is not small compared to the cloud radius; the thin-beam "
@@ -163,7 +172,7 @@ def mc_cooperativity(
     w_eff2 = waist_m**2 + 4.0 * cp.sigma_r_m**2
     drop = 0.5 * cp.g_grav * t * t
     kernel_sum = np.zeros(t.size)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(int(seed)))
     remaining = int(n_samples)
     my_buf = np.empty((_MC_TIME_BLOCK, min(_MC_CHUNK, remaining)))
     mz_buf = np.empty_like(my_buf)
@@ -269,8 +278,8 @@ def fit_cooperativity(
     fitted in the tau_g -> inf limit and returned, unconverged, with
     tau_g = inf and NaN in the derived fields.
     """
-    _require_positive("mass_kg", mass_kg)
-    _require_positive("g_grav", g_grav)
+    mass_kg = _require_positive("mass_kg", mass_kg)
+    g_grav = _require_positive("g_grav", g_grav)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
     t = np.array([s.t_s for s in samples])

@@ -14,18 +14,24 @@ units are connected to saturation units by the photon scale
 |a|^2 per saturation unit = gamma*gamma_par/(4 g^2) with g^2 = 2*kappa*gamma*C.
 
 Linear algebra.  The Hilbert space is ordered photon-outer, |n, s> at index
-2n + s, so a and a+ move an index by two and sigma- by one.  With n_h = 2
-(fock_cutoff + 1) states, the column-stacked Liouvillian (N = n_h^2) then has
-half-bandwidth w = 2 n_h + 2, and cut into contiguous blocks of size w it is
-block-tridiagonal: the photon ladder of Risken's matrix continued fractions.
-Steady state and regression solves eliminate these blocks from the highest
-photon numbers down, for every analysis frequency in one stacked sweep, at
-O(N w^2) per frequency instead of the O(N^3) of a dense solve.  The steady
-state is the null vector of the w x w Schur complement left on the lowest
-block, back-substituted.  The solves are then cheap at any practical cutoff
-(N = 1024, w = 66 at fock_cutoff 15); what grows fastest is assembling the
-dense N x N Liouvillian, whose kron terms hold about three copies of
-16 N^2 bytes at once (0.7 GiB at fock_cutoff 30).
+2n + s, so a and a+ move the photon number by one and sigma- leaves it.
+With n_h = 2 (fock_cutoff + 1) states, the column-stacked Liouvillian
+(N = n_h^2) acts on vec(rho), whose entries fall into fock_cutoff + 1
+blocks of 2 n_h: the two columns of rho with photon number m.  In these
+blocks L is block-tridiagonal along m, the photon ladder of Risken's matrix
+continued fractions.  ``_photon_blocks`` assembles the diagonal blocks and
+their neighbours, each 2 n_h x 2 n_h, straight from the operators' 2 x 2
+photon sub-blocks, so the N x N matrix is never formed; ``liouvillian``
+stays as the dense reference, and a dense L given to ``steady_density`` or
+``homodyne_spectrum`` is cut at its half-bandwidth instead.  Steady state and
+regression solves eliminate these blocks from the highest photon numbers
+down, for every analysis frequency in one stacked sweep, at O(N n_h^2) per
+frequency instead of the O(N^3) of a dense solve.  The steady state is the
+null vector of the Schur complement left on the lowest block,
+back-substituted.  What grows fastest with the cutoff is the per-frequency
+Schur gains the back-substitution keeps, (fock_cutoff + 1) (2 n_h)^2
+complex numbers each: a 9-frequency call at fock_cutoff 40 peaks near
+0.25 GiB.
 """
 
 from __future__ import annotations
@@ -60,6 +66,14 @@ def _trace_vector(op: np.ndarray) -> np.ndarray:
     return op.reshape(-1, order="C")
 
 
+def _effective_hamiltonian(h: np.ndarray, collapse_ops) -> np.ndarray:
+    # K = -i h - sum_c c+c/2: the non-Hermitian part acting on each side of rho
+    k = -1j * h
+    for c in collapse_ops:
+        k = k - 0.5 * (c.conj().T @ c)
+    return k
+
+
 def liouvillian(h: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
     """Matrix of rho -> -i[h, rho] + sum_c (c rho c+ - {c+c, rho}/2).
 
@@ -67,11 +81,8 @@ def liouvillian(h: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
     sum_c conj(c)(x)c with K = -i h - sum_c c+c/2, since
     vec(A rho B) = (B^T (x) A) vec(rho).
     """
-    n = h.shape[0]
-    eye = np.eye(n)
-    k = -1j * h
-    for c in collapse_ops:
-        k = k - 0.5 * (c.conj().T @ c)
+    eye = np.eye(h.shape[0])
+    k = _effective_hamiltonian(h, collapse_ops)
     lv = np.kron(eye, k)
     lv += np.kron(k.conj(), eye)
     for c in collapse_ops:
@@ -97,6 +108,54 @@ def _blocks(lv: np.ndarray) -> list[slice]:
     return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+def _photon_blocks(h: np.ndarray, collapse_ops):
+    """Block triple of the Liouvillian of (h, collapse_ops), photon by photon.
+
+    The Hilbert space is photon-outer, |n, s> at index 2n + s, and every
+    operator couples photon numbers at most one apart.  Block (m, m') of the
+    column-stacked L holds the columns j in J_m = {2m, 2m + 1} of rho against
+    those in J_m', and from vec(A rho B) = (B^T (x) A) vec(rho) it is
+
+        conj(K)[J_m, J_m'] (x) I + delta_mm' I_2 (x) K + sum_c conj(c)[J_m, J_m'] (x) c
+
+    with K = -i h - sum_c c+c/2, so it is block-tridiagonal in m.  Every
+    block of the three diagonals comes out of one matrix product of the 2 x 2
+    coefficients with the stacked operators (I, K, c...), and the N x N
+    matrix is never formed.  Returns ``(lower, diag, upper)`` with
+    diag[m] = block (m, m), lower[m] = (m+1, m) and upper[m] = (m, m+1),
+    each a stack of 2n x 2n blocks.
+    """
+    n = h.shape[0]
+    nb = n // 2
+    k = _effective_hamiltonian(h, collapse_ops)
+    m = np.arange(nb)
+    rows = np.concatenate([m[1:], m, m[:-1]])  # lower, diagonal, upper
+    cols = np.concatenate([m[:-1], m, m[1:]])
+
+    def coefficients(op):
+        return op.conj().reshape(nb, 2, nb, 2)[rows, :, cols, :]
+
+    eye_on_diagonal = (rows == cols)[:, None, None] * np.eye(2)
+    coef = np.stack([coefficients(k), eye_on_diagonal]
+                    + [coefficients(c) for c in collapse_ops])
+    ops = np.stack([np.eye(n), k] + list(collapse_ops))
+    t = len(ops)
+    # out[b, s, i, s', j] = sum_t coef[t, b, s, s'] ops[t, i, j]: a stacked kron
+    out = (coef.reshape(t, -1).T @ ops.reshape(t, -1)).reshape(rows.size, 2, 2, n, n)
+    out = out.transpose(0, 1, 3, 2, 4).reshape(rows.size, 2 * n, 2 * n)
+    return out[:nb - 1], out[nb - 1:2 * nb - 1], out[2 * nb - 1:]
+
+
+def _as_blocks(lv):
+    """Block triple of a dense lv, cut at ``_blocks(lv)``; a triple passes through."""
+    if not isinstance(lv, np.ndarray):
+        return lv
+    cuts = _blocks(lv)
+    pairs = list(zip(cuts, cuts[1:]))
+    return ([lv[here, below] for below, here in pairs], [lv[sl, sl] for sl in cuts],
+            [lv[below, here] for below, here in pairs])
+
+
 def _solve(s: np.ndarray, rhs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Stacked solve of s[i] x = rhs[i], one system per Ω."""
     try:
@@ -109,60 +168,69 @@ def _solve(s: np.ndarray, rhs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _block_solve(lv: np.ndarray, omegas: np.ndarray, rhs: np.ndarray,
+def _block_solve(blocks, omegas: np.ndarray, rhs: np.ndarray,
                  first_block) -> np.ndarray:
-    """x[i] with (lv + i omegas[i]) x[i] = rhs, for every Ω in one sweep.
+    """x[i] with (L + i omegas[i]) x[i] = rhs, for every Ω in one sweep.
 
-    Block elimination of the block-tridiagonal lv from the last block to the
+    ``blocks`` is L's block triple ``(lower, diag, upper)`` (see
+    ``_photon_blocks``).  Block elimination from the last block to the
     first: each step solves the trailing Schur complement S_k against the
     coupling to the block below and the carried right-hand side, all Ω
     stacked.  The first block's S_0 and right-hand side c_0 go to
     ``first_block(S_0, c_0)``, which returns x_0 with shape (n_Ω, b_0, r);
-    the other blocks follow by back-substitution.  Cost O(N w^2) per Ω.
+    the other blocks follow by back-substitution.  Cost O(N b^2) per Ω for
+    blocks of size b.
     """
-    blocks = _blocks(lv)
+    lower, diag, upper = blocks
+    edges = np.cumsum([0] + [d.shape[0] for d in diag])
+    rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     n_om = omegas.size
-    shift = 1j * omegas[:, None, None]
+    shift = 1j * omegas[:, None]
 
-    def diagonal(sl: slice) -> np.ndarray:
-        d = lv[sl, sl]
-        return d + shift * np.eye(d.shape[0])
+    def shifted(k: int) -> np.ndarray:
+        s = np.empty((n_om,) + diag[k].shape, dtype=complex)
+        s[...] = diag[k]
+        i = np.arange(s.shape[1])
+        s[:, i, i] += shift
+        return s
 
-    s = diagonal(blocks[-1])
-    c = np.broadcast_to(rhs[blocks[-1]], (n_om,) + rhs[blocks[-1]].shape)
+    last = len(diag) - 1
+    s = shifted(last)
+    c = np.broadcast_to(rhs[rows[last]], (n_om,) + rhs[rows[last]].shape)
     steps = []
-    for below, here in zip(blocks[-2::-1], blocks[:0:-1]):
-        lower, upper = lv[here, below], lv[below, here]
+    for k in range(last - 1, -1, -1):
+        low = lower[k]
         m = _solve(s, np.concatenate(
-            [np.broadcast_to(lower, (n_om,) + lower.shape), c], axis=2), omegas)
-        gain, part = m[..., :lower.shape[1]], m[..., lower.shape[1]:]
+            [np.broadcast_to(low, (n_om,) + low.shape), c], axis=2), omegas)
+        gain, part = m[..., :low.shape[1]], m[..., low.shape[1]:]
         steps.append((gain, part))
-        s = diagonal(below) - upper @ gain
-        c = rhs[below] - upper @ part
+        s = shifted(k) - upper[k] @ gain
+        c = rhs[rows[k]] - upper[k] @ part
     x = [first_block(s, c)]
     for gain, part in reversed(steps):
         x.append(part - gain @ x[-1])
     return np.concatenate(x, axis=1)
 
 
-def steady_density(lv: np.ndarray, n: int) -> np.ndarray:
+def steady_density(lv, n: int) -> np.ndarray:
     """Stationary density matrix: null vector of L with unit trace.
 
-    The null vector of the first block's Schur complement, back-substituted
-    through the block elimination.
+    ``lv`` is L as a dense (n^2, n^2) matrix or as a block triple from
+    ``_photon_blocks``.  The null vector of the first block's Schur
+    complement, back-substituted through the block elimination.
     """
     def null_vector(s, c):
         _, _, vh = np.linalg.svd(s[0])
         return vh[-1].conj()[None, :, None]
 
-    v = _block_solve(lv, np.zeros(1), np.zeros((lv.shape[0], 1)), null_vector)
+    v = _block_solve(_as_blocks(lv), np.zeros(1), np.zeros((n * n, 1)), null_vector)
     rho = _unvec(v[0, :, 0], n)
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def homodyne_spectrum(lv: np.ndarray, a_op: np.ndarray, rho: np.ndarray,
+def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
                       kappa_hz: float, omega_hz) -> np.ndarray:
     """Shot-normalized 2x2 output quadrature spectral matrices at Ω.
 
@@ -171,7 +239,8 @@ def homodyne_spectrum(lv: np.ndarray, a_op: np.ndarray, rho: np.ndarray,
     with vacuum input; two-time correlations of the intracavity fluctuation
     operator da = a - <a> are resolved in frequency through
     R(Ω) = -(L + iΩ)^(-1), the one-sided Laplace transform of the regression
-    propagator.
+    propagator.  ``lv`` is L, dense or as a block triple (see
+    ``steady_density``).
     """
     omega = np.asarray(omega_hz, dtype=float)
     omegas = omega.ravel()
@@ -191,7 +260,7 @@ def homodyne_spectrum(lv: np.ndarray, a_op: np.ndarray, rho: np.ndarray,
         return x
 
     rhs = np.column_stack([_vec(da @ rho), _vec(rho @ dad)])
-    sol = -_block_solve(lv, omegas, rhs, first_block)
+    sol = -_block_solve(_as_blocks(lv), omegas, rhs, first_block)
 
     # one-sided transforms of the time-and-normal-ordered correlations:
     # the detected spectrum is S_phi = 1 + 4k*Re[p1 + q2 + e^{-2i phi}(p3 + q4*)],
@@ -219,12 +288,11 @@ def _fock_destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
-def _driven_cavity(p: ModelParams, drive_amp_hz: float,
-                   fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Liouvillian and cavity field of one atom in the driven cavity.
+def _cavity_operators(p: ModelParams, drive_amp_hz: float, fock_cutoff: int):
+    """Hamiltonian, collapse operators and cavity field of one atom in the cavity.
 
     The basis is photon-outer, |n, s> at index 2n + s, so every operator
-    moves the photon number by at most one and L is banded.
+    moves the photon number by at most one.
     """
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     g = math.sqrt(2.0 * kappa * gamma * p.c)
@@ -243,7 +311,13 @@ def _driven_cavity(p: ModelParams, drive_amp_hz: float,
     gamma_phi = gamma - 0.5 * gpar
     if gamma_phi > 1e-9 * gamma:
         collapse.append(math.sqrt(0.5 * gamma_phi) * sz)
-    return liouvillian(h, collapse), a
+    return h, collapse, a
+
+
+def _driven_cavity(p: ModelParams, drive_amp_hz: float, fock_cutoff: int):
+    """Liouvillian block triple and cavity field of one atom in the driven cavity."""
+    h, collapse, a = _cavity_operators(p, drive_amp_hz, fock_cutoff)
+    return _photon_blocks(h, collapse), a
 
 
 def me_oracle_spectrum(p: ModelParams, omega_grid, drive_y: float | None = None,

@@ -72,6 +72,12 @@ def test_cloud_params_validation():
         CloudParams(sigma_r_m=4e-3, temp_k=-1.0, c0=220.0)
     with pytest.raises(ValueError):
         CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=float("inf"))
+    with pytest.raises(ValueError, match="c0"):
+        CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=True)
+    # finite positive numpy scalars are numbers like any other, stored as floats
+    cp = CloudParams(sigma_r_m=np.float32(4e-3), temp_k=5e-3, c0=np.int64(220))
+    assert cp == CloudParams(sigma_r_m=float(np.float32(4e-3)), temp_k=5e-3, c0=220.0)
+    assert type(cp.sigma_r_m) is float and type(cp.c0) is float
 
 
 # === Monte Carlo estimator ===
@@ -153,6 +159,16 @@ def test_mc_validation_and_warnings():
         mc_cooperativity(CLOUD, w, [-0.01])
     with pytest.warns(UserWarning):
         mc_cooperativity(CLOUD, CLOUD.sigma_r_m, [0.01], n_samples=20_000)
+    for seed in (1.5, -1, True):
+        with pytest.raises(ValueError, match="seed"):
+            mc_cooperativity(CLOUD, w, [0.01], n_samples=20_000, seed=seed)
+
+
+def test_mc_takes_a_numpy_integer_seed():
+    w = CLOUD.sigma_r_m / 15.0
+    times = [0.005, 0.02]
+    assert (mc_cooperativity(CLOUD, w, times, n_samples=20_000, seed=np.int64(3))
+            == mc_cooperativity(CLOUD, w, times, n_samples=20_000, seed=3))
 
 
 # === fitting measured decay points ===
@@ -312,13 +328,22 @@ def test_fit_reports_overflowing_weights_without_raising():
 
 @pytest.mark.parametrize("name, value", [
     ("g_grav", -9.8), ("g_grav", 0.0), ("g_grav", float("nan")),
-    ("mass_kg", -1.0), ("mass_kg", float("inf")),
+    ("mass_kg", -1.0), ("mass_kg", float("inf")), ("mass_kg", True), ("g_grav", True),
 ])
 def test_fit_rejects_bad_mass_and_gravity(name, value):
     t = np.linspace(0.0, 0.030, 8)
     samples = _samples_from(CLOUD, t, cooperativity_decay(t, CLOUD))
     with pytest.raises(ValueError, match=name):
         fit_cooperativity(samples, **{name: value})
+
+
+def test_fit_takes_numpy_scalar_mass_and_gravity():
+    t = np.linspace(0.0, 0.030, 8)
+    samples = _samples_from(CLOUD, t, cooperativity_decay(t, CLOUD))
+    mass = np.float32(CLOUD.mass_kg)
+    ref = fit_cooperativity(samples, mass_kg=float(mass), g_grav=10.0)
+    assert ref.converged
+    assert fit_cooperativity(samples, mass_kg=mass, g_grav=np.int64(10)) == ref
 
 
 def test_fit_requires_enough_points():

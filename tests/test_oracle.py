@@ -25,8 +25,10 @@ from cavsqueeze import (
 from cavsqueeze import oracle
 from cavsqueeze.oracle import (
     _blocks,
+    _cavity_operators,
     _driven_cavity,
     _fock_destroy,
+    _photon_blocks,
     homodyne_spectrum,
     liouvillian,
     me_oracle_spectrum,
@@ -273,6 +275,17 @@ def _random_dense_system():
     return liouvillian(h, [math.sqrt(2.0 * KAPPA) * a, math.sqrt(KAPPA) * a.T @ a]), a
 
 
+# (model, drive amplitude, fock_cutoff)
+CAVITY_CASES = {
+    "resonant-8": (ModelParams(c=0.2, n_atoms=1), 0.3 * KAPPA, 8),
+    "dephasing-15": (ModelParams(c=0.3, delta=0.5, theta=0.2,
+                                 gamma_par_ratio=1.2, n_atoms=1),
+                     0.4 * KAPPA, 15),
+    "uncoupled-20": (ModelParams(c=0.0, theta=0.7, n_atoms=1),
+                     0.4 * KAPPA, 20),
+}
+
+
 @pytest.mark.parametrize("case", ["resonant-8", "dephasing-15", "uncoupled-20", "dense"])
 def test_banded_elimination_matches_dense_reference(case):
     omegas = np.array([0.5, 1.0, 3.0]) * KAPPA
@@ -280,15 +293,9 @@ def test_banded_elimination_matches_dense_reference(case):
         lv, a = _random_dense_system()
         assert len(_blocks(lv)) == 1
     else:
-        p, amp, cutoff = {
-            "resonant-8": (ModelParams(c=0.2, n_atoms=1), 0.3 * KAPPA, 8),
-            "dephasing-15": (ModelParams(c=0.3, delta=0.5, theta=0.2,
-                                         gamma_par_ratio=1.2, n_atoms=1),
-                             0.4 * KAPPA, 15),
-            "uncoupled-20": (ModelParams(c=0.0, theta=0.7, n_atoms=1),
-                             0.4 * KAPPA, 20),
-        }[case]
-        lv, a = _driven_cavity(p, amp, cutoff)
+        p, amp, cutoff = CAVITY_CASES[case]
+        h, collapse, a = _cavity_operators(p, amp, cutoff)
+        lv = liouvillian(h, collapse)
         # photon-outer ordering: half-bandwidth 2 n_h + 2
         n_h = 2 * (cutoff + 1)
         assert _blocks(lv)[0] == slice(0, 2 * n_h + 2)
@@ -298,3 +305,50 @@ def test_banded_elimination_matches_dense_reference(case):
     assert np.max(np.abs(rho - rho_ref)) <= 1e-10 * np.max(np.abs(rho_ref))
     v = homodyne_spectrum(lv, a, rho, KAPPA, omegas)
     assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+
+
+# === block assembly: the photon blocks without the dense matrix ===
+
+
+@pytest.mark.parametrize("case", list(CAVITY_CASES))
+def test_photon_blocks_match_dense_liouvillian(case):
+    p, amp, cutoff = CAVITY_CASES[case]
+    h, collapse, a = _cavity_operators(p, amp, cutoff)
+    lv = liouvillian(h, collapse)
+    lower, diag, upper = _photon_blocks(h, collapse)
+    b = 4 * (cutoff + 1)  # two columns of rho, each n_h = 2 (cutoff + 1) long
+    assert diag.shape == (cutoff + 1, b, b)
+    assert lower.shape == upper.shape == (cutoff, b, b)
+    tol = 1e-13 * np.max(np.abs(lv))
+    rebuilt = np.zeros_like(lv)
+    for m, d in enumerate(diag):
+        here = slice(m * b, (m + 1) * b)
+        assert np.max(np.abs(d - lv[here, here])) <= tol
+        rebuilt[here, here] = d
+    for m, (lo, up) in enumerate(zip(lower, upper)):
+        here, above = slice(m * b, (m + 1) * b), slice((m + 1) * b, (m + 2) * b)
+        assert np.max(np.abs(lo - lv[above, here])) <= tol
+        assert np.max(np.abs(up - lv[here, above])) <= tol
+        rebuilt[above, here], rebuilt[here, above] = lo, up
+    # nothing of lv lies outside the three block diagonals
+    assert np.max(np.abs(lv - rebuilt)) <= tol
+
+    # the solves read the triple exactly as they read the dense matrix cut up
+    n = a.shape[0]
+    rho = steady_density(lv, n)
+    rho_blocks = steady_density((lower, diag, upper), n)
+    assert np.max(np.abs(rho_blocks - rho)) <= 1e-12 * np.max(np.abs(rho))
+    v = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
+    v_blocks = homodyne_spectrum((lower, diag, upper), a, rho_blocks, KAPPA, FIVE_POINT_GRID)
+    assert np.max(np.abs(v_blocks - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_oracle_never_forms_the_dense_liouvillian(monkeypatch):
+    def dense(*args):
+        raise AssertionError("the oracle assembled the dense Liouvillian")
+
+    monkeypatch.setattr(oracle, "liouvillian", dense)
+    p = ModelParams(c=0.3, delta=0.5, theta=0.2, gamma_par_ratio=1.2, n_atoms=1)
+    spectra = me_oracle_spectrum(p, FIVE_POINT_GRID, drive_y=0.05, fock_cutoff=10)
+    assert len(spectra) == 5
+    assert all(np.all(np.isfinite(q.v)) for q in spectra)
