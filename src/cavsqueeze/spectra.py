@@ -20,6 +20,24 @@ atom number enters the per-bin diffusion as 1/(w_j N) and cancels against
 the collective coupling; it is kept explicit so the cancellation is
 exercised, not assumed.
 
+Per-bin reduction: bins couple only through the cavity's 2-vector, so the
+output needs the bins only through sums, never the dense (2+3M)^2 solve.
+Write z = -iΩ and J = [[0, 1], [-1, 0]].  The dipole 2x2 of every bin's
+block of (z - A) is the same P = (z + gamma) I - gamma delta J, with
+P^-1 = ((z + gamma) I + gamma delta J) / ((z + gamma)^2 + gamma^2 delta^2).
+A bin's couplings are multiples of x = (Re x, Im x) and its dipole is
+u_j d_j q with q = x / (1 + i delta), so one scalar Schur pivot per bin,
+
+    sigma_j = z + gamma_par
+              + gamma gamma_par u_j^2 X (z + gamma) / ((z + gamma)^2 + gamma^2 delta^2),
+
+eliminates it (X = |x|^2).  The cavity Schur complement S and the noise
+term Q = 2 kappa I + sum_j Y_j D_j Y_j^H (Y_j = M_cj M_j^-1, bin j's
+coupling to the cavity through its own block M_j of z - A) are then fixed
+2x2 matrices built from a = P^-1 x, P^-T x and P^-1 q, weighted by bin sums
+of 1/sigma_j and 1/|sigma_j|^2 whose bin factors do not depend on Ω.  Per
+Ω this costs one sigma vector and two matrix-vector products.
+
 Frequencies: the analysis frequency omega_hz and all rates are ordinary
 frequencies in Hz (half-linewidths), so omega_hz compares directly with
 kappa_hz and the 2*pi factors drop out of every ratio.
@@ -27,8 +45,10 @@ kappa_hz and the 2*pi factors drop out of every ratio.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,21 +69,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluctuationSystem:
-    """Linearized dynamics around one steady state, in drift-diffusion form.
+    """Linearized dynamics around one steady state, reduced to bin sums.
 
-    a           -- real drift matrix A, (2+3M) x (2+3M)
-    d           -- symmetric diffusion matrix D, same shape, shot-normalized:
-                   the cavity block is 2 kappa I2, since the input and loss
-                   ports both feed vacuum and their rates add to kappa; each
-                   bin's 3x3 block is its atomic diffusion, and blocks of
-                   different bins do not mix
+    state       -- the steady state the fluctuations are taken around
+    params      -- the model parameters of that state
     kappa_in_hz -- input-mirror coupling rate, the port the detected field
                    leaves by (= kappa when lossless)
+    pivot_u2    -- (M,) gamma gamma_par X u_j^2, the bin factor of each
+                   Schur pivot sigma_j (see the module docstring)
+    w_sigma     -- (3, M) bin weights summed against 1/sigma_j: the
+                   saturation term of S and the two cross terms of Q
+    w_power     -- (3, M) bin weights summed against 1/|sigma_j|^2: the
+                   coefficient of a a^H in Q
+    sat         -- coefficient of P^-1 in S, 2 kappa C gamma sum w u^2 d
+    dip         -- coefficient of P^-1 P^-H in Q, the bins' dipole noise
+
+    ``a`` (real drift matrix A) and ``d`` (symmetric shot-normalized
+    diffusion matrix D, cavity block 2 kappa I2, one 3x3 block per bin),
+    both (2+3M) x (2+3M), are assembled on first access; ``output_spectrum``
+    never reads them.
     """
 
-    a: np.ndarray
-    d: np.ndarray
+    state: SteadyState
+    params: ModelParams
     kappa_in_hz: float
+    pivot_u2: np.ndarray
+    w_sigma: np.ndarray
+    w_power: np.ndarray
+    sat: float
+    dip: float
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Dense drift matrix A, read-only."""
+        return _drift_matrix(self.state, self.params)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Dense shot-normalized diffusion matrix D, read-only."""
+        return _diffusion_matrix(self.state, self.params)
 
 
 def _check_dephasing(p: ModelParams) -> None:
@@ -75,68 +119,113 @@ def _check_dephasing(p: ModelParams) -> None:
         )
 
 
-def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSystem:
-    """Drift and diffusion for fluctuations around ``ss``.
+def _sigma_cav(p: ModelParams) -> float:
+    """Physical vacuum density per quadrature, divided out of the diffusion."""
+    return 2.0 * p.kappa_hz * p.c / (p.n_atoms * p.gamma_par_hz)
 
-    Valid on any branch; the resulting spectra are physically meaningful
-    only where the drift is stable.  Rejects gamma_par_ratio > 2, which
-    would require negative pure dephasing.
-    """
-    _check_dephasing(p)
-    kappa = p.kappa_hz
-    gamma = p.gamma_hz
-    gpar = p.gamma_par_hz
-    n = 2 + 3 * len(ss.bins)
+
+def _bin_columns(ss: SteadyState) -> tuple[np.ndarray, ...]:
+    """(u, w, d, p_re, p_im) of every bin, one array each."""
+    return tuple(np.array([(b.u, b.w, b.d, b.p.real, b.p.imag) for b in ss.bins]).T)
+
+
+def _bin_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """State-vector indices of every bin's dp_re, dp_im and dd."""
+    ip1 = np.arange(2, 2 + 3 * m, 3)
+    return ip1, ip1 + 1, ip1 + 2
+
+
+def _drift_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
+    kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     x1, x2 = ss.x.real, ss.x.imag
+    u, w, dsat, p1, p2 = _bin_columns(ss)
+    ip1, ip2, idd = _bin_indices(len(u))
+    n = 2 + 3 * len(u)
 
     a = np.zeros((n, n))
-    a[0, 0] = -kappa
+    a[0, 0] = a[1, 1] = -kappa
     a[0, 1] = kappa * p.theta
     a[1, 0] = -kappa * p.theta
-    a[1, 1] = -kappa
+    a[0, ip1] = a[1, ip2] = -2.0 * kappa * p.c * w * u
+
+    a[ip1, 0] = a[ip2, 1] = gamma * u * dsat
+    a[ip1, idd] = gamma * u * x1
+    a[ip2, idd] = gamma * u * x2
+    a[ip1, ip1] = a[ip2, ip2] = -gamma
+    a[ip1, ip2] = gamma * p.delta
+    a[ip2, ip1] = -gamma * p.delta
+
+    a[idd, 0] = -gpar * u * p1
+    a[idd, 1] = -gpar * u * p2
+    a[idd, ip1] = -gpar * u * x1
+    a[idd, ip2] = -gpar * u * x2
+    a[idd, idd] = -gpar
+    a.flags.writeable = False
+    return a
+
+
+def _diffusion_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
+    kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
+    u, w, dsat, p1, p2 = _bin_columns(ss)
+    ip1, ip2, idd = _bin_indices(len(u))
+    n = 2 + 3 * len(u)
 
     # input and loss ports both feed vacuum: together they diffuse at 2 kappa
     d = np.zeros((n, n))
     d[0, 0] = d[1, 1] = 2.0 * kappa
+    if p.c > 0:
+        # each bin's block scales as 1/(w_j N), shot-normalized by sigma_cav
+        scale = w * p.n_atoms
+        sigma_cav = _sigma_cav(p)
+        d[ip1, ip1] = d[ip2, ip2] = 2.0 * gamma ** 2 / gpar / scale / sigma_cav
+        d[ip1, idd] = d[idd, ip1] = -gpar * p1 / scale / sigma_cav
+        d[ip2, idd] = d[idd, ip2] = -gpar * p2 / scale / sigma_cav
+        d[idd, idd] = 2.0 * gpar * (1.0 - dsat) / scale / sigma_cav
+    d.flags.writeable = False
+    return d
 
-    # shot normalization: physical vacuum density per quadrature divided out;
-    # the atomic diffusion below is divided by the same factor
-    sigma_cav = 2.0 * kappa * p.c / (p.n_atoms * gpar) if p.c > 0 else 0.0
 
-    for j, bn in enumerate(ss.bins):
-        ip1 = 2 + 3 * j
-        ip2 = ip1 + 1
-        idd = ip1 + 2
-        u, w = bn.u, bn.w
-        p1, p2 = bn.p.real, bn.p.imag
+def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSystem:
+    """Bin sums of the fluctuation dynamics around ``ss``.
 
-        a[0, ip1] = -2.0 * kappa * p.c * w * u
-        a[1, ip2] = -2.0 * kappa * p.c * w * u
-
-        a[ip1, 0] = gamma * u * bn.d
-        a[ip1, idd] = gamma * u * x1
-        a[ip1, ip1] = -gamma
-        a[ip1, ip2] = gamma * p.delta
-
-        a[ip2, 1] = gamma * u * bn.d
-        a[ip2, idd] = gamma * u * x2
-        a[ip2, ip1] = -gamma * p.delta
-        a[ip2, ip2] = -gamma
-
-        a[idd, 0] = -gpar * u * p1
-        a[idd, 1] = -gpar * u * p2
-        a[idd, ip1] = -gpar * u * x1
-        a[idd, ip2] = -gpar * u * x2
-        a[idd, idd] = -gpar
-
-        if p.c > 0:
-            d[ip1:idd + 1, ip1:idd + 1] = np.array([
-                [2.0 * gamma ** 2 / gpar, 0.0, -gpar * p1],
-                [0.0, 2.0 * gamma ** 2 / gpar, -gpar * p2],
-                [-gpar * p1, -gpar * p2, 2.0 * gpar * (1.0 - bn.d)],
-            ]) / (w * p.n_atoms) / sigma_cav
-
-    return FluctuationSystem(a=a, d=d, kappa_in_hz=kappa * (1.0 - p.loss_fraction))
+    ``ss`` must be a mean-field steady state of ``p`` (as returned by
+    ``solve_steady_states``): the reduction relies on every bin's dipole
+    being u_j d_j x / (1 + i delta).  Valid on any branch; the resulting
+    spectra are physically meaningful only where the drift is stable.
+    Rejects gamma_par_ratio > 2, which would require negative pure
+    dephasing.
+    """
+    _check_dephasing(p)
+    kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
+    u, w, dsat, _, _ = _bin_columns(ss)
+    u2 = u * u
+    wu2 = w * u2
+    # bin j couples to the cavity at g_cav w_j u_j; g_j^2 times the scale
+    # 1/(w_j N sigma_cav) of its diffusion block is alpha w_j u_j^2 (N cancels)
+    g_cav = 2.0 * kappa * p.c
+    alpha = g_cav * g_cav / (p.n_atoms * _sigma_cav(p)) if p.c > 0 else 0.0
+    w4 = wu2 * u2
+    w4d = w4 * dsat
+    # rows 0-2 are summed against 1/sigma_j, rows 3-5 against 1/|sigma_j|^2
+    weights = np.array([w4d, w4, w4d, w4 * u2, w4d * u2, w4 - w4d]) * np.array([
+        g_cav * gamma * gpar,
+        2.0 * gamma ** 3 * alpha,
+        gamma * gpar * alpha,
+        2.0 * gamma ** 4 * gpar * alpha,
+        2.0 * (gamma * gpar) ** 2 * alpha,
+        2.0 * gamma ** 2 * gpar * alpha,
+    ])[:, None]
+    x = ss.x
+    return FluctuationSystem(
+        state=ss,
+        params=p,
+        kappa_in_hz=kappa * (1.0 - p.loss_fraction),
+        pivot_u2=gamma * gpar * (x.real * x.real + x.imag * x.imag) * u2,
+        w_sigma=weights[:3].astype(complex),
+        w_power=weights[3:],
+        sat=g_cav * gamma * float(wu2 @ dsat),
+        dip=2.0 * gamma ** 2 / gpar * alpha * float(wu2.sum()),
+    )
 
 
 def drift_eigenvalues(fs: FluctuationSystem) -> np.ndarray:
@@ -169,7 +258,11 @@ def quadrature_extrema(v: np.ndarray) -> tuple[float, float, float]:
     scale = max(abs(v[0, 0]), abs(v[1, 1]), 1e-300)
     if abs(v[0, 1] - v[1, 0]) > 1e-8 * scale:
         raise ValueError(f"spectral matrix must be symmetric, got {v!r}")
-    va, vb, vc = v[0, 0], 0.5 * (v[0, 1] + v[1, 0]), v[1, 1]
+    return _extrema(float(v[0, 0]), float(0.5 * (v[0, 1] + v[1, 0])), float(v[1, 1]))
+
+
+def _extrema(va: float, vb: float, vc: float) -> tuple[float, float, float]:
+    """quadrature_extrema of the symmetric matrix [[va, vb], [vb, vc]]."""
     mean = 0.5 * (va + vc)
     radius = math.hypot(0.5 * (va - vc), vb)
     s_min = mean - radius
@@ -187,26 +280,75 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
     """Shot-normalized output quadrature spectrum at analysis frequency Ω.
 
     The detected field is the transmitted cavity leakage minus the directly
-    reflected input, sqrt(2 kappa_in) dx - dx_in.  With R the cavity rows of
-    (-iΩ - A)^(-1) and R_c its cavity columns, its spectral matrix is
-    V = I + 2 kappa_in Re(R D R^H - R_c - R_c^H); the R_c terms are the
+    reflected input, sqrt(2 kappa_in) dx - dx_in.  With S the cavity Schur
+    complement of (-iΩ - A) and Q its noise term (module docstring),
+    V = I + 2 kappa_in Re(S^-1 Q S^-H - S^-1 - S^-H); the S^-1 terms are the
     correlation of the reflected input with the vacuum it drives inside.
     """
-    if not (np.isfinite(omega_hz) and omega_hz >= 0):
+    if not (math.isfinite(omega_hz) and omega_hz >= 0):
         raise ValueError(f"omega_hz must be finite and >= 0, got {omega_hz}")
-    n = fs.a.shape[0]
-    try:
-        # rows 0-1 of the inverse, from one transposed solve
-        r = np.linalg.solve((-1j * omega_hz * np.eye(n) - fs.a).T, np.eye(n, 2)).T
-    except np.linalg.LinAlgError as exc:
+    p = fs.params
+    kappa, gamma = p.kappa_hz, p.gamma_hz
+    x = fs.state.x
+    q = x / complex(1.0, p.delta)  # each bin's dipole is u_j d_j q
+    x1, x2, q1, q2 = x.real, x.imag, q.real, q.imag
+    z = -1j * float(omega_hz)
+    zg = z + gamma
+    gd = gamma * p.delta
+    det_p = zg * zg + gd * gd
+    pa, pb = zg / det_p, gd / det_p  # P^-1 = [[pa, pb], [-pb, pa]]
+
+    inv = 1.0 / ((z + p.gamma_par_hz) + pa * fs.pivot_u2)  # 1 / sigma_j
+    s0, s1, s2 = (fs.w_sigma @ inv).tolist()
+    r0, r1, r2 = (fs.w_power @ np.abs(inv) ** 2).tolist()
+
+    # a = P^-1 x, h = P^-T x, f = P^-1 q, e = P^-1 conj(h)
+    a1, a2 = pa * x1 + pb * x2, pa * x2 - pb * x1
+    h1, h2 = pa * x1 - pb * x2, pa * x2 + pb * x1
+    f1, f2 = pa * q1 + pb * q2, pa * q2 - pb * q1
+    hc1, hc2 = h1.conjugate(), h2.conjugate()
+    e1, e2 = pa * hc1 + pb * hc2, pa * hc2 - pb * hc1
+
+    # S = -iΩ - A_cc + sat P^-1 - s0 a (gamma h + q)^T
+    b1, b2 = gamma * h1 + q1, gamma * h2 + q2
+    diag = z + kappa + fs.sat * pa
+    off = kappa * p.theta - fs.sat * pb
+    s11, s12 = diag - s0 * a1 * b1, -off - s0 * a1 * b2
+    s21, s22 = off - s0 * a2 * b1, diag - s0 * a2 * b2
+    det = s11 * s22 - s12 * s21
+    if det == 0 or not cmath.isfinite(det):
         raise RuntimeError(
             f"fluctuation response is singular at omega_hz={omega_hz}: "
             "the operating point sits on an instability boundary"
-        ) from exc
-    r_c = r[:, :2]
-    v = np.eye(2) + 2.0 * fs.kappa_in_hz * np.real(r @ fs.d @ r.conj().T - r_c - r_c.conj().T)
-    v = 0.5 * (v + v.T)
-    s_min, s_max, theta = quadrature_extrema(v)
+        )
+    t11, t12, t21, t22 = s22 / det, -s12 / det, -s21 / det, s11 / det
+
+    # Q = 2 kappa I + dip P^-1 P^-H + c_aa a a^H - a g^H - g a^H
+    g1 = s1.conjugate() * e1 + s2.conjugate() * f1
+    g2 = s1.conjugate() * e2 + s2.conjugate() * f2
+    c_aa = (r0 * (abs(h1) ** 2 + abs(h2) ** 2)
+            + r1 * (h1.real * q1 + h2.real * q2) + r2)
+    pp = fs.dip * (abs(pa) ** 2 + abs(pb) ** 2) + 2.0 * kappa
+    ac2 = a2.conjugate()
+    q11 = pp + c_aa * abs(a1) ** 2 - 2.0 * (a1 * g1.conjugate()).real
+    q22 = pp + c_aa * abs(a2) ** 2 - 2.0 * (a2 * g2.conjugate()).real
+    q12 = (fs.dip * (pb * pa.conjugate() - pa * pb.conjugate())
+           + c_aa * a1 * ac2 - a1 * g2.conjugate() - g1 * ac2)
+    q21 = q12.conjugate()
+
+    # G = S^-1 Q S^-H
+    m11, m12 = t11 * q11 + t12 * q21, t11 * q12 + t12 * q22
+    m21, m22 = t21 * q11 + t22 * q21, t21 * q12 + t22 * q22
+    g11 = m11 * t11.conjugate() + m12 * t12.conjugate()
+    g12 = m11 * t21.conjugate() + m12 * t22.conjugate()
+    g22 = m21 * t21.conjugate() + m22 * t22.conjugate()
+
+    k2 = 2.0 * fs.kappa_in_hz
+    v11 = 1.0 + k2 * (g11.real - 2.0 * t11.real)
+    v12 = k2 * (g12.real - t12.real - t21.real)
+    v22 = 1.0 + k2 * (g22.real - 2.0 * t22.real)
+    s_min, s_max, theta = _extrema(v11, v12, v22)
+    v = np.array([[v11, v12], [v12, v22]])
     return QuadratureSpectrum(omega_hz=float(omega_hz), v=v,
                               s_min=s_min, s_max=s_max, theta_min=theta)
 

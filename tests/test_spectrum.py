@@ -1,8 +1,11 @@
 """Tests for the linearized quantum-noise spectra of the transmitted field."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cavsqueeze import spectra
 from cavsqueeze import (
     GaussianBins,
     ModelParams,
@@ -199,6 +202,82 @@ def test_output_spectrum_matches_channel_form():
         ref = _channel_form_spectrum(ss, p, omega)
         assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, y, omega)
         checked += 1
+
+
+def _dense_spectrum(fs, omega_hz):
+    """V from one dense solve: the cavity rows R of (-iΩ - A)^(-1), then
+    V = I + 2 kappa_in Re(R D R^H - R_c - R_c^H)."""
+    n = fs.a.shape[0]
+    r = np.linalg.solve((-1j * omega_hz * np.eye(n) - fs.a).T, np.eye(n, 2)).T
+    r_c = r[:, :2]
+    v = np.eye(2) + 2.0 * fs.kappa_in_hz * np.real(r @ fs.d @ r.conj().T - r_c - r_c.conj().T)
+    return 0.5 * (v + v.T)
+
+
+def test_output_spectrum_matches_dense_solve():
+    """The per-bin closed form against a dense solve on every root, the
+    unstable middle ones included."""
+    rng = np.random.default_rng(20261018)
+    profiles = (PlaneWave(), GaussianBins(m=8), GaussianBins(m=64))
+    omegas = (0.0, 0.5 * KAPPA, 5.0 * KAPPA, 1e10)
+    states = draws = 0
+    while states < 600:
+        p = ModelParams(
+            c=float(np.exp(rng.uniform(np.log(2.0), np.log(300.0)))),
+            delta=float(rng.uniform(-25.0, 25.0)),
+            theta=float(rng.uniform(-10.0, 10.0)),
+            loss_fraction=(0.0, 0.1)[(draws // 3) % 2],
+            gamma_par_ratio=float(rng.uniform(0.2, 2.0)),
+            transverse=profiles[draws % 3],
+        )
+        tp = turning_points(p)
+        if tp.bistable and draws % 2:  # inside the window: three roots
+            y = float(rng.uniform(min(tp.ordinates), max(tp.ordinates)))
+        else:
+            y = float(np.exp(rng.uniform(np.log(1.0), np.log(3e3))))
+        for ss in solve_steady_states(y, p):
+            fs = build_fluctuation_system(ss, p)
+            for omega in omegas:
+                v = output_spectrum(fs, omega).v
+                ref = _dense_spectrum(fs, omega)
+                assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, y, omega)
+            states += 1
+        draws += 1
+
+
+def test_output_spectrum_never_forms_the_dense_system(monkeypatch):
+    def dense(*args):
+        raise AssertionError("the spectrum assembled a dense matrix")
+
+    monkeypatch.setattr(spectra, "_drift_matrix", dense)
+    monkeypatch.setattr(spectra, "_diffusion_matrix", dense)
+    for transverse in (PlaneWave(), GaussianBins(m=64)):
+        p = ModelParams(c=163.0, delta=-20.0, theta=-13.0, transverse=transverse)
+        for ss in solve_steady_states(265.0, p):
+            fs = build_fluctuation_system(ss, p)
+            for omega in (0.0, 5e6):
+                assert np.all(np.isfinite(output_spectrum(fs, omega).v))
+    with pytest.raises(AssertionError):
+        fs.a
+
+
+def test_dense_matrices_are_read_only_and_assembled_once():
+    p = ModelParams(c=30.0, delta=-5.0, theta=-2.0, transverse=GaussianBins(m=8))
+    fs = build_fluctuation_system(solve_steady_states(50.0, p)[0], p)
+    assert fs.a.shape == fs.d.shape == (2 + 3 * 8, 2 + 3 * 8)
+    assert fs.a is fs.a and fs.d is fs.d
+    for m in (fs.a, fs.d):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.a = np.zeros((26, 26))
+
+
+def test_singular_response_is_reported():
+    p = ModelParams(c=30.0, delta=-5.0, theta=-2.0)
+    fs = build_fluctuation_system(solve_steady_states(50.0, p)[0], p)
+    with pytest.raises(RuntimeError, match="singular at omega_hz=0.0"):
+        output_spectrum(dataclasses.replace(fs, sat=float("inf")), 0.0)
 
 
 def test_diffusion_matrix_is_symmetric_and_positive_semidefinite():
