@@ -235,15 +235,17 @@ def _bin_sums(x: np.ndarray, transverse: Transverse, a_sat: float):
 
 
 @lru_cache(maxsize=16)
-def _grid_sums(transverse: Transverse, a_sat: float, x_lo: float, x_max: float):
-    """The 4096-point log grid from ``x_lo`` to ``x_max`` and G, G', G'' on it.
+def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
+    """The 4096-point log grid in xi = X/A from ``xi_lo`` to ``xi_max`` and
+    the unit sums G, G', G'' on it, those at A = 1.
 
-    They depend only on the profile and A = 1 + delta^2, not on C or theta,
-    so a trace, or a search over C, pays for them once.  Read-only, since
-    every caller shares them.
+    Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), one
+    table serves every A = 1 + delta^2, C and theta (see ``_grid_response``),
+    so a trace, a search over C, or queries at any delta share it.
+    Read-only, since every caller shares them.
     """
-    grid = np.geomspace(x_lo, x_max, 4096)
-    out = (grid, *_bin_sums(grid, transverse, a_sat))
+    grid = np.geomspace(xi_lo, xi_max, 4096)
+    out = (grid, *_bin_sums(grid, transverse, 1.0))
     for a in out:
         a.flags.writeable = False
     return out
@@ -259,11 +261,18 @@ def _response(x_int, p: ModelParams) -> _Response:
     return _response_from_sums(x, *_bin_sums(x, p.transverse, a_sat), a_sat, p)
 
 
-def _grid_response(p: ModelParams, x_lo: float, x_max: float):
-    """The log grid from ``x_lo`` to ``x_max`` and the response on it."""
+def _grid_response(p: ModelParams, xi_lo: float, xi_max: float):
+    """The log grid X = A xi, xi from ``xi_lo`` to ``xi_max``, and the
+    response on it.
+
+    G, G' and G'' at A are the cached unit sums (``_grid_sums``) times
+    A^-1, A^-2 and A^-3.
+    """
     a_sat = 1.0 + p.delta * p.delta
-    grid, g, g1, g2 = _grid_sums(p.transverse, a_sat, x_lo, x_max)
-    return grid, _response_from_sums(grid, g, g1, g2, a_sat, p)
+    xi, g, g1, g2 = _grid_sums(p.transverse, xi_lo, xi_max)
+    grid = a_sat * xi
+    return grid, _response_from_sums(grid, g / a_sat, g1 / a_sat ** 2,
+                                     g2 / a_sat ** 3, a_sat, p)
 
 
 def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float,
@@ -314,9 +323,9 @@ def _checked(value, name: str, positive: bool = False) -> np.ndarray:
 def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float) -> float:
     """Sign change of f on [lo, hi], where f(lo) is ``flo``, by bisection.
 
-    Used only where no derivative of f is at hand: the slope minima (on
-    d2Y/dX2) and the two searches over C.  Stops once the bracket is
-    narrower than ``rel_tol`` times its midpoint.
+    Used only where no derivative of f is at hand: the two searches over C
+    (``cooperativity_from_amplitudes`` and ``critical_point``).  Stops once
+    the bracket is narrower than ``rel_tol`` times its midpoint.
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -463,10 +472,12 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     the positive roots of the fold cubic H (see ``_plane_cubics``), whose
     coefficients are formed exactly; a fold pair tangent to round-off, as at
     the onset of bistability, counts as no fold.  Gaussian profiles bracket
-    the folds on a logarithmic grid to which the local minima of dY/dX are
-    added (see ``_binned_folds``), and refine each by safeguarded Newton on
-    dY/dX.  Returns 0, 1 or 2 points; exactly 2 means the response is
-    bistable within the window.  ``x_max`` must be finite and > 0.
+    the folds on a logarithmic grid in xi = X/(1 + delta^2), cached per
+    profile and window, to which the local minima of dY/dX are added (see
+    ``_binned_folds``), and refine each by safeguarded Newton on dY/dX; the
+    default window, xi in [1e-9, 100], is one table for every delta.
+    Returns 0, 1 or 2 points; exactly 2 means the response is bistable
+    within the window.  ``x_max`` must be finite and > 0.
 
     Binned profiles have no exact tangency test.  Within about 4e-14
     (relative) above ``critical_point``'s C, round-off in dY/dX decides
@@ -475,15 +486,46 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
-        x_max = 100.0 * a_sat
-    _checked(x_max, "x_max", positive=True)
+        xi_max, x_max = 100.0, 100.0 * a_sat
+    else:
+        _checked(x_max, "x_max", positive=True)
+        xi_max = x_max / a_sat
     if isinstance(p.transverse, PlaneWave):
         _, h, distinct = _plane_cubics(p)
-        points = tuple(x for x in _plane_folds(h, distinct) if x < x_max)
+        folds = _plane_folds(h, distinct)
     else:
-        points = _binned_folds(p, x_max)
+        folds = _binned_folds(p, xi_max)
+    points = tuple(x for x in folds if x < x_max)
     ys = tuple(state_equation(x, p) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
+
+
+def _curvature_fdf(x: float, p: ModelParams) -> tuple[float, float]:
+    """d2Y/dX2 and d3Y/dX3 at a scalar X >= 0.
+
+    proj = absorb - delta disperse = 1 - delta theta + 2 C A G has the
+    derivative 2 C A G', so differentiating d2Y/dX2 gives
+    Y''' = 12 C G'' proj + 24 C^2 A G'^2 + 4 C X G''' proj
+    + 24 C^2 A X G' G'', with G''' = -6 sum_j w_j s_j^4 r_j^4.
+    """
+    s, ws = _geometry(p.transverse)
+    a_sat = 1.0 + p.delta * p.delta
+    r = 1.0 / (a_sat + s * x)
+    sr = s * r
+    t = ws * r  # w_j s_j r_j, then times (s_j r_j)^k for the k-th derivative
+    g = float(t.sum())
+    t *= sr
+    g1 = -float(t.sum())
+    t *= sr
+    g2 = 2.0 * float(t.sum())
+    t *= sr
+    g3 = -6.0 * float(t.sum())
+    at = _response_from_sums(x, g, g1, g2, a_sat, p)
+    c = p.c
+    proj = at.absorb - p.delta * at.disperse
+    y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
+          + 4.0 * c * x * g3 * proj + 24.0 * c * c * a_sat * x * g1 * g2)
+    return at.y2, y3
 
 
 def _slope_minima(grid: np.ndarray, curv: np.ndarray,
@@ -491,20 +533,40 @@ def _slope_minima(grid: np.ndarray, curv: np.ndarray,
     """Local minima of dY/dX over ``grid``, where d2Y/dX2 is ``curv``.
 
     Each - to + sign change of the curvature between grid points is refined
-    by bisection of the curvature; no derivative of it is at hand.
+    to round-off by safeguarded Newton (``_newton``) on the curvature, with
+    d3Y/dX3 from ``_curvature_fdf``.
     """
-    f = lambda x: _response(x, p).y2
+    fdf = lambda x: _curvature_fdf(x, p)
     steps = np.flatnonzero((curv[:-1] < 0.0) & (curv[1:] >= 0.0))
-    return np.array([_bisect(f, grid[i], grid[i + 1], curv[i], 1e-12)
-                     for i in steps])
+    return np.array([_newton(fdf, lo, hi, 0.5 * (lo + hi), True)
+                     for lo, hi in zip(grid[steps].tolist(),
+                                       grid[steps + 1].tolist())])
 
 
-def _binned_folds(p: ModelParams, x_max: float) -> tuple[float, ...]:
-    # A fold pair narrower than the grid step leaves no sign change of dY/dX
-    # on the grid, but the slope minimum between the folds is negative:
-    # adding the minima to the grid brackets every fold.
-    a_sat = 1.0 + p.delta * p.delta
-    grid, on_grid = _grid_response(p, min(1e-9 * a_sat, 1e-6 * x_max), x_max)
+def _fold_window(xi: float) -> float:
+    """The smallest power of ten >= max(xi, 100); ``xi`` itself above 1e308,
+    where that power is not a float.
+
+    A root solve at drive Y searches the folds up to X/A = this window of
+    Y/A, so that a few cached grids serve every drive; the smallest window
+    is the default one of ``turning_points``.
+    """
+    if xi <= 100.0:
+        return 100.0
+    k = math.ceil(math.log10(xi))
+    # log10 can round across an integer: take the least candidate >= xi
+    for e in (k - 1, k, k + 1):
+        if e <= 308 and 10.0 ** e >= xi:
+            return 10.0 ** e
+    return xi
+
+
+def _binned_folds(p: ModelParams, xi_max: float) -> tuple[float, ...]:
+    # Folds for X/A below xi_max.  A fold pair narrower than the grid step
+    # leaves no sign change of dY/dX on the grid, but the slope minimum
+    # between the folds is negative: adding the minima to the grid brackets
+    # every fold.
+    grid, on_grid = _grid_response(p, min(1e-9, 1e-6 * xi_max), xi_max)
     minima = _slope_minima(grid, on_grid.y2, p)
     xs = np.concatenate((grid, minima))
     slopes = np.concatenate((on_grid.y1, _response(minima, p).y1))
@@ -567,7 +629,9 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     the folds below Y.  For a plane wave they are the roots of the exact
     root cubic F (see ``_plane_cubics``), each polished by safeguarded
     Newton on F inside its bracket.  Gaussian profiles take the folds from
-    ``_binned_folds`` and polish each root by the same safeguarded Newton on
+    ``_binned_folds``, searched up to X/(1 + delta^2) = the smallest power
+    of ten at or above max(Y/(1 + delta^2), 100), so that drives share
+    cached grids, and polish each root by the same safeguarded Newton on
     the binned state equation.  Three roots are labeled lower/middle/upper
     and the middle one is always unstable; a single root is labeled
     monostable.
@@ -608,7 +672,7 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
 
 
 def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
-    # roots satisfy X <= Y, so the fold scan never needs to look beyond Y;
+    # roots satisfy X <= Y, so only the folds below Y split the brackets;
     # the lower bracket edge sits below Y / max(state-equation factor)
     _, ws = _geometry(p.transverse)
     a_sat = 1.0 + p.delta * p.delta
@@ -616,8 +680,8 @@ def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
         abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
     x_lo = 0.25 * y_drive / factor_max
-    edges = np.array([x_lo, *(x for x in _binned_folds(p, y_drive)
-                              if x_lo < x < y_drive), y_drive])
+    folds = _binned_folds(p, _fold_window(y_drive / a_sat))
+    edges = np.array([x_lo, *(x for x in folds if x_lo < x < y_drive), y_drive])
     at_edges = _response(edges, p)
 
     def fdf(x):
@@ -720,21 +784,24 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     except as a search hint.  Solved by bisecting (``_bisect``, to 1e-12
     relative in C) the minimum slope over X, negative iff bistable, as a
     function of C; that minimum is the lowest of the local minima of dY/dX
-    on a log grid up to ``x_max`` (default 1e4 (1 + delta^2)), found as in
-    ``_binned_folds``.
+    (``_slope_minima``) on a log grid up to ``x_max`` (default
+    1e4 (1 + delta^2)).  The grid is cached in X/(1 + delta^2) (see
+    ``_grid_sums``), so every C of the search shares one table, and with
+    the default ``x_max`` so does every delta.
 
     For binned profiles, round-off in dY/dX decides the fold count within
     about 4e-14 (relative) above the returned C (see ``turning_points``).
     """
-    a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
-        x_max = 1e4 * a_sat
-    _checked(x_max, "x_max", positive=True)
+        xi_max = 1e4
+    else:
+        _checked(x_max, "x_max", positive=True)
+        xi_max = x_max / (1.0 + p.delta * p.delta)
 
     def min_slope(c: float) -> tuple[float, float]:
         # a response without a local slope minimum rises monotonically
         pc = replace(p, c=c)
-        grid, on_grid = _grid_response(pc, 1e-6 * a_sat, x_max)
+        grid, on_grid = _grid_response(pc, 1e-6, xi_max)
         minima = _slope_minima(grid, on_grid.y2, pc)
         if minima.size == 0:
             return math.inf, math.nan

@@ -25,7 +25,15 @@ from cavsqueeze import (
     state_equation_slope,
     turning_points,
 )
-from cavsqueeze.bistability import _grid_response, _grid_sums, _response
+from cavsqueeze import bistability
+from cavsqueeze.bistability import (
+    _curvature_fdf,
+    _fold_window,
+    _grid_response,
+    _grid_sums,
+    _response,
+    _slope_minima,
+)
 
 
 def absorptive(c, delta=0.0, theta=0.0, transverse=None):
@@ -167,6 +175,51 @@ def test_curvature_matches_finite_difference():
             h = 1e-5 * x
             fd = (state_equation_slope(x + h, p) - state_equation_slope(x - h, p)) / (2 * h)
             assert _response(x, p).y2 == pytest.approx(fd, rel=5e-5, abs=1e-10)
+
+
+def test_curvature_derivative_matches_finite_difference():
+    for transverse in (PlaneWave(), GaussianBins(16)):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = ModelParams(
+                c=float(rng.uniform(0, 100)),
+                delta=float(rng.uniform(-10, 10)),
+                theta=float(rng.uniform(-3, 3)),
+                transverse=transverse,
+            )
+            x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
+            y2, y3 = _curvature_fdf(x, p)
+            assert y2 == pytest.approx(_response(x, p).y2, rel=1e-12)
+            # Richardson-extrapolated central difference of d2Y/dX2
+            f = lambda t: _curvature_fdf(t, p)[0]
+            h = 1e-3 * x
+            wide = (f(x + h) - f(x - h)) / (2 * h)
+            narrow = (f(x + h / 2) - f(x - h / 2)) / h
+            assert y3 == pytest.approx((4 * narrow - wide) / 3, rel=1e-9)
+
+
+def test_slope_minima_match_bisection():
+    # Newton on d2Y/dX2 lands where a bisection to round-off does
+    def bisect(f, lo, hi):
+        while hi - lo > 4 * np.finfo(float).eps * hi:
+            mid = 0.5 * (lo + hi)
+            if f(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    for m, c, delta, theta in [(64, 150.0, -20.0, -7.5), (16, 100.0, 3.0, 0.0),
+                               (8, 30.0, 1.0, -2.0), (64, 8.3112565261436, 0.0, 0.0),
+                               (16, 400.0, -1.0, 3.0)]:
+        p = ModelParams(c=c, delta=delta, theta=theta, transverse=GaussianBins(m))
+        grid, on_grid = _grid_response(p, 1e-9, 1e4)
+        minima = _slope_minima(grid, on_grid.y2, p)
+        steps = np.flatnonzero((on_grid.y2[:-1] < 0.0) & (on_grid.y2[1:] >= 0.0))
+        assert minima.size == steps.size >= 1
+        for x, i in zip(minima, steps):
+            ref = bisect(lambda t: _response(t, p).y2, grid[i], grid[i + 1])
+            assert abs(x - ref) <= 1e-12 * ref, (p, x, ref)
 
 
 # === turning points and the critical point ===
@@ -383,19 +436,71 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
     _grid_sums.cache_clear()
     cold = run()
     assert len(cold[0]) == 3 and cold[1].bistable
-    assert _grid_sums.cache_info().currsize == 3  # roots, folds, C search
+    assert _grid_sums.cache_info().currsize == 2  # roots and folds share one; C search
     assert run() == cold
-    assert _grid_sums.cache_info().currsize == 3
-    # the cached sums combine to exactly what a full evaluation gives
-    x_lo, x_max = 1e-9 * 401.0, 100.0 * 401.0
-    grid, on_grid = _grid_response(p, x_lo, x_max)
-    direct = _response(np.geomspace(x_lo, x_max, 4096), p)
-    for a, b in zip(on_grid, direct):
-        assert np.array_equal(a, b)
-    for a in _grid_sums(p.transverse, 401.0, x_lo, x_max):
+    assert _grid_sums.cache_info().currsize == 2
+    # the cached unit sums, scaled by powers of A, agree with a full evaluation
+    xi_lo, xi_max = 1e-9, 100.0
+    grid, on_grid = _grid_response(p, xi_lo, xi_max)
+    assert np.array_equal(grid, 401.0 * np.geomspace(xi_lo, xi_max, 4096))
+    direct = _response(grid, p)
+    for a, b in zip(on_grid[:3], direct[:3]):  # G, G', G''
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 4e-15
+    for a in _grid_sums(p.transverse, xi_lo, xi_max):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+    # the fold grid is in X / (1 + delta^2): one table serves every delta
+    _grid_sums.cache_clear()
+    for delta in (-20.0, 3.0):
+        turning_points(ModelParams(c=150.0, delta=delta, theta=-7.5,
+                                   transverse=GaussianBins(64)))
+    assert _grid_sums.cache_info().currsize == 1
+
+
+def test_fold_window_is_a_power_of_ten_at_or_above_the_drive():
+    for xi in (1e-3, 99.0, 100.0, np.nextafter(100.0, math.inf), 1e3,
+               np.nextafter(1e3, math.inf), np.nextafter(1e3, 0.0), 3e7, 1e300):
+        w = _fold_window(float(xi))
+        assert w >= max(xi, 100.0)
+        assert w == 10.0 ** round(math.log10(w))
+        assert w / 10.0 < max(xi, 100.0)  # the smallest such power
+
+
+def test_binned_roots_across_fold_windows(monkeypatch):
+    # the upper fold lies at X/A = 280, between the windows 100 and 1e3
+    p = ModelParams(c=100.0, delta=3.0, theta=0.0, transverse=GaussianBins(16))
+    a = 1.0 + p.delta ** 2
+    tp = turning_points(p, x_max=1e3 * a)
+    assert tp.bistable and tp.points[0] < 100.0 * a < tp.points[1]
+
+    windows = []
+    folds = bistability._binned_folds
+    monkeypatch.setattr(bistability, "_binned_folds",
+                        lambda q, xi_max: windows.append(xi_max) or folds(q, xi_max))
+    # Y/A = 99, 100, the float after 100, 1e3 and a float just above 1e3
+    ys = [float(y) for y in (99.0 * a, 100.0 * a, np.nextafter(100.0 * a, math.inf),
+                             1e3 * a, np.nextafter(1e3 * a, math.inf))]
+    assert [y / a for y in ys[:4]] == [99.0, 100.0, np.nextafter(100.0, math.inf), 1e3]
+    assert ys[4] / a > 1e3
+    counts, searched = [], []
+    for y in ys:
+        windows.clear()
+        states = solve_steady_states(y, p)
+        assert len(windows) == 1 and windows[0] >= y / a
+        searched.append(windows[0])
+        # independent reference: sign changes of Y(X) - Y, refined by brentq
+        grid = np.geomspace(1e-6 * y, y, 20001)
+        resid = state_equation(grid, p) - y
+        idx = np.flatnonzero(np.sign(resid[:-1]) != np.sign(resid[1:]))
+        ref = [brentq(lambda x: state_equation(x, p) - y, grid[i], grid[i + 1],
+                      xtol=1e-300, rtol=4 * np.finfo(float).eps) for i in idx]
+        assert len(states) == len(ref)
+        for s, x in zip(states, ref):
+            assert abs(s.intensity - x) <= 1e-12 * x
+        counts.append(len(states))
+    assert counts == [1, 1, 1, 3, 3]
+    assert searched == [100.0, 100.0, 1e3, 1e3, 1e4]
 
 
 def test_plane_wave_roots_against_exact_discriminant():
