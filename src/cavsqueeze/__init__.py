@@ -11,7 +11,6 @@ and a config/CLI layer (``config``, ``cli``).
 
 from .bistability import (
     Branch,
-    BinSteady,
     GaussianBins,
     ModelParams,
     PlaneWave,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch",
-    "BinSteady",
     "CloudParams",
     "ConfigError",
     "CooperativitySample",

@@ -23,12 +23,17 @@ uses Gauss-Legendre nodes in s = u^2 on (0, 1) with w_j = weight_j / s_j,
 which converges to the analytic transverse average
 
     G(X) -> log(1 + X/(1 + delta^2)) / X.
+
+A ``SteadyState`` holds only scalars.  Bin j's inversion d_j = A/(A + u_j^2 X)
+and dipole p_j = u_j d_j x/(1 + i delta), A = 1 + delta^2, follow from x, X
+and the profile; the spectra derive them where they use them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -41,7 +46,6 @@ __all__ = [
     "GaussianBins",
     "ModelParams",
     "Branch",
-    "BinSteady",
     "SteadyState",
     "TurningPoints",
     "bin_layout",
@@ -68,8 +72,9 @@ class GaussianBins:
     m: int = 32
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"bin count must be >= 1, got {self.m}")
+        if (isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral)
+                or self.m < 1):
+            raise ValueError(f"bin count m must be an integer >= 1, got {self.m!r}")
 
 
 Transverse = PlaneWave | GaussianBins
@@ -136,24 +141,14 @@ class Branch(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BinSteady:
-    """Per-bin steady state: mode amplitude, atom weight, dipole, inversion."""
-
-    u: float
-    w: float
-    p: complex
-    d: float
-
-
-@dataclass(frozen=True)
 class SteadyState:
     x: complex          # intracavity amplitude, gauge: drive amplitude real > 0
     intensity: float    # X = |x|^2
     drive: float        # Y
-    bins: tuple[BinSteady, ...]
     branch: Branch
     stable: bool        # sign of dY/dX; folds (slope 0) count as unstable
     slope: float        # dY/dX at the root
+    theta_eff: float    # theta - 2 C delta G(X), the effective cavity detuning
 
 
 @dataclass(frozen=True)
@@ -163,25 +158,36 @@ class TurningPoints:
     bistable: bool
 
 
-@lru_cache(maxsize=None)
 def _gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     # nodes/weights for integrating over s = u^2 on (0, 1)
     xi, lam = np.polynomial.legendre.leggauss(m)
     return (xi + 1.0) / 2.0, lam / 2.0
 
 
+@lru_cache(maxsize=None)
+def _layout(transverse: Transverse) -> tuple[np.ndarray, ...]:
+    """(u, w, s = u^2, ws = w s) of a profile's bins, read-only and shared."""
+    if isinstance(transverse, PlaneWave):
+        u, w = np.array([1.0]), np.array([1.0])
+    elif isinstance(transverse, GaussianBins):
+        nodes, v = _gauss_legendre_01(transverse.m)
+        u, w = np.sqrt(nodes), v / nodes
+    else:
+        raise TypeError(f"unknown transverse profile: {transverse!r}")
+    s = u * u
+    out = (u, w, s, w * s)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def bin_layout(transverse: Transverse) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u, w) arrays for a transverse profile.
+    """Return read-only (u, w) arrays for a transverse profile.
 
     The weights satisfy sum_j w_j u_j^2 = 1, so the weak-field susceptibility
     is profile-independent.
     """
-    if isinstance(transverse, PlaneWave):
-        return np.array([1.0]), np.array([1.0])
-    if isinstance(transverse, GaussianBins):
-        s, v = _gauss_legendre_01(transverse.m)
-        return np.sqrt(s), v / s
-    raise TypeError(f"unknown transverse profile: {transverse!r}")
+    return _layout(transverse)[:2]
 
 
 def gaussian_susceptibility_limit(x_int, a_sat):
@@ -198,12 +204,6 @@ def gaussian_susceptibility_limit(x_int, a_sat):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _geometry(transverse: Transverse) -> tuple[np.ndarray, np.ndarray]:
-    u, w = bin_layout(transverse)
-    s = u * u
-    return s, w * s
 
 
 class _Response(NamedTuple):
@@ -224,7 +224,7 @@ def _bin_sums(x: np.ndarray, transverse: Transverse, a_sat: float):
     G = sum_j w_j s_j r_j, G' = -sum_j w_j s_j^2 r_j^2 and
     G'' = 2 sum_j w_j s_j^3 r_j^3.
     """
-    s, ws = _geometry(transverse)
+    _, _, s, ws = _layout(transverse)
     r = 1.0 / (a_sat + np.multiply.outer(x, s))
     g = r @ ws
     rk = r * r
@@ -508,7 +508,7 @@ def _curvature_fdf(x: float, p: ModelParams) -> tuple[float, float]:
     Y''' = 12 C G'' proj + 24 C^2 A G'^2 + 4 C X G''' proj
     + 24 C^2 A X G' G'', with G''' = -6 sum_j w_j s_j^4 r_j^4.
     """
-    s, ws = _geometry(p.transverse)
+    _, _, s, ws = _layout(p.transverse)
     a_sat = 1.0 + p.delta * p.delta
     r = 1.0 / (a_sat + s * x)
     sr = s * r
@@ -596,29 +596,20 @@ def _binned_folds(p: ModelParams, xi_max: float) -> tuple[float, ...]:
 
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
                     branch: Branch) -> SteadyState:
-    s, _ = _geometry(p.transverse)
-    a_sat = 1.0 + p.delta * p.delta
-    u, w = bin_layout(p.transverse)
     at = _response(x_root, p)
     if y_drive > 0:
         x_amp = (x_root / math.sqrt(y_drive)) * complex(at.absorb, -at.disperse)
     else:
         x_amp = 0.0 + 0.0j
-    dsat = a_sat / (a_sat + s * x_root)
-    pol = u * x_amp * dsat / complex(1.0, p.delta)
-    bins = tuple(
-        BinSteady(float(u[j]), float(w[j]), complex(pol[j]), float(dsat[j]))
-        for j in range(len(u))
-    )
     slope = float(at.y1)
     return SteadyState(
         x=complex(x_amp),
         intensity=float(x_root),
         drive=float(y_drive),
-        bins=bins,
         branch=branch,
         stable=slope > 0.0,
         slope=slope,
+        theta_eff=float(at.disperse),
     )
 
 
@@ -674,9 +665,8 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
 def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
     # roots satisfy X <= Y, so only the folds below Y split the brackets;
     # the lower bracket edge sits below Y / max(state-equation factor)
-    _, ws = _geometry(p.transverse)
     a_sat = 1.0 + p.delta * p.delta
-    g0 = float(np.sum(ws)) / a_sat
+    g0 = float(np.sum(_layout(p.transverse)[3])) / a_sat
     factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
         abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
     x_lo = 0.25 * y_drive / factor_max

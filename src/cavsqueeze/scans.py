@@ -22,6 +22,7 @@ purposes; no dynamical integration is performed.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -32,7 +33,6 @@ from .bistability import (
     ModelParams,
     PlaneWave,
     SteadyState,
-    _response,
     solve_steady_states,
     state_equation,
     turning_points,
@@ -93,8 +93,9 @@ class ScanConfig:
             raise ValueError(
                 f"noise_transverse must be 'model' or 'plane', got {self.noise_transverse!r}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def _run_scan(
         x_prev = ss.intensity
         xs[i] = ss.intensity
         branches.append(ss.branch.name)
-        theta_eff[i] = _response(ss.intensity, p_t).disperse
+        theta_eff[i] = ss.theta_eff
         ss_n, p_n = _noise_state(ss, p_t, sc)
         q = output_spectrum(build_fluctuation_system(ss_n, p_n), sc.omega_hz)
         ve = efficiency_matrix(q.v, sc.eta)
@@ -320,8 +321,10 @@ def release_threshold_drive(
     smallest upper-fold ordinate found; a drive above this value jumps to the
     upper branch at some point of the release, a drive below never switches.
     Grid-resolution limited; intended for choosing scan drives, not as a
-    root-finder-grade boundary.
+    root-finder-grade boundary.  ``n_grid`` must be an integer >= 2.
     """
+    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
+        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     if c0 <= 0.0:
         raise ValueError(f"c0 must be positive, got {c0}")
     best = math.inf

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bistability import ModelParams, SteadyState
+from .bistability import ModelParams, SteadyState, _layout
 
 __all__ = [
     "FluctuationSystem",
@@ -124,9 +124,14 @@ def _sigma_cav(p: ModelParams) -> float:
     return 2.0 * p.kappa_hz * p.c / (p.n_atoms * p.gamma_par_hz)
 
 
-def _bin_columns(ss: SteadyState) -> tuple[np.ndarray, ...]:
-    """(u, w, d, p_re, p_im) of every bin, one array each."""
-    return tuple(np.array([(b.u, b.w, b.d, b.p.real, b.p.imag) for b in ss.bins]).T)
+def _bin_columns(ss: SteadyState, p: ModelParams) -> tuple[np.ndarray, ...]:
+    """(u, w, d, p_re, p_im) of every bin of ``ss``, one array each: d_j =
+    A/(A + u_j^2 X) and p_j = u_j d_j x/(1 + i delta), A = 1 + delta^2."""
+    u, w, s, _ = _layout(p.transverse)
+    a_sat = 1.0 + p.delta * p.delta
+    dsat = a_sat / (a_sat + s * ss.intensity)
+    pol = u * ss.x * dsat / complex(1.0, p.delta)
+    return u, w, dsat, pol.real, pol.imag
 
 
 def _bin_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +143,7 @@ def _bin_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _drift_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     x1, x2 = ss.x.real, ss.x.imag
-    u, w, dsat, p1, p2 = _bin_columns(ss)
+    u, w, dsat, p1, p2 = _bin_columns(ss, p)
     ip1, ip2, idd = _bin_indices(len(u))
     n = 2 + 3 * len(u)
 
@@ -166,7 +171,7 @@ def _drift_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
 
 def _diffusion_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
-    u, w, dsat, p1, p2 = _bin_columns(ss)
+    u, w, dsat, p1, p2 = _bin_columns(ss, p)
     ip1, ip2, idd = _bin_indices(len(u))
     n = 2 + 3 * len(u)
 
@@ -189,17 +194,16 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
     """Bin sums of the fluctuation dynamics around ``ss``.
 
     ``ss`` must be a mean-field steady state of ``p`` (as returned by
-    ``solve_steady_states``): the reduction relies on every bin's dipole
-    being u_j d_j x / (1 + i delta).  Valid on any branch; the resulting
+    ``solve_steady_states``): each bin's inversion and dipole are derived
+    from its x and X (``_bin_columns``).  Valid on any branch; the resulting
     spectra are physically meaningful only where the drift is stable.
     Rejects gamma_par_ratio > 2, which would require negative pure
     dephasing.
     """
     _check_dephasing(p)
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
-    u, w, dsat, _, _ = _bin_columns(ss)
-    u2 = u * u
-    wu2 = w * u2
+    _, _, u2, wu2 = _layout(p.transverse)
+    dsat = _bin_columns(ss, p)[2]
     # bin j couples to the cavity at g_cav w_j u_j; g_j^2 times the scale
     # 1/(w_j N sigma_cav) of its diffusion block is alpha w_j u_j^2 (N cancels)
     g_cav = 2.0 * kappa * p.c

@@ -29,11 +29,14 @@ from cavsqueeze import bistability
 from cavsqueeze.bistability import (
     _curvature_fdf,
     _fold_window,
+    _gauss_legendre_01,
     _grid_response,
     _grid_sums,
+    _layout,
     _response,
     _slope_minima,
 )
+from cavsqueeze.spectra import _bin_columns
 
 
 def absorptive(c, delta=0.0, theta=0.0, transverse=None):
@@ -142,6 +145,36 @@ def test_bin_layout_normalization():
         assert len(u) == m
         assert np.sum(w * u * u) == pytest.approx(1.0, rel=1e-13)
         assert np.all(u > 0) and np.all(u < 1) and np.all(w > 0)
+
+
+def test_cached_layout_is_read_only_and_matches_the_nodes():
+    for prof in (PlaneWave(), GaussianBins(1), GaussianBins(8), GaussianBins(64)):
+        layout = _layout(prof)
+        assert _layout(prof) is layout
+        for a in layout:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        u, w, s, ws = layout
+        assert np.array_equal(s, u * u) and np.array_equal(ws, w * s)
+        assert all(a is b for a, b in zip(bin_layout(prof), (u, w)))
+        if isinstance(prof, GaussianBins):
+            nodes, v = _gauss_legendre_01(prof.m)
+            assert np.array_equal(u, np.sqrt(nodes)) and np.array_equal(w, v / nodes)
+        else:
+            assert u.tolist() == [1.0] and w.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.5, 8.0, True, False, "8", None])
+def test_gaussian_bins_reject_a_count_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValueError, match="bin count m"):
+        GaussianBins(m)
+
+
+def test_gaussian_bins_take_a_numpy_integer_count():
+    prof = GaussianBins(np.int64(8))
+    assert prof == GaussianBins(8)
+    assert np.array_equal(bin_layout(prof)[0], bin_layout(GaussianBins(8))[0])
 
 
 # === derivatives ===
@@ -313,13 +346,13 @@ def test_root_residuals_and_invariants():
             assert abs(state_equation(s.intensity, p) - y) / y <= 1e-9
             assert s.intensity <= y * (1 + 1e-12)
             assert abs(abs(s.x) ** 2 - s.intensity) <= 1e-9 * max(s.intensity, 1.0)
-            for b in s.bins:
-                assert 0.0 < b.d <= 1.0
+            _, _, d, _, _ = _bin_columns(s, p)
+            assert np.all((0.0 < d) & (d <= 1.0))
             if s.branch is Branch.MIDDLE:
                 assert not s.stable
         if isinstance(p.transverse, PlaneWave):
-            assert len(states[0].bins) == 1
-            assert states[0].bins[0].u == 1.0 and states[0].bins[0].w == 1.0
+            u, w, _, _, _ = _bin_columns(states[0], p)
+            assert u.tolist() == [1.0] and w.tolist() == [1.0]
 
 
 # independent route: the plane-wave state equation times (X + A)^2 is a cubic
@@ -520,6 +553,28 @@ def test_plane_wave_roots_against_exact_discriminant():
             assert s.stable == (state_equation_slope(s.intensity, p) > 0.0)
 
 
+def test_theta_eff_is_the_response_detuning_on_every_branch():
+    rng = np.random.default_rng(1313)
+    for prof in (PlaneWave(), GaussianBins(8), GaussianBins(64)):
+        seen = set()
+        for _ in range(30):
+            p = ModelParams(
+                c=float(rng.uniform(20.0, 250.0)),
+                delta=float(rng.uniform(-25.0, 25.0)),
+                theta=float(rng.uniform(-8.0, 8.0)),
+                transverse=prof,
+            )
+            tp = turning_points(p)
+            if tp.bistable and rng.random() < 0.7:
+                y = float(rng.uniform(*sorted(tp.ordinates)))
+            else:
+                y = float(rng.uniform(0.01, 100.0)) * (1.0 + p.delta ** 2)
+            for s in solve_steady_states(y, p):
+                assert s.theta_eff == _response(s.intensity, p).disperse
+                seen.add(s.branch)
+        assert seen == set(Branch)
+
+
 def test_drive_gauge_is_real_positive():
     # the reported x has the phase that makes the drive amplitude real > 0:
     # y_amp = (1 + i theta) x + 2C sum w u p must come out real positive
@@ -532,7 +587,8 @@ def test_drive_gauge_is_real_positive():
         )
         y = float(rng.uniform(0.1, 50.0)) * (1.0 + p.delta ** 2)
         for s in solve_steady_states(y, p):
-            pol = sum(b.w * b.u * b.p for b in s.bins)
+            u, w, _, p_re, p_im = _bin_columns(s, p)
+            pol = complex(np.sum(w * u * p_re), np.sum(w * u * p_im))
             y_amp = complex(1.0, p.theta) * s.x + 2.0 * p.c * pol
             assert abs(y_amp.imag) <= 1e-9 * abs(y_amp)
             assert y_amp.real > 0

@@ -144,6 +144,16 @@ def test_config_rejects_bad_values():
         ScanConfig(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 7.0, True, False, -1, "3", None])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ScanConfig(seed=seed)
+
+
+def test_config_takes_a_numpy_integer_seed():
+    assert ScanConfig(seed=np.int64(7)).seed == 7
+
+
 @pytest.mark.parametrize("cls, name, value", [
     (ModelParams, "c", math.inf),
     (ModelParams, "delta", math.nan),
@@ -309,3 +319,15 @@ def test_release_threshold_drive_rejects_never_bistable_paths():
         release_threshold_drive(ModelParams(c=3.0, delta=0.0), theta0=0.0, c0=3.0)
     with pytest.raises(ValueError):
         release_threshold_drive(ModelParams(c=220.0, delta=-20.0), theta0=-7.5, c0=0.0)
+
+
+@pytest.mark.parametrize("n_grid", [0, 1, -5, 2.5, 400.0, True])
+def test_release_threshold_drive_rejects_a_bad_grid_size(n_grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        release_threshold_drive(ModelParams(c=220.0, delta=-20.0), -7.5, 220.0, n_grid=n_grid)
+
+
+def test_release_threshold_drive_takes_the_smallest_grid():
+    y = release_threshold_drive(ModelParams(c=220.0, delta=-20.0), -7.5, 220.0,
+                                n_grid=np.int64(2))
+    assert math.isfinite(y) and y > 0.0

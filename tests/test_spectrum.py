@@ -155,7 +155,8 @@ def _channel_form_spectrum(ss, p, omega_hz):
     through (-iΩ - A)^(-1) B, the reflected input subtracted."""
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     a = build_fluctuation_system(ss, p).a
-    n, m = a.shape[0], len(ss.bins)
+    _, bin_w, bin_d, bin_p1, bin_p2 = spectra._bin_columns(ss, p)
+    n, m = a.shape[0], bin_w.size
     kappa_in = kappa * (1.0 - p.loss_fraction)
     n_chan = 4 + 3 * m
     b = np.zeros((n, n_chan))
@@ -164,15 +165,15 @@ def _channel_form_spectrum(ss, p, omega_hz):
     b[0, 2] = b[1, 3] = np.sqrt(2.0 * kappa * p.loss_fraction)
     psd[:4, :4] = np.eye(4)
     sigma_cav = 2.0 * kappa * p.c / (p.n_atoms * gpar)
-    for j, bn in enumerate(ss.bins):
+    for j in range(m):
         i, c0 = 2 + 3 * j, 4 + 3 * j
         b[i:i + 3, c0:c0 + 3] = np.eye(3)
-        p1, p2 = bn.p.real, bn.p.imag
+        p1, p2 = bin_p1[j], bin_p2[j]
         psd[c0:c0 + 3, c0:c0 + 3] = np.array([
             [2.0 * gamma ** 2 / gpar, 0.0, -gpar * p1],
             [0.0, 2.0 * gamma ** 2 / gpar, -gpar * p2],
-            [-gpar * p1, -gpar * p2, 2.0 * gpar * (1.0 - bn.d)],
-        ]) / (bn.w * p.n_atoms * sigma_cav)
+            [-gpar * p1, -gpar * p2, 2.0 * gpar * (1.0 - bin_d[j])],
+        ]) / (bin_w[j] * p.n_atoms * sigma_cav)
     resp = np.linalg.solve(-1j * omega_hz * np.eye(n) - a, b)
     w_out = np.sqrt(2.0 * kappa_in) * resp[:2, :]
     w_out[0, 0] -= 1.0
