@@ -256,9 +256,17 @@ def _response(x_int, p: ModelParams) -> _Response:
 
     Entries are arrays shaped like X.
     """
+    return _response_at(x_int, p.c, p.theta, p)
+
+
+def _response_at(x_int, c, theta, p: ModelParams) -> _Response:
+    """``_response`` at C and theta given apart from ``p``, as scalars or as
+    arrays shaped like X: the cooperativity and detuning of every step of a
+    trace at once."""
     x = np.asarray(x_int, dtype=float)
     a_sat = 1.0 + p.delta * p.delta
-    return _response_from_sums(x, *_bin_sums(x, p.transverse, a_sat), a_sat, p)
+    return _response_from_sums(x, *_bin_sums(x, p.transverse, a_sat), a_sat,
+                               c, p.delta, theta)
 
 
 def _grid_response(p: ModelParams, xi_lo: float, xi_max: float):
@@ -272,16 +280,18 @@ def _grid_response(p: ModelParams, xi_lo: float, xi_max: float):
     xi, g, g1, g2 = _grid_sums(p.transverse, xi_lo, xi_max)
     grid = a_sat * xi
     return grid, _response_from_sums(grid, g / a_sat, g1 / a_sat ** 2,
-                                     g2 / a_sat ** 3, a_sat, p)
+                                     g2 / a_sat ** 3, a_sat, p.c, p.delta, p.theta)
 
 
-def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float,
-                        p: ModelParams) -> _Response:
-    """The response at X from the bin sums there, for C, delta and theta."""
-    c = p.c
+def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
+                        theta) -> _Response:
+    """The response at X from the bin sums there, for C, delta and theta.
+
+    C and theta may be scalars or arrays shaped like X, as along a trace.
+    """
     absorb = 1.0 + 2.0 * c * g
-    disperse = p.theta - 2.0 * c * p.delta * g
-    proj = absorb - p.delta * disperse
+    disperse = theta - 2.0 * c * delta * g
+    proj = absorb - delta * disperse
     factor = absorb ** 2 + disperse ** 2
     y1 = factor + 4.0 * c * x * g1 * proj
     y2 = (8.0 * c * g1 * proj + 4.0 * c * x * g2 * proj
@@ -346,7 +356,7 @@ def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float) -> float:
 _TANGENT_BITS = 46
 
 
-def _plane_cubics(p: ModelParams, y_drive: float = 0.0):
+def _plane_cubics(c: float, delta: float, theta: float, y_drive: float = 0.0):
     """Root cubic F and fold cubic H of the plane-wave state equation.
 
     With A = 1 + delta^2, multiplying the state equation by (X + A)^2 gives
@@ -362,42 +372,61 @@ def _plane_cubics(p: ModelParams, y_drive: float = 0.0):
     coefficient is rounded once: float-formed coefficients move the roots
     near the critical point by more than the fold pair is wide.
     """
-    ratios = [float(v).as_integer_ratio() for v in (p.c, p.delta, p.theta, y_drive)]
-    k = max(den.bit_length() for _, den in ratios) - 1
+    (c, cd), (d, dd), (t, td), (y, yd) = (float(v).as_integer_ratio()
+                                          for v in (c, delta, theta, y_drive))
+    # each denominator is a power of two: bring all four to s = 2^k
+    cb, db, tb, yb = cd.bit_length(), dd.bit_length(), td.bit_length(), yd.bit_length()
+    k = max(cb, db, tb, yb) - 1
     s = 1 << k
-    c, d, t, y = (num << (k - den.bit_length() + 1) for num, den in ratios)
+    c, d, t, y = c << (k + 1 - cb), d << (k + 1 - db), t << (k + 1 - tb), y << (k + 1 - yb)
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s2 * s2
+    s6 = s4 * s2
     # numerators over s^n, n in the trailing comments
-    a = s * s + t * t                                    # 1 + theta^2, 2
-    a_sat = s * s + d * d                                # A, 2
-    b = 4 * c * (s * s - d * t)                          # 4C(1 - delta theta), 3
-    n2 = 2 * a * a_sat + b * s                           # 4
-    n1 = (a * a_sat + b * s + 4 * c * c * s * s) * a_sat  # 6
-    h = (a, 3 * a * a_sat, 2 * n2 * a_sat - n1, n1 * a_sat)  # 2, 4, 6, 8
-    f = (a * s ** 4, n2 * s * s - y * s ** 5, n1 - 2 * y * a_sat * s ** 3,
-         -y * a_sat * a_sat * s)                          # all 6
-    h3, h2, h1, h0 = h
+    a = s2 + t * t                                    # 1 + theta^2, 2
+    a_sat = s2 + d * d                                # A, 2
+    bs = 4 * c * (s2 - d * t) * s                     # 4C(1 - delta theta) s, 4
+    aa = a * a_sat                                    # 4
+    n2 = 2 * aa + bs                                  # 4
+    n1 = (aa + bs + 4 * c * c * s2) * a_sat           # 6
+    h3, h2, h1, h0 = a, 3 * aa, 2 * n2 * a_sat - n1, n1 * a_sat  # 2, 4, 6, 8
+    ys3 = y * s3
+    f = (a * s4, n2 * s2 - ys3 * s2, n1 - 2 * ys3 * a_sat,
+         -y * a_sat * a_sat * s)                      # all 6
     # H's discriminant: every term has weight 20 in s, so its sign is exact
-    terms = (18 * h3 * h2 * h1 * h0, -4 * h2 ** 3 * h0, h2 * h2 * h1 * h1,
-             -4 * h3 * h1 ** 3, -27 * h3 * h3 * h0 * h0)
-    distinct = (sum(terms) << _TANGENT_BITS) > max(abs(v) for v in terms)
-    f_out = tuple(v / s ** 6 for v in f)
-    h_out = tuple(v / s ** n for v, n in zip(h, (2, 4, 6, 8)))
-    return f_out, h_out, distinct
+    h22, h11, h30 = h2 * h2, h1 * h1, h3 * h0
+    terms = (18 * h30 * h2 * h1, -4 * h22 * h2 * h0, h22 * h11, -4 * h3 * h11 * h1,
+             -27 * h30 * h30)
+    distinct = (sum(terms) << _TANGENT_BITS) > max(map(abs, terms))
+    return ((f[0] / s6, f[1] / s6, f[2] / s6, f[3] / s6),
+            (h3 / s2, h2 / s4, h1 / s6, h0 / (s4 * s4)), distinct)
 
 
-def _cubic(coeffs, x: float) -> float:
+def _cubic(coeffs, x):
+    """The cubic at x; coefficients and x are scalars or arrays alike."""
     c3, c2, c1, c0 = coeffs
     return ((c3 * x + c2) * x + c1) * x + c0
 
 
-def _newton(fdf, lo: float, hi: float, x: float, rising: bool) -> float:
+def _cubic_fdf(coeffs):
+    """x -> (the cubic, its derivative) at x, scalars or arrays alike."""
+    c3, c2, c1, _ = coeffs
+    t3, t2 = 3.0 * c3, 2.0 * c2
+    return lambda x: (_cubic(coeffs, x), (t3 * x + t2) * x + c1)
+
+
+def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
+            dx: float | None = None) -> float:
     """Root of f on [lo, hi], over which it changes sign once, from x.
 
     ``fdf(x)`` returns (f(x), f'(x)); ``rising`` says f(lo) < 0.  Falls back
     to bisection whenever a Newton step leaves the bracket or fails to halve
-    the step before it.  Stops at round-off.
+    the step before it, ``dx`` at the first step (default hi - lo).  Stops
+    at round-off.
     """
-    dx_old = dx = hi - lo
+    if dx is None:
+        dx = hi - lo
     for _ in range(200):
         fx, dfx = fdf(x)
         if fx == 0.0:
@@ -417,6 +446,61 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool) -> float:
                 return x_new
         x = x_new
     return x
+
+
+# Below this many brackets a lockstep iteration, numpy's fixed cost per call
+# times some forty calls, costs more than scalar iterations of every bracket.
+_LOCKSTEP_MIN = 16
+
+
+def _cubic_newton_many(coeffs, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                       rising: np.ndarray) -> np.ndarray:
+    """``_newton`` on a cubic in each of many brackets, in lockstep.
+
+    ``coeffs`` holds four arrays, the cubic of each bracket.  Every bracket
+    goes through ``_newton``'s IEEE operations, bisection fallback and
+    stopping rules, so its root equals the scalar one bit for bit.  Finished
+    brackets leave the pass; once fewer than ``_LOCKSTEP_MIN`` are left,
+    ``_newton`` takes each of them on from where the pass left it, its cap
+    of 200 steps counted afresh (no bracket comes near the cap).
+    """
+    eps2 = 2.0 * sys.float_info.epsilon
+    fdf = _cubic_fdf(coeffs)
+    out = np.empty_like(x)
+    k = np.arange(x.size)
+    dx = hi - lo
+    for _ in range(200):
+        if k.size < _LOCKSTEP_MIN:
+            break
+        fx, dfx = fdf(x)
+        below = (fx < 0.0) == rising
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        step_old = np.abs(dx)
+        dx = np.divide(fx, dfx, out=np.full_like(fx, math.inf), where=dfx != 0.0)
+        x_newton = x - dx
+        step = np.abs(dx)
+        mid = 0.5 * (lo + hi)
+        bisect = ~((lo < x_newton) & (x_newton < hi) & (step < 0.5 * step_old))
+        zero = fx == 0.0
+        converged = step <= eps2 * np.abs(x)
+        narrow = bisect & (hi - lo <= eps2 * np.abs(mid))
+        dx = np.where(bisect, x - mid, dx)
+        x_next = np.where(bisect, mid, x_newton)
+        done = zero | converged | narrow
+        if done.any():
+            # the scalar tests run in this order: f = 0, round-off step, narrow bracket
+            out[k[done]] = np.where(zero, x, np.where(converged, x_newton, mid))[done]
+            run = ~done
+            k, lo, hi, dx, rising = k[run], lo[run], hi[run], dx[run], rising[run]
+            coeffs = tuple(a[run] for a in coeffs)
+            fdf = _cubic_fdf(coeffs)
+            x_next = x_next[run]
+        x = x_next
+    for state in zip(k.tolist(), lo.tolist(), hi.tolist(), x.tolist(), rising.tolist(),
+                     dx.tolist(), *(a.tolist() for a in coeffs)):
+        out[state[0]] = _newton(_cubic_fdf(state[6:]), *state[1:6])
+    return out
 
 
 def _segment_roots(fdf, edges, fvals, curvs) -> list[float]:
@@ -439,10 +523,38 @@ def _segment_roots(fdf, edges, fvals, curvs) -> list[float]:
 
 def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
     # edge values stay Python floats: numpy scalars would double the cost
-    c3, c2, c1, _ = coeffs
-    fdf = lambda x: (_cubic(coeffs, x), (3.0 * c3 * x + 2.0 * c2) * x + c1)
-    return _segment_roots(fdf, edges, [_cubic(coeffs, x) for x in edges],
+    c3, c2, _, _ = coeffs
+    return _segment_roots(_cubic_fdf(coeffs), edges,
+                          [_cubic(coeffs, x) for x in edges],
                           [3.0 * c3 * x + c2 for x in edges])
+
+
+def _cubic_segment_roots_many(coeffs, edges: np.ndarray,
+                              valid: np.ndarray | None = None) -> np.ndarray:
+    """``_cubic_segment_roots`` for many cubics at once.
+
+    ``coeffs`` holds four (k,) arrays, ``edges`` is (k, E) and ascending
+    along each row.  An edge that is not ``valid`` repeats the next one, so
+    its segments are empty.  Returns (k, 2E - 1): the edges where the cubic
+    is 0, then one Newton root per segment (``_segment_roots``'s start
+    points, ``_cubic_newton_many``), NaN where there is none.
+    """
+    cols = tuple(a[:, None] for a in coeffs)
+    fvals = _cubic(cols, edges)
+    curvs = 3.0 * cols[0] * edges + cols[1]
+    zero = fvals == 0.0 if valid is None else valid & (fvals == 0.0)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    flo, fhi = fvals[:, :-1].ravel(), fvals[:, 1:].ravel()
+    clo, chi = curvs[:, :-1].ravel(), curvs[:, 1:].ravel()
+    roots = np.full(lo.shape, np.nan)
+    k = np.flatnonzero(((flo < 0.0) & (0.0 < fhi)) | ((fhi < 0.0) & (0.0 < flo)))
+    lo, hi, flo, fhi, clo, chi = lo[k], hi[k], flo[k], fhi[k], clo[k], chi[k]
+    start = np.where(fhi * chi > 0.0, hi,
+                     np.where(flo * clo > 0.0, lo, 0.5 * (lo + hi)))
+    per_segment = tuple(np.repeat(a, edges.shape[1] - 1)[k] for a in coeffs)
+    roots[k] = _cubic_newton_many(per_segment, lo, hi, start, flo < 0.0)
+    return np.concatenate((np.where(zero, edges, np.nan),
+                           roots.reshape(len(edges), edges.shape[1] - 1)), axis=1)
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -491,7 +603,7 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
         _checked(x_max, "x_max", positive=True)
         xi_max = x_max / a_sat
     if isinstance(p.transverse, PlaneWave):
-        _, h, distinct = _plane_cubics(p)
+        _, h, distinct = _plane_cubics(p.c, p.delta, p.theta)
         folds = _plane_folds(h, distinct)
     else:
         folds = _binned_folds(p, xi_max)
@@ -520,7 +632,7 @@ def _curvature_fdf(x: float, p: ModelParams) -> tuple[float, float]:
     g2 = 2.0 * float(t.sum())
     t *= sr
     g3 = -6.0 * float(t.sum())
-    at = _response_from_sums(x, g, g1, g2, a_sat, p)
+    at = _response_from_sums(x, g, g1, g2, a_sat, p.c, p.delta, p.theta)
     c = p.c
     proj = at.absorb - p.delta * at.disperse
     y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
@@ -594,16 +706,28 @@ def _binned_folds(p: ModelParams, xi_max: float) -> tuple[float, ...]:
     return tuple(deduped)
 
 
+def _state_terms(x_int, y_drive, c, theta, p: ModelParams):
+    """The complex amplitude x and the response at roots X of drive Y.
+
+    X, Y, C and theta are scalars or arrays of one shape (see
+    ``_response_at``).  x = (X / sqrt(Y)) (absorb - i disperse) in the gauge
+    of a real, positive drive amplitude, and x = 0 at Y = 0.
+    """
+    at = _response_at(x_int, c, theta, p)
+    if isinstance(y_drive, np.ndarray):
+        scale = np.divide(x_int, np.sqrt(y_drive), out=np.zeros_like(x_int),
+                          where=y_drive > 0.0)
+    else:
+        scale = x_int / math.sqrt(y_drive) if y_drive > 0.0 else 0.0 * x_int
+    return scale * (at.absorb - 1j * at.disperse), at
+
+
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
                     branch: Branch) -> SteadyState:
-    at = _response(x_root, p)
-    if y_drive > 0:
-        x_amp = (x_root / math.sqrt(y_drive)) * complex(at.absorb, -at.disperse)
-    else:
-        x_amp = 0.0 + 0.0j
+    amp, at = _state_terms(x_root, y_drive, p.c, p.theta, p)
     slope = float(at.y1)
     return SteadyState(
-        x=complex(x_amp),
+        x=complex(amp),
         intensity=float(x_root),
         drive=float(y_drive),
         branch=branch,
@@ -611,6 +735,26 @@ def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
         slope=slope,
         theta_eff=float(at.disperse),
     )
+
+
+def _distinct(roots) -> list[float]:
+    """``roots`` ascending, less each one within 1e-9 (relative) of the last
+    one kept: adjacent brackets can polish a double root twice."""
+    deduped: list[float] = []
+    for x in sorted(roots):
+        if not deduped or x - deduped[-1] > 1e-9 * max(x, 1e-300):
+            deduped.append(x)
+    return deduped
+
+
+def _branch_labels(n_roots: int) -> list[Branch]:
+    """Branch of each of ``n_roots`` distinct roots, ascending in X."""
+    if n_roots == 3:
+        return [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+    if n_roots == 2:
+        # drive sits exactly on a fold ordinate: middle and one outer root merged
+        return [Branch.LOWER, Branch.UPPER]
+    return [Branch.MONOSTABLE] * n_roots
 
 
 def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
@@ -632,34 +776,76 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
     if isinstance(p.transverse, PlaneWave):
-        roots = _plane_roots(y_drive, p)
+        roots = _distinct(_plane_roots(y_drive, p))
     else:
-        roots = _binned_roots(y_drive, p)
-    deduped: list[float] = []
-    for x in sorted(roots):
-        if not deduped or x - deduped[-1] > 1e-9 * max(x, 1e-300):
-            deduped.append(x)
+        roots = _distinct(_binned_roots(y_drive, p))
+    return [_assemble_state(x, y_drive, p, lab)
+            for x, lab in zip(roots, _branch_labels(len(roots)))]
 
-    if len(deduped) == 3:
-        labels = [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
-    elif len(deduped) == 2:
-        # drive sits exactly on a fold ordinate: middle and one outer root merged
-        labels = [Branch.LOWER, Branch.UPPER]
-    else:
-        labels = [Branch.MONOSTABLE] * len(deduped)
-    return [
-        _assemble_state(x, y_drive, p, lab) for x, lab in zip(deduped, labels)
-    ]
+
+def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
+    """The distinct roots at every step of a trace, each list ascending.
+
+    ``y``, ``c`` and ``theta`` are lists with one value per step; the delta
+    and the profile are those of ``p``.  A plane wave solves every step in
+    lockstep (``_plane_roots_many``).  A binned profile solves step by step
+    through ``_binned_roots``, with the ``ModelParams`` of each step.
+    """
+    if isinstance(p.transverse, PlaneWave):
+        rows = _plane_roots_many(y, c, p.delta, theta).tolist()
+        return [_distinct([x for x in row if x == x]) for row in rows]
+    return [_distinct([0.0] if yi == 0.0 else
+                      _binned_roots(yi, replace(p, c=ci, theta=ti)))
+            for yi, ci, ti in zip(y, c, theta)]
 
 
 def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
     # monotone between the folds.  F(Y) can round below zero only when the
     # root sits at X = Y (no atoms), hence the widened top edge.
-    f, h, distinct = _plane_cubics(p, y_drive)
+    f, h, distinct = _plane_cubics(p.c, p.delta, p.theta, y_drive)
     top = y_drive if _cubic(f, y_drive) >= 0.0 else 2.0 * y_drive
     edges = [0.0, *(x for x in _plane_folds(h, distinct) if x < top), top]
     return _cubic_segment_roots(f, edges)
+
+
+def _plane_roots_many(y, c, delta: float, theta) -> np.ndarray:
+    """``_plane_roots`` at every step of a trace, in lockstep.
+
+    ``y``, ``c`` and ``theta`` hold one value per step.  The exact cubics
+    come from ``_plane_cubics`` step by step; the fold pair, the segment
+    edges and the Newton polish then run over every (step, segment) bracket
+    at once with the scalar path's IEEE operations, so row i holds exactly
+    the roots ``_plane_roots`` finds at step i.  Returns (n, 7): the zero
+    edges, then the segment roots, NaN where there is none.
+    """
+    cubics = [_plane_cubics(ci, delta, ti, yi) for yi, ci, ti in zip(y, c, theta)]
+    f = tuple(np.array(col) for col in zip(*(cb[0] for cb in cubics)))
+    h = tuple(np.array(col) for col in zip(*(cb[1] for cb in cubics)))
+    distinct = np.array([cb[2] for cb in cubics], dtype=bool)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+
+    # the fold pair, as in _plane_folds; inf where there is none
+    folds = np.full((n, 2), math.inf)
+    k = np.flatnonzero(distinct & (h[2] < 0.0))
+    h3, h2, h1, h0 = hk = tuple(a[k] for a in h)
+    x_min = -h1 / (h2 + np.sqrt(h2 * h2 - 3.0 * h3 * h1))
+    has = _cubic(hk, x_min) < 0.0
+    k, x_min = k[has], x_min[has]
+    h3, h2, h1, h0 = hk = tuple(a[has] for a in hk)
+    # Python's float power, so that every bracket is the scalar one
+    root3 = np.array([v ** (1.0 / 3.0) for v in (0.5 * h0 / h3).tolist()])
+    x_top = 2.0 * np.maximum(np.maximum(h2 / h3, np.sqrt(-h1 / h3)), root3)
+    edges = np.stack((np.zeros_like(x_min), x_min, x_top), axis=1)
+    folds[k] = _cubic_segment_roots_many(hk, edges)[:, 3:]
+
+    # F(0) < 0 <= F(top), as in _plane_roots; folds at or above top drop out
+    top = np.where(_cubic(f, y) >= 0.0, y, 2.0 * y)
+    inside = folds < top[:, None]
+    edges = np.column_stack((np.zeros(n), np.where(inside, folds, top[:, None]), top))
+    valid = np.column_stack((np.ones(n, dtype=bool), inside, np.ones(n, dtype=bool)))
+    return _cubic_segment_roots_many(f, edges, valid)
 
 
 def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import os
+import stat
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -30,6 +33,8 @@ SPECTRUM_HEADER = ["omega_hz", "v11", "v12", "v22", "s_min", "s_max", "theta_min
 
 
 def _format(value: Any) -> str:
+    if type(value) is float:  # the common case, first
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -43,6 +48,7 @@ def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[An
     path = cfg["output.path"]
     formatted = [[_format(v) for v in row] for row in rows]
     if path:
+        _unlink_regular_file(path)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -51,6 +57,22 @@ def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[An
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
+
+
+def _unlink_regular_file(path: str) -> None:
+    """Remove ``path`` if it is a regular file with no other hard link.
+
+    Creating a new file is faster than truncating the old one, which waits
+    for the old contents' writeback.  A symlink, a hard-linked file or a
+    device (such as /dev/null) is left to be opened, and so written through,
+    as it is; so is a file this process may not unlink.
+    """
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass
 
 
 def _spectrum_rows(spectra, eta: float):
@@ -163,7 +185,10 @@ COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: building it costs about a millisecond,
+    a large share of a short scan."""
     parser = argparse.ArgumentParser(
         prog="cavsqueeze",
         allow_abbrev=False,
@@ -178,8 +203,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         sp.add_argument("--config", default=None, help="path to a key = value config file")
         if name == "fitc":
             sp.add_argument("data", help="CSV file of decay samples (t_s,c[,sigma_c])")
+    return parser
 
-    ns, extra = parser.parse_known_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    ns, extra = _parser().parse_known_args(argv)
     try:
         cfg = load_config(ns.config, list(extra))
         COMMANDS[ns.command][1](cfg, ns)

@@ -5,14 +5,26 @@ called names the scan: ``free_release_scan`` lets the cooperativity decay
 after trap release so the dispersive shift sweeps the cavity through
 resonance, and ``piezo_scan`` sweeps the bare cavity detuning at fixed atom
 number.  Each turns its schedule into arrays of C and theta, one entry per
-time step; the shared tracker then follows the steady state quasi-statically
-(branch continuity, hysteretic jumps when a branch ends), evaluates the noise
-envelope at the analysis frequency, and pushes a local-oscillator phase sample
-through the synthetic detection chain: detection efficiency, then
-``analyzer_chain`` (multiplicative analyzer noise and a single-pole video
-filter) and ``calibrate_and_correct`` (electronic-noise subtraction and
-shot-noise calibration).  The signal, shot and electronic series draw from
-one Philox stream at ``seed``, in that order.
+time step, and the shared tracker works through the whole trace in passes,
+not step by step:
+
+1. roots: the distinct steady states of every step.  A plane wave solves all
+   steps in lockstep (``bistability._plane_roots_many``), bit for bit the
+   roots of a single solve; a binned profile solves step by step.
+2. states: slope dY/dX, effective detuning and amplitude x of every root of
+   every step, in one array pass.
+3. tracking: the only Python loop over steps follows the steady state
+   quasi-statically (branch continuity, hysteretic jumps when a branch ends)
+   among the stable roots (dY/dX > 0).
+4. spectra: the output noise at the analysis frequency for every step at
+   once (``spectra._trace_noise``, the closed form of ``output_spectrum``),
+   then the detection efficiency, the quadrature extrema and the noise of
+   the local-oscillator quadrature.
+5. the synthetic detection chain: ``analyzer_chain`` (multiplicative
+   analyzer noise and a single-pole video filter) and
+   ``calibrate_and_correct`` (electronic-noise subtraction and shot-noise
+   calibration).  The signal, shot and electronic series draw from one
+   Philox stream at ``seed``, in that order.
 
 Scan timescales (ms) sit far above the cavity and atomic relaxation times
 (sub-us), so the quasi-static approximation is exact for all practical
@@ -32,18 +44,14 @@ import numpy as np
 from .bistability import (
     ModelParams,
     PlaneWave,
-    SteadyState,
-    solve_steady_states,
-    state_equation,
+    _branch_labels,
+    _response_at,
+    _state_terms,
+    _trace_roots,
     turning_points,
 )
 from .cloud import CloudParams, cooperativity_decay
-from .spectra import (
-    build_fluctuation_system,
-    efficiency_matrix,
-    output_spectrum,
-    quadrature_extrema,
-)
+from .spectra import _check_dephasing, _envelope, _trace_noise, efficiency_matrix
 
 
 @dataclass(frozen=True)
@@ -182,33 +190,41 @@ def calibrate_and_correct(raw, shot_raw, elec) -> np.ndarray:
     return (raw - elec) / denom
 
 
-def _pick_start(roots: list[SteadyState]) -> SteadyState:
-    return min(roots, key=lambda r: r.intensity)
+def _pick_start(xs: list[float]) -> int:
+    """Index of the state a trace starts on: the least X."""
+    return min(range(len(xs)), key=xs.__getitem__)
 
 
-def _pick_continuous(roots: list[SteadyState], x_prev: float) -> SteadyState:
+def _pick_continuous(xs: list[float], x_prev: float) -> int:
+    """Index of the state nearest in log X to the last step's ``x_prev``."""
     floor = 1e-300
-    return min(
-        roots,
-        key=lambda r: abs(math.log(max(r.intensity, floor) / max(x_prev, floor))),
-    )
+    return min(range(len(xs)),
+               key=lambda k: abs(math.log(max(xs[k], floor) / max(x_prev, floor))))
 
 
-def _noise_state(ss: SteadyState, p: ModelParams, sc: ScanConfig):
-    """Steady state and params used for the fluctuation analysis.
+def _follow(roots: list[list[float]], stable: list[bool],
+            ts: np.ndarray) -> tuple[list[int], list[str]]:
+    """The state followed at every step, as an index into the flattened
+    ``roots``, and its branch name.
 
-    ``noise_transverse='model'`` analyses fluctuations with the same
-    transverse profile as the steady state.  ``'plane'`` instead analyses
-    a plane-wave medium operated at the same intracavity intensity, which
-    isolates the transverse average to the mean-field level.
+    Only stable roots are candidates: the first step takes
+    ``_pick_start``'s, each later one ``_pick_continuous``'s.
     """
-    if sc.noise_transverse == "model" or isinstance(p.transverse, PlaneWave):
-        return ss, p
-    p_plane = replace(p, transverse=PlaneWave())
-    y_plane = state_equation(ss.intensity, p_plane)
-    roots = solve_steady_states(y_plane, p_plane)
-    ss_plane = min(roots, key=lambda r: abs(r.intensity - ss.intensity))
-    return ss_plane, p_plane
+    picks: list[int] = []
+    names: list[str] = []
+    x_prev = None
+    j0 = 0
+    for i, xs in enumerate(roots):
+        cand = [j for j in range(len(xs)) if stable[j0 + j]]
+        if not cand:
+            raise RuntimeError(f"no stable steady state at t={ts[i]}")
+        xc = [xs[j] for j in cand]
+        j = cand[_pick_start(xc) if x_prev is None else _pick_continuous(xc, x_prev)]
+        x_prev = xs[j]
+        picks.append(j0 + j)
+        names.append(_branch_labels(len(xs))[j].name)
+        j0 += len(xs)
+    return picks, names
 
 
 def _scan_times(sc: ScanConfig) -> np.ndarray:
@@ -221,37 +237,47 @@ def _scan_times(sc: ScanConfig) -> np.ndarray:
 def _run_scan(
     sc: ScanConfig, p: ModelParams, ts: np.ndarray, cs: np.ndarray, thetas: np.ndarray
 ) -> Trace:
-    """Track the steady state along the schedule C(ts), theta(ts) and measure it."""
+    """Track the steady state along the schedule C(ts), theta(ts) and measure it.
+
+    Works in passes over the whole trace (module docstring).
+    ``scan.noise_transverse='plane'`` analyses the fluctuations of a binned
+    profile in a plane-wave medium at each step's intracavity intensity,
+    which isolates the transverse average to the mean-field level.
+    """
     n = ts.size
+    bad = ~(np.isfinite(cs) & (cs >= 0.0) & np.isfinite(thetas))
+    if bad.any():
+        i = int(np.argmax(bad))
+        replace(p, c=float(cs[i]), theta=float(thetas[i]))  # raises, naming the field
+    _check_dephasing(p)
+    c_list, theta_list = cs.tolist(), thetas.tolist()
+
+    roots = _trace_roots([sc.drive_y] * n, c_list, theta_list, p)
+    step = np.repeat(np.arange(n), [len(r) for r in roots])
+    x_roots = np.array([x for r in roots for x in r])
+    amp, at = _state_terms(x_roots, sc.drive_y, cs[step], thetas[step], p)
+    picks, branches = _follow(roots, (at.y1 > 0.0).tolist(), ts)
+    xs, x_amp, theta_eff = x_roots[picks], amp[picks], at.disperse[picks]
+
+    p_n = p
+    if sc.noise_transverse == "plane" and not isinstance(p.transverse, PlaneWave):
+        p_n = replace(p, transverse=PlaneWave())
+        y_n = _response_at(xs, cs, thetas, p_n).y
+        roots_n = _trace_roots(y_n.tolist(), c_list, theta_list, p_n)
+        xs_n = np.array([min(r, key=lambda v: abs(v - x))
+                         for r, x in zip(roots_n, xs.tolist())])
+        x_amp = _state_terms(xs_n, y_n, cs, thetas, p_n)[0]
+    else:
+        xs_n = xs
+    v11, v12, v22 = _trace_noise(x_amp, xs_n, cs, thetas, p_n, sc.omega_hz)
+    ve = efficiency_matrix(np.stack((v11, v12, v12, v22), axis=-1).reshape(n, 2, 2),
+                           sc.eta)
+    mean, radius = _envelope(ve[:, 0, 0], ve[:, 0, 1], ve[:, 1, 1])
+    s_min, s_max = mean - radius, mean + radius
     phases = lo_phase(ts, sc)
-
-    s_phase = np.empty(n)
-    s_min = np.empty(n)
-    s_max = np.empty(n)
-    xs = np.empty(n)
-    theta_eff = np.empty(n)
-    branches: list[str] = []
-
-    x_prev = None
-    for i in range(n):
-        p_t = replace(p, c=float(cs[i]), theta=float(thetas[i]))
-        roots = [r for r in solve_steady_states(sc.drive_y, p_t) if r.stable]
-        if not roots:
-            raise RuntimeError(f"no stable steady state at t={ts[i]}")
-        ss = _pick_start(roots) if x_prev is None else _pick_continuous(roots, x_prev)
-        x_prev = ss.intensity
-        xs[i] = ss.intensity
-        branches.append(ss.branch.name)
-        theta_eff[i] = ss.theta_eff
-        ss_n, p_n = _noise_state(ss, p_t, sc)
-        q = output_spectrum(build_fluctuation_system(ss_n, p_n), sc.omega_hz)
-        ve = efficiency_matrix(q.v, sc.eta)
-        lo, hi, _ = quadrature_extrema(ve)
-        s_min[i] = lo
-        s_max[i] = hi
-        cphi, sphi = math.cos(phases[i]), math.sin(phases[i])
-        vec = np.array([cphi, sphi])
-        s_phase[i] = float(vec @ ve @ vec)
+    cphi, sphi = np.cos(phases), np.sin(phases)
+    s_phase = ((cphi * ve[:, 0, 0] + sphi * ve[:, 1, 0]) * cphi
+               + (cphi * ve[:, 0, 1] + sphi * ve[:, 1, 1]) * sphi)
 
     # one Philox stream, drawn in turn by the signal, shot and electronic
     # series; the trace at a fixed seed depends on this order
@@ -268,20 +294,9 @@ def _run_scan(
         warnings.warn(msg, stacklevel=3)
         notes.append(msg)
 
-    samples = tuple(
-        TraceSample(
-            t_s=float(ts[i]),
-            c=float(cs[i]),
-            theta_eff=float(theta_eff[i]),
-            x=float(xs[i]),
-            branch=branches[i],
-            s_meas=float(s_meas[i]),
-            s_min=float(s_min[i]),
-            s_max=float(s_max[i]),
-            shot_ref=float(shot_ref[i]),
-        )
-        for i in range(n)
-    )
+    samples = tuple(map(TraceSample, ts.tolist(), c_list, theta_eff.tolist(), xs.tolist(),
+                        branches, s_meas.tolist(), s_min.tolist(), s_max.tolist(),
+                        shot_ref.tolist()))
     return Trace(samples=samples, warnings=tuple(notes))
 
 

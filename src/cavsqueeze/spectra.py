@@ -119,17 +119,25 @@ def _check_dephasing(p: ModelParams) -> None:
         )
 
 
-def _sigma_cav(p: ModelParams) -> float:
-    """Physical vacuum density per quadrature, divided out of the diffusion."""
-    return 2.0 * p.kappa_hz * p.c / (p.n_atoms * p.gamma_par_hz)
+def _sigma_cav(p: ModelParams, c):
+    """Physical vacuum density per quadrature at cooperativity ``c`` (a
+    scalar or an array), divided out of the diffusion."""
+    return 2.0 * p.kappa_hz * c / (p.n_atoms * p.gamma_par_hz)
+
+
+def _inversions(x_int, p: ModelParams) -> np.ndarray:
+    """Every bin's inversion d_j = A/(A + u_j^2 X), A = 1 + delta^2: (M,) at
+    a scalar X, (n, M) at n values of X."""
+    s = _layout(p.transverse)[2]
+    a_sat = 1.0 + p.delta * p.delta
+    return a_sat / (a_sat + np.multiply.outer(x_int, s))
 
 
 def _bin_columns(ss: SteadyState, p: ModelParams) -> tuple[np.ndarray, ...]:
-    """(u, w, d, p_re, p_im) of every bin of ``ss``, one array each: d_j =
-    A/(A + u_j^2 X) and p_j = u_j d_j x/(1 + i delta), A = 1 + delta^2."""
-    u, w, s, _ = _layout(p.transverse)
-    a_sat = 1.0 + p.delta * p.delta
-    dsat = a_sat / (a_sat + s * ss.intensity)
+    """(u, w, d, p_re, p_im) of every bin of ``ss``, one array each: the
+    inversion d_j (``_inversions``) and the dipole p_j = u_j d_j x/(1 + i delta)."""
+    u, w, _, _ = _layout(p.transverse)
+    dsat = _inversions(ss.intensity, p)
     pol = u * ss.x * dsat / complex(1.0, p.delta)
     return u, w, dsat, pol.real, pol.imag
 
@@ -181,7 +189,7 @@ def _diffusion_matrix(ss: SteadyState, p: ModelParams) -> np.ndarray:
     if p.c > 0:
         # each bin's block scales as 1/(w_j N), shot-normalized by sigma_cav
         scale = w * p.n_atoms
-        sigma_cav = _sigma_cav(p)
+        sigma_cav = _sigma_cav(p, p.c)
         d[ip1, ip1] = d[ip2, ip2] = 2.0 * gamma ** 2 / gpar / scale / sigma_cav
         d[ip1, idd] = d[idd, ip1] = -gpar * p1 / scale / sigma_cav
         d[ip2, idd] = d[idd, ip2] = -gpar * p2 / scale / sigma_cav
@@ -194,21 +202,42 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
     """Bin sums of the fluctuation dynamics around ``ss``.
 
     ``ss`` must be a mean-field steady state of ``p`` (as returned by
-    ``solve_steady_states``): each bin's inversion and dipole are derived
-    from its x and X (``_bin_columns``).  Valid on any branch; the resulting
-    spectra are physically meaningful only where the drift is stable.
-    Rejects gamma_par_ratio > 2, which would require negative pure
-    dephasing.
+    ``solve_steady_states``): each bin's inversion follows from its X
+    (``_inversions``).  Valid on any branch; the resulting spectra are
+    physically meaningful only where the drift is stable.  Rejects
+    gamma_par_ratio > 2, which would require negative pure dephasing.
     """
     _check_dephasing(p)
+    return FluctuationSystem(ss, p, _kappa_in(p), *_system_sums(ss.x, ss.intensity, p.c, p))
+
+
+def _kappa_in(p: ModelParams) -> float:
+    """Input-mirror coupling rate, the port the detected field leaves by."""
+    return p.kappa_hz * (1.0 - p.loss_fraction)
+
+
+def _system_sums(x, x_int, c, p: ModelParams):
+    """(pivot_u2, w_sigma, w_power, sat, dip) of ``FluctuationSystem``.
+
+    One state (complex x, float X and C) gives them as there; n states
+    ((n,) arrays x, X and C, the rest of ``p`` shared) stack the bin axis
+    last: pivot_u2 (n, M), w_sigma and w_power (3, n, M), sat and dip (n,).
+    """
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
     _, _, u2, wu2 = _layout(p.transverse)
-    dsat = _bin_columns(ss, p)[2]
+    dsat = _inversions(x_int, p)
     # bin j couples to the cavity at g_cav w_j u_j; g_j^2 times the scale
     # 1/(w_j N sigma_cav) of its diffusion block is alpha w_j u_j^2 (N cancels)
-    g_cav = 2.0 * kappa * p.c
-    alpha = g_cav * g_cav / (p.n_atoms * _sigma_cav(p)) if p.c > 0 else 0.0
+    g_cav = 2.0 * kappa * c
+    one = not isinstance(c, np.ndarray)
+    if one:
+        alpha = g_cav * g_cav / (p.n_atoms * _sigma_cav(p, c)) if c > 0 else 0.0
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(c > 0, g_cav * g_cav / (p.n_atoms * _sigma_cav(p, c)), 0.0)
     w4 = wu2 * u2
+    if dsat.ndim > 1:
+        w4 = np.broadcast_to(w4, dsat.shape)  # the rows below stack as one array
     w4d = w4 * dsat
     # rows 0-2 are summed against 1/sigma_j, rows 3-5 against 1/|sigma_j|^2
     weights = np.array([w4d, w4, w4d, w4 * u2, w4d * u2, w4 - w4d]) * np.array([
@@ -218,18 +247,13 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
         2.0 * gamma ** 4 * gpar * alpha,
         2.0 * (gamma * gpar) ** 2 * alpha,
         2.0 * gamma ** 2 * gpar * alpha,
-    ])[:, None]
-    x = ss.x
-    return FluctuationSystem(
-        state=ss,
-        params=p,
-        kappa_in_hz=kappa * (1.0 - p.loss_fraction),
-        pivot_u2=gamma * gpar * (x.real * x.real + x.imag * x.imag) * u2,
-        w_sigma=weights[:3].astype(complex),
-        w_power=weights[3:],
-        sat=g_cav * gamma * float(wu2 @ dsat),
-        dip=2.0 * gamma ** 2 / gpar * alpha * float(wu2.sum()),
-    )
+    ])[..., None]
+    sat = g_cav * gamma * (dsat @ wu2)
+    dip = 2.0 * gamma ** 2 / gpar * alpha * float(wu2.sum())
+    if one:
+        sat, dip = float(sat), float(dip)
+    return (np.multiply.outer(gamma * gpar * (x.real * x.real + x.imag * x.imag), u2),
+            weights[:3].astype(complex), weights[3:], sat, dip)
 
 
 def drift_eigenvalues(fs: FluctuationSystem) -> np.ndarray:
@@ -265,10 +289,16 @@ def quadrature_extrema(v: np.ndarray) -> tuple[float, float, float]:
     return _extrema(float(v[0, 0]), float(0.5 * (v[0, 1] + v[1, 0])), float(v[1, 1]))
 
 
+def _envelope(va, vb, vc):
+    """(mean, radius) of the eigenvalues of the symmetric matrix
+    [[va, vb], [vb, vc]]: floats, or arrays for a stack of matrices."""
+    hypot = math.hypot if isinstance(va, float) else np.hypot
+    return 0.5 * (va + vc), hypot(0.5 * (va - vc), vb)
+
+
 def _extrema(va: float, vb: float, vc: float) -> tuple[float, float, float]:
     """quadrature_extrema of the symmetric matrix [[va, vb], [vb, vc]]."""
-    mean = 0.5 * (va + vc)
-    radius = math.hypot(0.5 * (va - vc), vb)
+    mean, radius = _envelope(va, vb, vc)
     s_min = mean - radius
     s_max = mean + radius
     if radius <= 1e-14 * max(abs(mean), 1.0):
@@ -291,20 +321,41 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
     """
     if not (math.isfinite(omega_hz) and omega_hz >= 0):
         raise ValueError(f"omega_hz must be finite and >= 0, got {omega_hz}")
-    p = fs.params
+    v11, v12, v22 = _output_noise(
+        fs.state.x, fs.params.theta, fs.pivot_u2, fs.w_sigma, fs.w_power, fs.sat,
+        fs.dip, fs.kappa_in_hz, fs.params, float(omega_hz))
+    s_min, s_max, theta = _extrema(v11, v12, v22)
+    v = np.array([[v11, v12], [v12, v22]])
+    return QuadratureSpectrum(omega_hz=float(omega_hz), v=v,
+                              s_min=s_min, s_max=s_max, theta_min=theta)
+
+
+def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: float,
+                  p: ModelParams, omega_hz: float):
+    """(v11, v12, v22) of ``output_spectrum``'s V at Ω = ``omega_hz``.
+
+    One state gives Python floats from Python complex arithmetic; n states
+    (``_system_sums``'s stacked terms, x and theta (n,) arrays, the rest of
+    ``p`` shared) give (n,) arrays from the same expressions.  Only the bin
+    sums and the singularity check tell the two apart.
+    """
     kappa, gamma = p.kappa_hz, p.gamma_hz
-    x = fs.state.x
+    one = not isinstance(x, np.ndarray)
     q = x / complex(1.0, p.delta)  # each bin's dipole is u_j d_j q
     x1, x2, q1, q2 = x.real, x.imag, q.real, q.imag
-    z = -1j * float(omega_hz)
+    z = -1j * omega_hz
     zg = z + gamma
     gd = gamma * p.delta
     det_p = zg * zg + gd * gd
     pa, pb = zg / det_p, gd / det_p  # P^-1 = [[pa, pb], [-pb, pa]]
 
-    inv = 1.0 / ((z + p.gamma_par_hz) + pa * fs.pivot_u2)  # 1 / sigma_j
-    s0, s1, s2 = (fs.w_sigma @ inv).tolist()
-    r0, r1, r2 = (fs.w_power @ np.abs(inv) ** 2).tolist()
+    inv = 1.0 / ((z + p.gamma_par_hz) + pa * pivot_u2)  # 1 / sigma_j
+    if one:
+        s0, s1, s2 = (w_sigma @ inv).tolist()
+        r0, r1, r2 = (w_power @ np.abs(inv) ** 2).tolist()
+    else:
+        s0, s1, s2 = (w_sigma * inv).sum(axis=-1)
+        r0, r1, r2 = (w_power * np.abs(inv) ** 2).sum(axis=-1)
 
     # a = P^-1 x, h = P^-T x, f = P^-1 q, e = P^-1 conj(h)
     a1, a2 = pa * x1 + pb * x2, pa * x2 - pb * x1
@@ -315,12 +366,16 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
 
     # S = -iΩ - A_cc + sat P^-1 - s0 a (gamma h + q)^T
     b1, b2 = gamma * h1 + q1, gamma * h2 + q2
-    diag = z + kappa + fs.sat * pa
-    off = kappa * p.theta - fs.sat * pb
+    diag = z + kappa + sat * pa
+    off = kappa * theta - sat * pb
     s11, s12 = diag - s0 * a1 * b1, -off - s0 * a1 * b2
     s21, s22 = off - s0 * a2 * b1, diag - s0 * a2 * b2
     det = s11 * s22 - s12 * s21
-    if det == 0 or not cmath.isfinite(det):
+    if one:
+        singular = det == 0 or not cmath.isfinite(det)
+    else:
+        singular = not np.all(np.isfinite(det) & (det != 0))
+    if singular:
         raise RuntimeError(
             f"fluctuation response is singular at omega_hz={omega_hz}: "
             "the operating point sits on an instability boundary"
@@ -332,11 +387,11 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
     g2 = s1.conjugate() * e2 + s2.conjugate() * f2
     c_aa = (r0 * (abs(h1) ** 2 + abs(h2) ** 2)
             + r1 * (h1.real * q1 + h2.real * q2) + r2)
-    pp = fs.dip * (abs(pa) ** 2 + abs(pb) ** 2) + 2.0 * kappa
+    pp = dip * (abs(pa) ** 2 + abs(pb) ** 2) + 2.0 * kappa
     ac2 = a2.conjugate()
     q11 = pp + c_aa * abs(a1) ** 2 - 2.0 * (a1 * g1.conjugate()).real
     q22 = pp + c_aa * abs(a2) ** 2 - 2.0 * (a2 * g2.conjugate()).real
-    q12 = (fs.dip * (pb * pa.conjugate() - pa * pb.conjugate())
+    q12 = (dip * (pb * pa.conjugate() - pa * pb.conjugate())
            + c_aa * a1 * ac2 - a1 * g2.conjugate() - g1 * ac2)
     q21 = q12.conjugate()
 
@@ -347,14 +402,32 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
     g12 = m11 * t21.conjugate() + m12 * t22.conjugate()
     g22 = m21 * t21.conjugate() + m22 * t22.conjugate()
 
-    k2 = 2.0 * fs.kappa_in_hz
+    k2 = 2.0 * kappa_in
     v11 = 1.0 + k2 * (g11.real - 2.0 * t11.real)
     v12 = k2 * (g12.real - t12.real - t21.real)
     v22 = 1.0 + k2 * (g22.real - 2.0 * t22.real)
-    s_min, s_max, theta = _extrema(v11, v12, v22)
-    v = np.array([[v11, v12], [v12, v22]])
-    return QuadratureSpectrum(omega_hz=float(omega_hz), v=v,
-                              s_min=s_min, s_max=s_max, theta_min=theta)
+    return v11, v12, v22
+
+
+# bins times states per block of ``_trace_noise``: the (6, states, M) bin
+# weights of a block then take about 3 MB
+_BLOCK_BINS = 1 << 16
+
+
+def _trace_noise(x, x_int, c, theta, p: ModelParams, omega_hz: float) -> np.ndarray:
+    """(3, n): v11, v12 and v22 of ``output_spectrum``'s V for n states of a
+    trace, (n,) arrays x, X, C and theta with the rest of ``p`` shared.
+
+    Runs ``_output_noise`` on blocks of states, so that memory stays flat in
+    the trace length whatever the bin count.
+    """
+    block = max(1, _BLOCK_BINS // _layout(p.transverse)[0].size)
+    out = np.empty((3, x.size))
+    for i in range(0, x.size, block):
+        b = slice(i, i + block)
+        out[:, b] = _output_noise(x[b], theta[b], *_system_sums(x[b], x_int[b], c[b], p),
+                                  _kappa_in(p), p, omega_hz)
+    return out
 
 
 def efficiency_matrix(v: np.ndarray, eta: float) -> np.ndarray:

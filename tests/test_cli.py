@@ -278,3 +278,81 @@ def test_module_entry_points_run_the_cli(module):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "X,Y,branch,stable,slope"
+
+
+# === one parser for every call, and the output file ===
+
+
+def test_back_to_back_calls_share_one_parser_and_keep_their_output():
+    from cavsqueeze.cli import _parser
+
+    _parser.cache_clear()
+    steady = ["steady", "--model.C=50", "--scan.drive_Y=900"]
+    spectrum = ["spectrum", "--scan.n_omega=3"]
+    first_steady = run_cli(steady)
+    parser = _parser()
+    assert run_cli(spectrum)[0] == 0
+    assert run_cli(steady) == first_steady
+    assert _parser() is parser
+    _parser.cache_clear()
+    first_spectrum = run_cli(spectrum)
+    assert run_cli(["turning", "--model.C=50"])[0] == 0
+    assert run_cli(spectrum) == first_spectrum
+    assert first_steady[0] == 0 and first_steady[1].startswith("X,Y,branch")
+    assert first_spectrum[1].startswith("omega_hz,v11")
+
+
+def test_help_and_an_unknown_subcommand_still_exit_as_argparse_does(capsys):
+    for _ in range(2):  # the second round runs on the cached parser
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cavsqueeze") and "mc-cloud" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["release", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+
+
+def _steady_csv(path):
+    return run_cli(["steady", "--model.C=50", "--scan.drive_Y=900", f"--output.path={path}"])
+
+
+def test_a_rerun_replaces_an_existing_output_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("stale\n" * 1000)
+    rc, out, _ = _steady_csv(path)
+    assert rc == 0 and out == ""
+    expected = path.read_text()
+    assert expected.startswith("X,Y,branch,stable,slope\n") and "stale" not in expected
+    assert _steady_csv(path)[0] == 0
+    assert path.read_text() == expected
+
+
+def test_output_through_a_symlink_or_a_hard_link_writes_the_target(tmp_path):
+    reference = tmp_path / "reference.csv"
+    assert _steady_csv(reference)[0] == 0
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n" * 1000)
+    link.symlink_to(target)
+    assert _steady_csv(link)[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == reference.read_text()
+
+    other = tmp_path / "other_name.csv"
+    other.write_text("stale\n")
+    os.link(other, tmp_path / "second_name.csv")
+    assert _steady_csv(other)[0] == 0
+    assert (tmp_path / "second_name.csv").read_text() == reference.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_dev_null_still_works():
+    rc, out, err = _steady_csv("/dev/null")
+    assert rc == 0 and out == "" and err == ""
+    assert not Path("/dev/null").is_file()
