@@ -37,7 +37,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -799,7 +799,39 @@ def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
             for yi, ci, ti in zip(y, c, theta)]
 
 
+# bins times states per block of a pass over a trace: the (6, states, M) bin
+# weights of a block of ``spectra._trace_noise`` then take about 3 MB
+_BLOCK_BINS = 1 << 16
+
+
+def _trace_blocks(n: int, transverse: Transverse) -> Iterator[slice]:
+    """Slices that cover n states of a trace in blocks of about
+    ``_BLOCK_BINS`` (state, bin) pairs, so that a pass over the blocks needs
+    memory flat in the trace length whatever the bin count."""
+    step = max(1, _BLOCK_BINS // _layout(transverse)[0].size)
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _trace_states(x_int: np.ndarray, y_drive: float, c: np.ndarray, theta: np.ndarray,
+                  p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitude x, slope dY/dX and effective detuning at many roots X.
+
+    ``x_int``, ``c`` and ``theta`` are (k,) arrays, one entry per root, and
+    every root has drive Y.  ``_state_terms`` runs on blocks of roots
+    (``_trace_blocks``) and fills the three (k,) outputs.
+    """
+    amp = np.empty(x_int.size, dtype=complex)
+    slope, theta_eff = np.empty(x_int.size), np.empty(x_int.size)
+    for b in _trace_blocks(x_int.size, p.transverse):
+        amp[b], at = _state_terms(x_int[b], y_drive, c[b], theta[b], p)
+        slope[b], theta_eff[b] = at.y1, at.disperse
+    return amp, slope, theta_eff
+
+
 def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
+    # A single solve stays scalar, as do _plane_folds and _cubic_segment_roots:
+    # through _plane_roots_many one step costs about six times as much, numpy's
+    # fixed cost per call on arrays of one.
     # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
     # monotone between the folds.  F(Y) can round below zero only when the
     # root sits at X = Y (no atoms), hence the widened top edge.

@@ -33,8 +33,6 @@ SPECTRUM_HEADER = ["omega_hz", "v11", "v12", "v22", "s_min", "s_max", "theta_min
 
 
 def _format(value: Any) -> str:
-    if type(value) is float:  # the common case, first
-        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -48,8 +46,7 @@ def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[An
     path = cfg["output.path"]
     formatted = [[_format(v) for v in row] for row in rows]
     if path:
-        _unlink_regular_file(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open_output(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(formatted)
@@ -59,20 +56,38 @@ def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[An
         writer.writerows(formatted)
 
 
-def _unlink_regular_file(path: str) -> None:
-    """Remove ``path`` if it is a regular file with no other hard link.
+def _open_output(path: str):
+    """Open ``path`` for writing text, replacing a plain existing file.
 
     Creating a new file is faster than truncating the old one, which waits
-    for the old contents' writeback.  A symlink, a hard-linked file or a
-    device (such as /dev/null) is left to be opened, and so written through,
-    as it is; so is a file this process may not unlink.
+    for the old contents' writeback.  The old file is replaced only where
+    the new one can be just like it: a regular file with one link, owned by
+    this process's user and group, writable by this process and without
+    extended attributes (such as ACLs; where they cannot be listed, no file
+    is replaced).  It is removed and created anew with
+    its permission bits.  Every other path (a symlink, a hard-linked,
+    read-only or foreign file, a device such as /dev/null) is opened and
+    truncated in place, and so written through, as ``open(path, "w")`` does.
     """
     try:
         st = os.lstat(path)
-        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+        plain = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                 and st.st_uid == os.geteuid() and st.st_gid == os.getegid()
+                 and os.access(path, os.W_OK)
+                 and hasattr(os, "listxattr") and not os.listxattr(path))
+        if plain:
             os.unlink(path)
+            # created private, then given the old bits: never wider than them
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            try:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            except OSError:
+                os.close(fd)
+                raise
+            return open(fd, "w", encoding="utf-8", newline="")
     except OSError:
         pass
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _spectrum_rows(spectra, eta: float):

@@ -12,7 +12,9 @@ not step by step:
    steps in lockstep (``bistability._plane_roots_many``), bit for bit the
    roots of a single solve; a binned profile solves step by step.
 2. states: slope dY/dX, effective detuning and amplitude x of every root of
-   every step, in one array pass.
+   every step, in array passes over blocks of roots
+   (``bistability._trace_states``), so that memory stays flat in the trace
+   length whatever the bin count.
 3. tracking: the only Python loop over steps follows the steady state
    quasi-statically (branch continuity, hysteretic jumps when a branch ends)
    among the stable roots (dY/dX > 0).
@@ -48,6 +50,7 @@ from .bistability import (
     _response_at,
     _state_terms,
     _trace_roots,
+    _trace_states,
     turning_points,
 )
 from .cloud import CloudParams, cooperativity_decay
@@ -255,9 +258,9 @@ def _run_scan(
     roots = _trace_roots([sc.drive_y] * n, c_list, theta_list, p)
     step = np.repeat(np.arange(n), [len(r) for r in roots])
     x_roots = np.array([x for r in roots for x in r])
-    amp, at = _state_terms(x_roots, sc.drive_y, cs[step], thetas[step], p)
-    picks, branches = _follow(roots, (at.y1 > 0.0).tolist(), ts)
-    xs, x_amp, theta_eff = x_roots[picks], amp[picks], at.disperse[picks]
+    amp, slope, disperse = _trace_states(x_roots, sc.drive_y, cs[step], thetas[step], p)
+    picks, branches = _follow(roots, (slope > 0.0).tolist(), ts)
+    xs, x_amp, theta_eff = x_roots[picks], amp[picks], disperse[picks]
 
     p_n = p
     if sc.noise_transverse == "plane" and not isinstance(p.transverse, PlaneWave):

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bistability import ModelParams, SteadyState, _layout
+from .bistability import ModelParams, SteadyState, _layout, _trace_blocks
 
 __all__ = [
     "FluctuationSystem",
@@ -409,22 +409,15 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     return v11, v12, v22
 
 
-# bins times states per block of ``_trace_noise``: the (6, states, M) bin
-# weights of a block then take about 3 MB
-_BLOCK_BINS = 1 << 16
-
-
 def _trace_noise(x, x_int, c, theta, p: ModelParams, omega_hz: float) -> np.ndarray:
     """(3, n): v11, v12 and v22 of ``output_spectrum``'s V for n states of a
     trace, (n,) arrays x, X, C and theta with the rest of ``p`` shared.
 
-    Runs ``_output_noise`` on blocks of states, so that memory stays flat in
-    the trace length whatever the bin count.
+    Runs ``_output_noise`` on blocks of states (``_trace_blocks``), so that
+    memory stays flat in the trace length whatever the bin count.
     """
-    block = max(1, _BLOCK_BINS // _layout(p.transverse)[0].size)
     out = np.empty((3, x.size))
-    for i in range(0, x.size, block):
-        b = slice(i, i + block)
+    for b in _trace_blocks(x.size, p.transverse):
         out[:, b] = _output_noise(x[b], theta[b], *_system_sums(x[b], x_int[b], c[b], p),
                                   _kappa_in(p), p, omega_hz)
     return out

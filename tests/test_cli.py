@@ -356,3 +356,34 @@ def test_output_to_dev_null_still_works():
     rc, out, err = _steady_csv("/dev/null")
     assert rc == 0 and out == "" and err == ""
     assert not Path("/dev/null").is_file()
+
+
+def test_a_replaced_output_file_keeps_its_permission_bits(tmp_path):
+    reference = tmp_path / "reference.csv"
+    assert _steady_csv(reference)[0] == 0
+    path = tmp_path / "private.csv"
+    path.write_text("stale\n" * 1000)
+    path.chmod(0o600)
+    with open(path) as old:
+        assert _steady_csv(path)[0] == 0
+        if not getattr(os, "listxattr", lambda p: [True])(path):
+            # a plain file is replaced, not truncated in place
+            assert os.fstat(old.fileno()).st_nlink == 0
+            assert old.read() == "stale\n" * 1000
+    assert path.read_text() == reference.read_text()
+    assert path.stat().st_mode & 0o7777 == 0o600
+
+
+def test_a_read_only_output_file_opens_as_open_for_writing_does(tmp_path):
+    path = tmp_path / "read_only.csv"
+    path.write_text("stale\n")
+    path.chmod(0o444)
+    writable = os.access(path, os.W_OK)  # true for a superuser
+    rc, _, err = _steady_csv(path)
+    assert path.stat().st_mode & 0o7777 == 0o444
+    if writable:
+        # open(path, "w") would succeed too: the file is written, its mode kept
+        assert rc == 0 and path.read_text().startswith("X,Y,branch,stable,slope\n")
+    else:
+        assert rc == 1 and "Permission denied" in err
+        assert path.read_text() == "stale\n"

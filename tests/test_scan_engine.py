@@ -31,7 +31,7 @@ from cavsqueeze import (
     state_equation,
     turning_points,
 )
-from cavsqueeze import scans
+from cavsqueeze import bistability, scans
 from cavsqueeze.bistability import _plane_roots, _plane_roots_many
 from cavsqueeze.cli import main
 from cavsqueeze.cloud import cooperativity_decay
@@ -233,6 +233,23 @@ def test_plane_noise_binned_release_matches_the_step_by_step_reference():
     _assert_trace_matches(trace, ref, thetas, exact_theta_eff=False)
 
 
+@pytest.mark.parametrize("noise", ["model", "plane"])
+def test_a_binned_trace_does_not_depend_on_the_block_size(monkeypatch, noise):
+    sc = ScanConfig(duration_s=0.025, dt_s=2.5e-4, vbw_hz=1e3, noise_transverse=noise)
+    p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
+    whole = _columns(free_release_scan(sc, CLOUD, p))
+    n_roots = sum(len(r) for r in bistability._trace_roots(
+        [sc.drive_y] * 100, cooperativity_decay(scans._scan_times(sc), CLOUD).tolist(),
+        [sc.theta0] * 100, p))
+    assert 100 < n_roots < bistability._BLOCK_BINS // 8  # one block by default
+    # blocks of 3 roots and of 3 states, ending partway through a step's roots
+    monkeypatch.setattr(bistability, "_BLOCK_BINS", 3 * 8)
+    assert len(list(bistability._trace_blocks(n_roots, p.transverse))) == -(-n_roots // 3)
+    # the bin sums of a block round as BLAS sums them, which depends on its size
+    _assert_trace_matches(free_release_scan(sc, CLOUD, p), whole,
+                          np.full(100, sc.theta0), exact_theta_eff=False)
+
+
 @pytest.mark.filterwarnings("ignore:scan never crosses")
 def test_a_trace_without_drive_sits_at_zero():
     for profile, noise in ((PlaneWave(), "model"), (GaussianBins(4), "plane")):
@@ -271,7 +288,8 @@ def test_a_step_without_a_stable_state_stops_the_scan(monkeypatch, capsys):
     sc = ScanConfig(duration_s=4e-4, dt_s=2e-5, vbw_hz=2500.0)
     ts = scans._scan_times(sc)
     c_cut = float(cooperativity_decay(ts, CLOUD)[7])
-    monkeypatch.setattr(scans, "_state_terms", _unstable_from(c_cut, scans._state_terms))
+    monkeypatch.setattr(bistability, "_state_terms",
+                        _unstable_from(c_cut, bistability._state_terms))
     with pytest.raises(RuntimeError, match=f"no stable steady state at t={ts[7]}"):
         free_release_scan(sc, CLOUD, ModelParams(c=220.0, delta=-20.0))
     with warnings.catch_warnings():
