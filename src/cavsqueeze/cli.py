@@ -63,11 +63,11 @@ def _open_output(path: str):
     for the old contents' writeback.  The old file is replaced only where
     the new one can be just like it: a regular file with one link, owned by
     this process's user and group, writable by this process and without
-    extended attributes (such as ACLs; where they cannot be listed, no file
-    is replaced).  It is removed and created anew with
-    its permission bits.  Every other path (a symlink, a hard-linked,
-    read-only or foreign file, a device such as /dev/null) is opened and
-    truncated in place, and so written through, as ``open(path, "w")`` does.
+    extended attributes such as ACLs (where they cannot be listed, no file
+    is replaced).  It is removed and created anew with its permission bits.
+    Every other path (a symlink, a hard-linked, read-only or foreign file, a
+    device such as /dev/null) is opened and truncated in place, and so
+    written through, as ``open(path, "w")`` does.
     """
     try:
         st = os.lstat(path)
