@@ -333,9 +333,9 @@ def _checked(value, name: str, positive: bool = False) -> np.ndarray:
 def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float) -> float:
     """Sign change of f on [lo, hi], where f(lo) is ``flo``, by bisection.
 
-    Used only where no derivative of f is at hand: the two searches over C
-    (``cooperativity_from_amplitudes`` and ``critical_point``).  Stops once
-    the bracket is narrower than ``rel_tol`` times its midpoint.
+    Used only where no derivative of f is at hand: the search over C of
+    ``critical_point``.  Stops once the bracket is narrower than ``rel_tol``
+    times its midpoint.
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -903,38 +903,17 @@ def peak_transmission(y_drive: float, p: ModelParams) -> float:
     """Largest intracavity intensity with the dispersive shift compensated.
 
     This is the peak of a cavity-length scan at fixed drive: the root of
-    h(X) = X*(1 + 2*C*G(X))^2 = Y with the highest X.  Since
-    h' = (1 + 2CG) k with k = (1 + 2CG) + 4CXG', h is monotone between the
-    sign changes of k.  Those are bracketed on a 2048-point log grid over
-    (0, Y] and refined by safeguarded Newton on k; the roots of h - Y on
-    the segments between them are polished by Newton on h (see
-    ``_segment_roots``), and the largest is returned.
+    h(X) = X*(1 + 2*C*G(X))^2 = Y with the highest X.  Every bin term of G
+    is w_j s_j/(A + s_j X), A = 1 + delta^2, so G(X) = G_1(X/A)/A with G_1
+    the susceptibility at delta = 0, and h(X) = A Y_1(X/A), where Y_1 is the
+    state equation at C/A and delta = theta = 0.  The peak is therefore
+    A times the largest root of ``solve_steady_states`` at drive Y/A there:
+    the exact cubic for a plane wave, the fold-bracketed solver otherwise.
     """
     _checked(y_drive, "drive intensity Y", positive=True)
-
-    def parts(x):
-        # 1 + 2CG and its derivative 2CG', then k and k'
-        at, c = _response(x, p), p.c
-        return (at.absorb, 2.0 * c * at.g1, at.absorb + 4.0 * c * x * at.g1,
-                6.0 * c * at.g1 + 4.0 * c * x * at.g2)
-
-    grid = np.geomspace(1e-12 * y_drive, y_drive, 2048)
-    k = parts(grid)[2]
-    turns = [_newton(lambda x: parts(x)[2:], grid[i], grid[i + 1],
-                     0.5 * (grid[i] + grid[i + 1]), k[i] < 0.0)
-             for i in np.flatnonzero(np.sign(k[:-1]) != np.sign(k[1:]))]
-    edges = np.array([grid[0], *turns, y_drive])
-
-    def hdh(x):
-        absorb, _, kx, _ = parts(x)
-        return x * absorb ** 2 - y_drive, absorb * kx
-
-    absorb, absorb1, k, k1 = parts(edges)
-    roots = _segment_roots(hdh, edges, edges * absorb ** 2 - y_drive,
-                           absorb1 * k + absorb * k1)
-    if not roots:
-        raise RuntimeError(f"no transmission peak found for Y={y_drive} at {p!r}")
-    return float(max(roots))
+    a_sat = 1.0 + p.delta * p.delta
+    resonant = replace(p, c=p.c / a_sat, delta=0.0, theta=0.0)
+    return a_sat * solve_steady_states(y_drive / a_sat, resonant)[-1].intensity
 
 
 def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
@@ -944,10 +923,11 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
 
     Both peaks must be in the same (arbitrary) units; when ``drive_y`` is not
     given the peaks are assumed to be in saturation units, so the drive is
-    read off the empty-cavity peak.  The peak-transmission ratio is inverted
-    by bisection (``_bisect``) against the simulated ratio from
-    ``peak_transmission``, which decreases monotonically with the
-    cooperativity; the bisection stops at 1e-12 relative in C.
+    read off the empty-cavity peak.  The peak X = r Y at peak ratio r solves
+    Y = X (1 + 2 C G(X))^2 (see ``peak_transmission``), and G does not
+    depend on C, so C = (r^-1/2 - 1)/(2 G(r Y)) in closed form.  That C is
+    accepted only if ``peak_transmission`` reproduces r to 1e-6: a ratio
+    inside a branch-jump gap is the peak of no cavity scan.
     """
     if not (bistable_peak > 0 and empty_peak > 0):
         raise ValueError("transmission peaks must be > 0")
@@ -961,25 +941,19 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
         return 0.0
     y = empty_peak if drive_y is None else drive_y
     _checked(y, "drive intensity Y", positive=True)
-
-    def r_of_c(c):
-        return peak_transmission(y, replace(p, c=c)) / y
-
-    c_hi = 1.0
-    while r_of_c(c_hi) > ratio:
-        c_hi *= 4.0
-        if c_hi > 1e8:
-            raise ValueError(
-                f"peak ratio {ratio:.6g} not reachable below C=1e8 at drive {y:.6g}"
-            )
-    # an empty cavity (C = 0) transmits the full peak, ratio 1
-    c_star = _bisect(lambda c: r_of_c(c) - ratio, 0.0, c_hi, 1.0 - ratio, 1e-12)
-    if abs(r_of_c(c_star) - ratio) > 1e-6:
+    g = float(_response(ratio * y, p).g)
+    # a ratio or G that underflows to 0 would raise ZeroDivisionError: C = inf
+    c = (1.0 / math.sqrt(ratio) - 1.0) / (2.0 * g) if ratio > 0.0 and g > 0.0 else math.inf
+    if not math.isfinite(c):
+        raise ValueError(
+            f"peak ratio {ratio:.6g} gives no finite cooperativity at drive {y:.6g}"
+        )
+    if abs(peak_transmission(y, replace(p, c=c)) / y - ratio) > 1e-6:
         raise ValueError(
             f"no cooperativity reproduces peak ratio {ratio:.6g} to 1e-6; "
             "the ratio may fall inside a branch-jump gap"
         )
-    return c_star
+    return c
 
 
 def critical_point(p: ModelParams, c_hint: float | None = None,

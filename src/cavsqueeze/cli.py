@@ -10,6 +10,7 @@ failures (no stable state, truncation overflow, and the like).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import os
@@ -45,13 +46,8 @@ def _format(value: Any) -> str:
 def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     path = cfg["output.path"]
     formatted = [[_format(v) for v in row] for row in rows]
-    if path:
-        with _open_output(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(formatted)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    with (_open_output(path) if path else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
 
@@ -110,7 +106,7 @@ def _omega_grid(cfg: RunConfig) -> np.ndarray:
 
 def _cmd_steady(cfg: RunConfig, args: argparse.Namespace) -> None:
     p = cfg.model_params()
-    roots = sorted(solve_steady_states(cfg["scan.drive_Y"], p), key=lambda r: r.intensity)
+    roots = solve_steady_states(cfg["scan.drive_Y"], p)
     rows = [[r.intensity, r.drive, r.branch.name, r.stable, r.slope] for r in roots]
     _write_csv(cfg, ["X", "Y", "branch", "stable", "slope"], rows)
 

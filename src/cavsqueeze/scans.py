@@ -264,15 +264,10 @@ def _run_scan(
 
     p_n = p
     if sc.noise_transverse == "plane" and not isinstance(p.transverse, PlaneWave):
+        # X is a state of the plane-wave medium at its drive Y_pw(X): no solve
         p_n = replace(p, transverse=PlaneWave())
-        y_n = _response_at(xs, cs, thetas, p_n).y
-        roots_n = _trace_roots(y_n.tolist(), c_list, theta_list, p_n)
-        xs_n = np.array([min(r, key=lambda v: abs(v - x))
-                         for r, x in zip(roots_n, xs.tolist())])
-        x_amp = _state_terms(xs_n, y_n, cs, thetas, p_n)[0]
-    else:
-        xs_n = xs
-    v11, v12, v22 = _trace_noise(x_amp, xs_n, cs, thetas, p_n, sc.omega_hz)
+        x_amp = _state_terms(xs, _response_at(xs, cs, thetas, p_n).y, cs, thetas, p_n)[0]
+    v11, v12, v22 = _trace_noise(x_amp, xs, cs, thetas, p_n, sc.omega_hz)
     ve = efficiency_matrix(np.stack((v11, v12, v12, v22), axis=-1).reshape(n, 2, 2),
                            sc.eta)
     mean, radius = _envelope(ve[:, 0, 0], ve[:, 0, 1], ve[:, 1, 1])

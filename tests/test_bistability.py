@@ -681,3 +681,68 @@ def test_cooperativity_roundtrip_detuned_operating_point():
 def test_cooperativity_rejects_ratio_above_one():
     with pytest.raises(ValueError):
         cooperativity_from_amplitudes(4.0, 3.0, absorptive(1.0))
+
+
+# Near the absorptive threshold C = 4(1 + delta^2) of h the fold pair of h
+# is narrower than any fixed grid step; the largest root must still be found.
+@pytest.mark.parametrize("c, delta, transverse, y, x_peak", [
+    (40.00004, -3.0, PlaneWave(), 270.0003599520799, 30.0592517),
+    (8.261231390496881, 0.0, GaussianBins(8), 246.3840085309749, 13.7420977),
+], ids=["plane", "gauss8"])
+def test_peak_transmission_near_threshold_pinned(c, delta, transverse, y, x_peak):
+    x = peak_transmission(y, absorptive(c, delta=delta, transverse=transverse))
+    assert abs(x - x_peak) <= 1e-8 * x_peak
+
+
+def _plane_h(x, c, a):
+    return x * (1.0 + 2.0 * c / (a + x)) ** 2
+
+
+@pytest.mark.parametrize("eps", [10.0 ** -k for k in range(2, 9)])
+def test_peak_transmission_plane_wave_near_threshold_sweep(eps):
+    # at C = 4A(1 + eps) h has its folds at X = C - A -+ sqrt(C (C - 4A));
+    # a drive between their ordinates gives h = Y three roots
+    for delta in (0.0, -3.0, 2.5):
+        a = 1.0 + delta * delta
+        c = 4.0 * a * (1.0 + eps)
+        r = math.sqrt(c * (c - 4.0 * a))
+        y_max, y_min = _plane_h(c - a - r, c, a), _plane_h(c - a + r, c, a)
+        for frac in (0.1, 0.5, 0.9):
+            y = y_min + frac * (y_max - y_min)
+            x = peak_transmission(y, absorptive(c, delta=delta, theta=1.0))
+            assert abs(_plane_h(x, c, a) - y) <= 1e-14 * y
+            # every root lies at or below Y, since h(X) >= X: h - Y keeps
+            # its sign above the returned X, so no root lies 1e-6 above it
+            grid = np.linspace(x * (1.0 + 1e-6), y, 1_000_001)
+            assert np.all(_plane_h(grid, c, a) > y), (delta, frac)
+
+
+def test_cooperativity_rejects_a_ratio_inside_a_branch_jump_gap():
+    # at delta = theta = 0 the state equation is h: three roots at this drive,
+    # and only the largest is a cavity scan's peak
+    p = absorptive(100.0)
+    lower, middle, upper = solve_steady_states(2000.0, p)
+    for state in (lower, middle):
+        with pytest.raises(ValueError, match="branch-jump gap"):
+            cooperativity_from_amplitudes(state.intensity, 2000.0, p)
+    assert abs(cooperativity_from_amplitudes(upper.intensity, 2000.0, p) - 100.0) <= 1e-12 * 100.0
+
+
+def test_cooperativity_rejects_a_ratio_with_no_finite_cooperativity():
+    # the ratio 1e-600 rounds to 0, which only C = inf would give
+    with pytest.raises(ValueError, match="peak ratio 0"):
+        cooperativity_from_amplitudes(1e-300, 1e300, absorptive(1.0))
+
+
+@pytest.mark.parametrize("transverse", [PlaneWave(), GaussianBins(8), GaussianBins(64)],
+                         ids=["plane", "gauss8", "gauss64"])
+def test_cooperativity_roundtrip_random_points(transverse):
+    # C -> peak -> C over the ranges of the benchmark's operating-point queries
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        c = float(np.exp(rng.uniform(0.0, math.log(500.0))))
+        delta, theta = float(rng.uniform(-30.0, 30.0)), float(rng.uniform(-10.0, 10.0))
+        y = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e4))))
+        p = ModelParams(c=c, delta=delta, theta=theta, transverse=transverse)
+        c_back = cooperativity_from_amplitudes(peak_transmission(y, p), y, p)
+        assert abs(c_back - c) <= 1e-11 * c, (c, delta, theta, y)
