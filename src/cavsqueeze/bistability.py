@@ -217,35 +217,48 @@ class _Response(NamedTuple):
     y2: np.ndarray        # d2Y/dX2
 
 
-def _bin_sums(x: np.ndarray, transverse: Transverse, a_sat: float):
-    """G, G' and G'' at X >= 0, arrays shaped like X.
+def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
+    """G and its first n - 1 derivatives (n <= 4) at X >= 0, shaped like X.
 
-    With the bin reciprocals r_j = 1/(A + s_j X), formed once,
-    G = sum_j w_j s_j r_j, G' = -sum_j w_j s_j^2 r_j^2 and
-    G'' = 2 sum_j w_j s_j^3 r_j^3.
+    With the bin reciprocals r_j = 1/(A + s_j X), formed once, the k-th
+    derivative is (-1)^k k! sum_j w_j s_j^(k+1) r_j^(k+1).  Each sum is
+    numpy's reduction along the bin axis, which rounds a single X and every
+    row of a stack alike; a matrix product does not.
     """
     _, _, s, ws = _layout(transverse)
-    r = 1.0 / (a_sat + np.multiply.outer(x, s))
-    g = r @ ws
-    rk = r * r
-    g1 = -(rk @ (ws * s))
-    rk *= r
-    g2 = 2.0 * (rk @ (ws * s * s))
-    return g, g1, g2
+    r = np.multiply.outer(x, s)
+    r += a_sat
+    np.reciprocal(r, out=r)
+    sr = s * r
+    t = ws * r
+    sums = [np.add.reduce(t, -1)]
+    for factor in (-1.0, 2.0, -6.0)[:n - 1]:
+        t *= sr
+        sums.append(factor * np.add.reduce(t, -1))
+    return sums
 
 
 @lru_cache(maxsize=16)
 def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
     """The 4096-point log grid in xi = X/A from ``xi_lo`` to ``xi_max`` and
-    the unit sums G, G', G'' on it, those at A = 1.
+    the unit fold tables P, Q, R and S on it, those at A = 1.
 
-    Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), one
-    table serves every A = 1 + delta^2, C and theta (see ``_grid_response``),
-    so a trace, a search over C, or queries at any delta share it.
-    Read-only, since every caller shares them.
+    With u = C (1 - delta theta) and v = C^2, Y = X [1 + theta^2 + 4 u G
+    + 4 v A G^2], so dY/dX = 1 + theta^2 + u P + v Q and d2Y/dX2 = u R + v S
+    with P = 4 (G + X G'), Q = 4 A (G^2 + 2 X G G'), R = P' and S = Q'.
+    Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), P and
+    Q at A are these tables times A^-1, R and S times A^-2: one table serves
+    every delta, C and theta (see ``_fold_grid``), so a trace, a search over
+    C, or queries at any delta share it.  Read-only, since every caller
+    shares them.
     """
-    grid = np.geomspace(xi_lo, xi_max, 4096)
-    out = (grid, *_bin_sums(grid, transverse, 1.0))
+    xi = np.geomspace(xi_lo, xi_max, 4096)
+    # summed over blocks of grid points, so that memory stays flat in the bin count
+    g, g1, g2 = (np.concatenate(col) for col in zip(
+        *(_bin_sums(xi[b], transverse, 1.0) for b in _trace_blocks(xi.size, transverse))))
+    xg1 = xi * g1
+    out = (xi, 4.0 * (g + xg1), 4.0 * g * (g + 2.0 * xg1), 4.0 * (2.0 * g1 + xi * g2),
+           8.0 * (2.0 * g * g1 + xi * (g1 * g1 + g * g2)))
     for a in out:
         a.flags.writeable = False
     return out
@@ -269,34 +282,55 @@ def _response_at(x_int, c, theta, p: ModelParams) -> _Response:
                                c, p.delta, theta)
 
 
-def _grid_response(p: ModelParams, xi_lo: float, xi_max: float):
-    """The log grid X = A xi, xi from ``xi_lo`` to ``xi_max``, and the
-    response on it.
-
-    G, G' and G'' at A are the cached unit sums (``_grid_sums``) times
-    A^-1, A^-2 and A^-3.
-    """
-    a_sat = 1.0 + p.delta * p.delta
-    xi, g, g1, g2 = _grid_sums(p.transverse, xi_lo, xi_max)
-    grid = a_sat * xi
-    return grid, _response_from_sums(grid, g / a_sat, g1 / a_sat ** 2,
-                                     g2 / a_sat ** 3, a_sat, p.c, p.delta, p.theta)
-
-
 def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
                         theta) -> _Response:
     """The response at X from the bin sums there, for C, delta and theta.
 
     C and theta may be scalars or arrays shaped like X, as along a trace.
+    Squares are written as products: Python's and numpy's powers of a
+    scalar can round apart from numpy's square of an array.
     """
     absorb = 1.0 + 2.0 * c * g
     disperse = theta - 2.0 * c * delta * g
     proj = absorb - delta * disperse
-    factor = absorb ** 2 + disperse ** 2
+    factor = absorb * absorb + disperse * disperse
     y1 = factor + 4.0 * c * x * g1 * proj
     y2 = (8.0 * c * g1 * proj + 4.0 * c * x * g2 * proj
-          + 8.0 * c ** 2 * x * g1 ** 2 * a_sat)
+          + 8.0 * c * c * x * g1 * g1 * a_sat)
     return _Response(g, g1, g2, absorb, disperse, x * factor, y1, y2)
+
+
+def _response_fdf(p: ModelParams, order: int):
+    """``_newton_many``'s maker of x -> (f, f') on the response of ``p``'s
+    delta and profile, for brackets that each carry (C, theta) or, for the
+    roots, (C, theta, Y).
+
+    ``order`` 0 gives f = Y(X) - Y (the roots), 1 f = dY/dX (the folds) and
+    2 f = d2Y/dX2 (the local minima of dY/dX).  proj = absorb - delta
+    disperse = 1 - delta theta + 2 C A G has the derivative 2 C A G', so
+    differentiating d2Y/dX2 gives Y''' = 12 C G'' proj + 24 C^2 A G'^2
+    + 4 C X G''' proj + 24 C^2 A X G' G''.
+    """
+    delta, transverse = p.delta, p.transverse
+    a_sat = 1.0 + delta * delta
+
+    def make(params):
+        c, theta = params[0], params[1]
+
+        def fdf(x):
+            sums = _bin_sums(x, transverse, a_sat, 4 if order == 2 else 3)
+            at = _response_from_sums(x, *sums[:3], a_sat, c, delta, theta)
+            if order == 0:
+                return at.y - params[2], at.y1
+            if order == 1:
+                return at.y1, at.y2
+            _, g1, g2, g3 = sums
+            proj = at.absorb - delta * at.disperse
+            y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
+                  + 4.0 * c * x * g3 * proj + 24.0 * c * c * a_sat * x * g1 * g2)
+            return at.y2, y3
+        return fdf
+    return make
 
 
 def _as_output(a: np.ndarray):
@@ -453,19 +487,23 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
 _LOCKSTEP_MIN = 16
 
 
-def _cubic_newton_many(coeffs, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                       rising: np.ndarray) -> np.ndarray:
-    """``_newton`` on a cubic in each of many brackets, in lockstep.
+def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                 rising: np.ndarray) -> np.ndarray:
+    """``_newton`` in each of many brackets, in lockstep.
 
-    ``coeffs`` holds four arrays, the cubic of each bracket.  Every bracket
-    goes through ``_newton``'s IEEE operations, bisection fallback and
-    stopping rules, so its root equals the scalar one bit for bit.  Finished
-    brackets leave the pass; once fewer than ``_LOCKSTEP_MIN`` are left,
-    ``_newton`` takes each of them on from where the pass left it, its cap
-    of 200 steps counted afresh (no bracket comes near the cap).
+    ``params`` holds arrays with one entry per bracket, and
+    ``make_fdf(params)`` gives the fdf of those brackets: on arrays for the
+    pass, on a tuple of floats for one bracket (the cubic's coefficients for
+    ``_cubic_fdf``, C and theta for ``_response_fdf``).  Every bracket goes
+    through ``_newton``'s IEEE operations, bisection fallback and stopping
+    rules, so where the fdf rounds an entry of an array as it rounds a
+    float, its root equals the scalar one bit for bit.  Finished brackets
+    leave the pass; once fewer than ``_LOCKSTEP_MIN`` are left, ``_newton``
+    takes each of them on from where the pass left it, its cap of 200 steps
+    counted afresh (no bracket comes near the cap).
     """
     eps2 = 2.0 * sys.float_info.epsilon
-    fdf = _cubic_fdf(coeffs)
+    fdf = make_fdf(params)
     out = np.empty_like(x)
     k = np.arange(x.size)
     dx = hi - lo
@@ -493,13 +531,13 @@ def _cubic_newton_many(coeffs, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
             out[k[done]] = np.where(zero, x, np.where(converged, x_newton, mid))[done]
             run = ~done
             k, lo, hi, dx, rising = k[run], lo[run], hi[run], dx[run], rising[run]
-            coeffs = tuple(a[run] for a in coeffs)
-            fdf = _cubic_fdf(coeffs)
+            params = tuple(a[run] for a in params)
+            fdf = make_fdf(params)
             x_next = x_next[run]
         x = x_next
     for state in zip(k.tolist(), lo.tolist(), hi.tolist(), x.tolist(), rising.tolist(),
-                     dx.tolist(), *(a.tolist() for a in coeffs)):
-        out[state[0]] = _newton(_cubic_fdf(state[6:]), *state[1:6])
+                     dx.tolist(), *(a.tolist() for a in params)):
+        out[state[0]] = _newton(make_fdf(state[6:]), *state[1:6])
     return out
 
 
@@ -529,32 +567,39 @@ def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
                           [3.0 * c3 * x + c2 for x in edges])
 
 
+def _segment_roots_many(make_fdf, params, edges: np.ndarray, fvals: np.ndarray,
+                        curvs: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """``_segment_roots`` for many functions at once.
+
+    ``params`` holds (k,) arrays, the function of each row for
+    ``_newton_many``'s ``make_fdf``; ``edges`` is (k, E) and ascending along
+    each row, and ``fvals`` and ``curvs`` hold f and f'' there.  An edge that
+    is not ``valid`` repeats the next one, so its segments are empty.
+    Returns (k, 2E - 1): the edges where f is 0, then one Newton root per
+    segment (``_segment_roots``'s start points), NaN where there is none.
+    """
+    zero = fvals == 0.0 if valid is None else valid & (fvals == 0.0)
+    f_lo, f_hi = fvals[:, :-1], fvals[:, 1:]
+    row, col = np.divmod(np.flatnonzero(((f_lo < 0.0) & (0.0 < f_hi))
+                                        | ((f_hi < 0.0) & (0.0 < f_lo))),
+                         edges.shape[1] - 1)
+    lo, hi = edges[row, col], edges[row, col + 1]
+    flo, fhi = fvals[row, col], fvals[row, col + 1]
+    start = np.where(fhi * curvs[row, col + 1] > 0.0, hi,
+                     np.where(flo * curvs[row, col] > 0.0, lo, 0.5 * (lo + hi)))
+    roots = np.full(f_lo.shape, np.nan)
+    roots[row, col] = _newton_many(make_fdf, tuple(a[row] for a in params), lo, hi,
+                                   start, flo < 0.0)
+    return np.concatenate((np.where(zero, edges, np.nan), roots), axis=1)
+
+
 def _cubic_segment_roots_many(coeffs, edges: np.ndarray,
                               valid: np.ndarray | None = None) -> np.ndarray:
-    """``_cubic_segment_roots`` for many cubics at once.
-
-    ``coeffs`` holds four (k,) arrays, ``edges`` is (k, E) and ascending
-    along each row.  An edge that is not ``valid`` repeats the next one, so
-    its segments are empty.  Returns (k, 2E - 1): the edges where the cubic
-    is 0, then one Newton root per segment (``_segment_roots``'s start
-    points, ``_cubic_newton_many``), NaN where there is none.
-    """
+    """``_cubic_segment_roots`` for many cubics at once: ``coeffs`` holds
+    four (k,) arrays, and the rest is as in ``_segment_roots_many``."""
     cols = tuple(a[:, None] for a in coeffs)
-    fvals = _cubic(cols, edges)
-    curvs = 3.0 * cols[0] * edges + cols[1]
-    zero = fvals == 0.0 if valid is None else valid & (fvals == 0.0)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    flo, fhi = fvals[:, :-1].ravel(), fvals[:, 1:].ravel()
-    clo, chi = curvs[:, :-1].ravel(), curvs[:, 1:].ravel()
-    roots = np.full(lo.shape, np.nan)
-    k = np.flatnonzero(((flo < 0.0) & (0.0 < fhi)) | ((fhi < 0.0) & (0.0 < flo)))
-    lo, hi, flo, fhi, clo, chi = lo[k], hi[k], flo[k], fhi[k], clo[k], chi[k]
-    start = np.where(fhi * chi > 0.0, hi,
-                     np.where(flo * clo > 0.0, lo, 0.5 * (lo + hi)))
-    per_segment = tuple(np.repeat(a, edges.shape[1] - 1)[k] for a in coeffs)
-    roots[k] = _cubic_newton_many(per_segment, lo, hi, start, flo < 0.0)
-    return np.concatenate((np.where(zero, edges, np.nan),
-                           roots.reshape(len(edges), edges.shape[1] - 1)), axis=1)
+    return _segment_roots_many(_cubic_fdf, coeffs, edges, _cubic(cols, edges),
+                               3.0 * cols[0] * edges + cols[1], valid)
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -584,17 +629,18 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     the positive roots of the fold cubic H (see ``_plane_cubics``), whose
     coefficients are formed exactly; a fold pair tangent to round-off, as at
     the onset of bistability, counts as no fold.  Gaussian profiles bracket
-    the folds on a logarithmic grid in xi = X/(1 + delta^2), cached per
-    profile and window, to which the local minima of dY/dX are added (see
-    ``_binned_folds``), and refine each by safeguarded Newton on dY/dX; the
-    default window, xi in [1e-9, 100], is one table for every delta.
+    the folds on a logarithmic grid in xi = X/(1 + delta^2), on which dY/dX
+    and d2Y/dX2 are a few products of tables cached per profile and window,
+    split each grid interval at the local minimum of dY/dX it holds (see
+    ``_binned_folds``), and refine each fold by safeguarded Newton on dY/dX;
+    the default window, xi in [1e-9, 100], is one table for every delta.
     Returns 0, 1 or 2 points; exactly 2 means the response is bistable
     within the window.  ``x_max`` must be finite and > 0.
 
     Binned profiles have no exact tangency test.  Within about 4e-14
-    (relative) above ``critical_point``'s C, round-off in dY/dX decides
-    whether a fold pair narrower than about 4e-7 is reported, and may
-    misplace it (measured for GaussianBins(64) in the README).
+    (relative) above ``critical_point``'s C, round-off in dY/dX on the fold
+    grid decides whether a fold pair narrower than about 3e-7 (relative) is
+    reported (measured for GaussianBins(64) in the README).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -606,53 +652,68 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
         _, h, distinct = _plane_cubics(p.c, p.delta, p.theta)
         folds = _plane_folds(h, distinct)
     else:
-        folds = _binned_folds(p, xi_max)
+        folds = _binned_folds(p, xi_max, np.array([p.c]), np.array([p.theta]))[0].tolist()
     points = tuple(x for x in folds if x < x_max)
     ys = tuple(state_equation(x, p) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
 
 
-def _curvature_fdf(x: float, p: ModelParams) -> tuple[float, float]:
-    """d2Y/dX2 and d3Y/dX3 at a scalar X >= 0.
+def _fold_grid(p: ModelParams, xi_lo: float, xi_max: float, c: np.ndarray,
+               theta: np.ndarray, slopes: bool = True):
+    """The fold grid X = A xi, xi from ``xi_lo`` to ``xi_max``, and the
+    brackets on it at every step of the (n,) arrays ``c`` and ``theta``.
 
-    proj = absorb - delta disperse = 1 - delta theta + 2 C A G has the
-    derivative 2 C A G', so differentiating d2Y/dX2 gives
-    Y''' = 12 C G'' proj + 24 C^2 A G'^2 + 4 C X G''' proj
-    + 24 C^2 A X G' G'', with G''' = -6 sum_j w_j s_j^4 r_j^4.
+    Returns the grid and the (step, j) pairs whose interval [X_j, X_j+1]
+    holds a - to + sign change of d2Y/dX2, a local minimum of dY/dX.  With
+    ``slopes`` (the fold search; the search over C of ``critical_point``
+    needs only the minima) it also returns whether dY/dX < 0 at X_j and at
+    X_j+1 of each of those, and the step and j of every other interval over
+    which the sign of dY/dX changes (zero counting as positive), with
+    whether dY/dX < 0 at X_j.  dY/dX and d2Y/dX2 on the grid are a few
+    products of ``_grid_sums``' tables per step, formed over blocks of steps
+    so that memory stays flat in the number of steps.
     """
-    _, _, s, ws = _layout(p.transverse)
     a_sat = 1.0 + p.delta * p.delta
-    r = 1.0 / (a_sat + s * x)
-    sr = s * r
-    t = ws * r  # w_j s_j r_j, then times (s_j r_j)^k for the k-th derivative
-    g = float(t.sum())
-    t *= sr
-    g1 = -float(t.sum())
-    t *= sr
-    g2 = 2.0 * float(t.sum())
-    t *= sr
-    g3 = -6.0 * float(t.sum())
-    at = _response_from_sums(x, g, g1, g2, a_sat, p.c, p.delta, p.theta)
-    c = p.c
-    proj = at.absorb - p.delta * at.disperse
-    y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
-          + 4.0 * c * x * g3 * proj + 24.0 * c * c * a_sat * x * g1 * g2)
-    return at.y2, y3
+    xi, tp, tq, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
+    # the weights of the tables at every step, u/A and v/A
+    u = (c * (1.0 - p.delta * theta) / a_sat)[:, None]
+    v = (c * c / a_sat)[:, None]
+    # a quarter of ``_BLOCK_BINS`` (step, grid point) pairs per block: its
+    # few float arrays then take about 128 kB each
+    rows = max(1, _BLOCK_BINS // (4 * xi.size))
+    found = []
+    for b in range(0, c.size, rows):
+        ub, vb = u[b:b + rows], v[b:b + rows]
+        curv = (ub / a_sat) * tr
+        curv += (vb / a_sat) * ts
+        neg = curv < 0.0
+        # (step, j) of the intervals, from their flat index
+        k = np.flatnonzero(neg[:, :-1] & ~neg[:, 1:])
+        i, j = np.divmod(k, xi.size - 1)
+        if not slopes:
+            found.append((i + b, j))
+            continue
+        # a rounded sum a + b is negative exactly when b < -a
+        slope = ub * tp
+        slope += vb * tq
+        neg = slope < -(1.0 + theta[b:b + rows, None] * theta[b:b + rows, None])
+        change = neg[:, :-1] != neg[:, 1:]
+        change.ravel()[k] = False
+        fi, fj = np.divmod(np.flatnonzero(change), xi.size - 1)
+        found.append((i + b, j, neg[i, j], neg[i, j + 1], fi + b, fj, neg[fi, fj]))
+    if len(found) > 1:
+        found[0] = tuple(np.concatenate(col) for col in zip(*found))
+    return a_sat * xi, found[0]
 
 
-def _slope_minima(grid: np.ndarray, curv: np.ndarray,
-                  p: ModelParams) -> np.ndarray:
-    """Local minima of dY/dX over ``grid``, where d2Y/dX2 is ``curv``.
-
-    Each - to + sign change of the curvature between grid points is refined
-    to round-off by safeguarded Newton (``_newton``) on the curvature, with
-    d3Y/dX3 from ``_curvature_fdf``.
-    """
-    fdf = lambda x: _curvature_fdf(x, p)
-    steps = np.flatnonzero((curv[:-1] < 0.0) & (curv[1:] >= 0.0))
-    return np.array([_newton(fdf, lo, hi, 0.5 * (lo + hi), True)
-                     for lo, hi in zip(grid[steps].tolist(),
-                                       grid[steps + 1].tolist())])
+def _slope_minima(grid: np.ndarray, p: ModelParams, c: np.ndarray, theta: np.ndarray,
+                  step: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The local minimum of dY/dX in each bracket [X_j, X_j+1] of
+    ``_fold_grid``, at C and theta of its step: safeguarded Newton
+    (``_newton_many``) on d2Y/dX2 from the midpoint, to round-off."""
+    lo, hi = grid[j], grid[j + 1]
+    return _newton_many(_response_fdf(p, 2), (c[step], theta[step]), lo, hi,
+                        0.5 * (lo + hi), np.ones(step.size, dtype=bool))
 
 
 def _fold_window(xi: float) -> float:
@@ -673,37 +734,54 @@ def _fold_window(xi: float) -> float:
     return xi
 
 
-def _binned_folds(p: ModelParams, xi_max: float) -> tuple[float, ...]:
-    # Folds for X/A below xi_max.  A fold pair narrower than the grid step
-    # leaves no sign change of dY/dX on the grid, but the slope minimum
-    # between the folds is negative: adding the minima to the grid brackets
-    # every fold.
-    grid, on_grid = _grid_response(p, min(1e-9, 1e-6 * xi_max), xi_max)
-    minima = _slope_minima(grid, on_grid.y2, p)
-    xs = np.concatenate((grid, minima))
-    slopes = np.concatenate((on_grid.y1, _response(minima, p).y1))
-    order = np.argsort(xs)
-    xs, slopes = xs[order], slopes[order]
+def _binned_folds(p: ModelParams, xi_max: float, c: np.ndarray,
+                  theta: np.ndarray) -> np.ndarray:
+    """The folds below X/A = ``xi_max`` at every step of the (n,) arrays
+    ``c`` and ``theta``, in lockstep: (n, 2), ascending, inf where none.
 
-    def fdf(x):
-        at = _response(x, p)
-        return at.y1, at.y2
+    A fold pair narrower than the grid step leaves no sign change of dY/dX
+    on the grid, but the slope minimum between the folds is negative: so
+    each grid interval that holds a slope minimum is split there, and every
+    interval over which dY/dX changes sign brackets a fold, refined by
+    Newton on dY/dX from its midpoint.  A fold within 1e-8 (relative) of the
+    last one kept at its step is dropped (only slope noise at a fold makes
+    one); a step left with more than two raises RuntimeError naming it.
+    """
+    grid, (i, j, neg_lo, neg_hi, fi, fj, f_neg) = _fold_grid(
+        p, min(1e-9, 1e-6 * xi_max), xi_max, c, theta)
+    minima = _slope_minima(grid, p, c, theta, i, j)
+    neg_min = _response_fdf(p, 1)((c[i], theta[i]))(minima)[0] < 0.0
+    left, right = neg_lo != neg_min, neg_min != neg_hi
+    step = np.concatenate((fi, i[left], i[right]))
+    lo = np.concatenate((grid[fj], grid[j[left]], minima[right]))
+    hi = np.concatenate((grid[fj + 1], minima[left], grid[j[right] + 1]))
+    rising = np.concatenate((f_neg, neg_lo[left], neg_min[right]))
+    x = _newton_many(_response_fdf(p, 1), (c[step], theta[step]), lo, hi,
+                     0.5 * (lo + hi), rising)
 
-    points = [
-        _newton(fdf, xs[i], xs[i + 1], 0.5 * (xs[i] + xs[i + 1]), slopes[i] < 0.0)
-        for i in np.flatnonzero(np.sign(slopes[:-1]) != np.sign(slopes[1:]))
-    ]
-    # collapse duplicates (can only come from slope noise at a fold)
-    deduped: list[float] = []
-    for x in sorted(points):
-        if not deduped or x - deduped[-1] > 1e-8 * x:
-            deduped.append(x)
-    if len(deduped) > 2:
+    # each step's folds ascending, less each one within 1e-8 (relative) of
+    # the last one kept: (step, column) and X of the folds kept
+    rows, cols, kept = [], [], []
+    order = np.lexsort((x, step))
+    last_step, last, col = -1, -math.inf, 0
+    for k, xk in zip(step[order].tolist(), x[order].tolist()):
+        if k != last_step:
+            last_step, last, col = k, -math.inf, 0
+        if xk - last > 1e-8 * xk:
+            rows.append(k)
+            cols.append(col)
+            kept.append(xk)
+            last, col = xk, col + 1
+    if 2 in cols:
+        k = rows[cols.index(2)]
         raise RuntimeError(
-            f"found {len(deduped)} slope sign changes at {p!r}; "
+            f"found {rows.count(k)} slope sign changes at "
+            f"{replace(p, c=float(c[k]), theta=float(theta[k]))!r}; "
             "the saturable response should fold at most twice"
         )
-    return tuple(deduped)
+    folds = np.full((c.size, 2), np.inf)
+    folds[rows, cols] = kept
+    return folds
 
 
 def _state_terms(x_int, y_drive, c, theta, p: ModelParams):
@@ -778,7 +856,9 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     if isinstance(p.transverse, PlaneWave):
         roots = _distinct(_plane_roots(y_drive, p))
     else:
-        roots = _distinct(_binned_roots(y_drive, p))
+        row = _binned_roots(np.array([float(y_drive)]), np.array([p.c]),
+                            np.array([p.theta]), p)[0]
+        roots = _distinct([x for x in row.tolist() if x == x])
     return [_assemble_state(x, y_drive, p, lab)
             for x, lab in zip(roots, _branch_labels(len(roots)))]
 
@@ -787,16 +867,25 @@ def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
     """The distinct roots at every step of a trace, each list ascending.
 
     ``y``, ``c`` and ``theta`` are lists with one value per step; the delta
-    and the profile are those of ``p``.  A plane wave solves every step in
-    lockstep (``_plane_roots_many``).  A binned profile solves step by step
-    through ``_binned_roots``, with the ``ModelParams`` of each step.
+    and the profile are those of ``p``.  Every step is solved in lockstep: a
+    plane wave by ``_plane_roots_many``, a binned profile by
+    ``_binned_roots`` over blocks of steps (``_trace_blocks``), so that
+    memory stays flat in the trace length.  A binned ``solve_steady_states``
+    runs ``_binned_roots`` on its one step.  The roots of the default
+    12,500-step Gaussian-64 release take about 0.75 s, 60 us a step, where a
+    solve per step took about 0.5 ms (one BLAS thread, shared 2-core box).
     """
     if isinstance(p.transverse, PlaneWave):
-        rows = _plane_roots_many(y, c, p.delta, theta).tolist()
-        return [_distinct([x for x in row if x == x]) for row in rows]
-    return [_distinct([0.0] if yi == 0.0 else
-                      _binned_roots(yi, replace(p, c=ci, theta=ti)))
-            for yi, ci, ti in zip(y, c, theta)]
+        rows = _plane_roots_many(y, c, p.delta, theta)
+    else:
+        y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
+        rows = np.full((y.size, 7), np.nan)
+        rows[y == 0.0, 0] = 0.0
+        driven = np.flatnonzero(y != 0.0)
+        for b in _trace_blocks(driven.size, p.transverse):
+            k = driven[b]
+            rows[k] = _binned_roots(y[k], c[k], theta[k], p)
+    return [_distinct([x for x in row if x == x]) for row in rows.tolist()]
 
 
 # bins times states per block of a pass over a trace: the (6, states, M) bin
@@ -880,23 +969,40 @@ def _plane_roots_many(y, c, delta: float, theta) -> np.ndarray:
     return _cubic_segment_roots_many(f, edges, valid)
 
 
-def _binned_roots(y_drive: float, p: ModelParams) -> list[float]:
-    # roots satisfy X <= Y, so only the folds below Y split the brackets;
-    # the lower bracket edge sits below Y / max(state-equation factor)
+def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
+                  p: ModelParams) -> np.ndarray:
+    """The roots at drives Y > 0, C and theta, (n,) arrays, in lockstep.
+
+    Roots satisfy X <= Y, so only the folds below Y split the brackets, and
+    the lower bracket edge sits below Y / max(state-equation factor).  The
+    folds come from ``_binned_folds``, searched up to X/A =
+    ``_fold_window(Y/A)`` so that drives share cached grids; the Newton
+    polish on the state equation then runs over every (step, segment) at
+    once (``_segment_roots_many``).  Returns (n, 7) as ``_plane_roots_many``.
+    """
     a_sat = 1.0 + p.delta * p.delta
     g0 = float(np.sum(_layout(p.transverse)[3])) / a_sat
-    factor_max = (1.0 + 2.0 * p.c * g0) ** 2 + (
-        abs(p.theta) + 2.0 * p.c * abs(p.delta) * g0) ** 2
-    x_lo = 0.25 * y_drive / factor_max
-    folds = _binned_folds(p, _fold_window(y_drive / a_sat))
-    edges = np.array([x_lo, *(x for x in folds if x_lo < x < y_drive), y_drive])
-    at_edges = _response(edges, p)
+    absorb = 1.0 + 2.0 * c * g0
+    disperse = np.abs(theta) + 2.0 * c * abs(p.delta) * g0
+    x_lo = 0.25 * y / (absorb * absorb + disperse * disperse)
+    xis = (y / a_sat).tolist()
+    window_of = {xi: _fold_window(xi) for xi in set(xis)}
+    windows = np.array([window_of[xi] for xi in xis])
+    folds = np.empty((y.size, 2))
+    for w in set(window_of.values()):
+        k = np.flatnonzero(windows == w)
+        folds[k] = _binned_folds(p, w, c[k], theta[k])
 
-    def fdf(x):
-        at = _response(x, p)
-        return at.y - y_drive, at.y1
-
-    return _segment_roots(fdf, edges, at_edges.y - y_drive, at_edges.y2)
+    top = y[:, None]
+    inside = (x_lo[:, None] < folds) & (folds < top)
+    edges = np.empty((y.size, 4))
+    edges[:, 0], edges[:, 1:3], edges[:, 3] = x_lo, np.where(inside, folds, top), y
+    valid = np.ones(edges.shape, dtype=bool)
+    valid[:, 1:3] = inside
+    at = _response_from_sums(edges, *_bin_sums(edges, p.transverse, a_sat), a_sat,
+                             c[:, None], p.delta, theta[:, None])
+    return _segment_roots_many(_response_fdf(p, 0), (c, theta, y), edges, at.y - top,
+                               at.y2, valid)
 
 
 def peak_transmission(y_drive: float, p: ModelParams) -> float:
@@ -966,10 +1072,11 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
     except as a search hint.  Solved by bisecting (``_bisect``, to 1e-12
     relative in C) the minimum slope over X, negative iff bistable, as a
     function of C; that minimum is the lowest of the local minima of dY/dX
-    (``_slope_minima``) on a log grid up to ``x_max`` (default
-    1e4 (1 + delta^2)).  The grid is cached in X/(1 + delta^2) (see
-    ``_grid_sums``), so every C of the search shares one table, and with
-    the default ``x_max`` so does every delta.
+    (``_slope_minima``) bracketed by the sign changes of d2Y/dX2 on a log
+    grid up to ``x_max`` (default 1e4 (1 + delta^2)).  On the grid d2Y/dX2
+    = u R + v S, from tables cached in X/(1 + delta^2) (see ``_grid_sums``),
+    so every C of the search shares one table, and with the default
+    ``x_max`` so does every delta.
 
     For binned profiles, round-off in dY/dX decides the fold count within
     about 4e-14 (relative) above the returned C (see ``turning_points``).
@@ -980,14 +1087,16 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
         _checked(x_max, "x_max", positive=True)
         xi_max = x_max / (1.0 + p.delta * p.delta)
 
+    theta = np.array([p.theta])
+
     def min_slope(c: float) -> tuple[float, float]:
         # a response without a local slope minimum rises monotonically
-        pc = replace(p, c=c)
-        grid, on_grid = _grid_response(pc, 1e-6, xi_max)
-        minima = _slope_minima(grid, on_grid.y2, pc)
-        if minima.size == 0:
+        cs = np.array([c])
+        grid, (step, j) = _fold_grid(p, 1e-6, xi_max, cs, theta, slopes=False)
+        if step.size == 0:
             return math.inf, math.nan
-        slopes = _response(minima, pc).y1
+        minima = _slope_minima(grid, p, cs, theta, step, j)
+        slopes = _response_fdf(p, 1)((cs[step], theta[step]))(minima)[0]
         i = int(np.argmin(slopes))
         return float(slopes[i]), float(minima[i])
 

@@ -8,9 +8,12 @@ number.  Each turns its schedule into arrays of C and theta, one entry per
 time step, and the shared tracker works through the whole trace in passes,
 not step by step:
 
-1. roots: the distinct steady states of every step.  A plane wave solves all
-   steps in lockstep (``bistability._plane_roots_many``), bit for bit the
-   roots of a single solve; a binned profile solves step by step.
+1. roots: the distinct steady states of every step, all steps in lockstep
+   and bit for bit the roots of a single solve.  A plane wave polishes the
+   roots of its exact cubics (``bistability._plane_roots_many``); a binned
+   profile takes the fold grid of every step as a few products of cached
+   tables, then finds the slope minima, the folds and the roots over all
+   its brackets at once (``bistability._binned_roots``), in blocks of steps.
 2. states: slope dY/dX, effective detuning and amplitude x of every root of
    every step, in array passes over blocks of roots
    (``bistability._trace_states``), so that memory stays flat in the trace
@@ -245,7 +248,9 @@ def _run_scan(
     Works in passes over the whole trace (module docstring).
     ``scan.noise_transverse='plane'`` analyses the fluctuations of a binned
     profile in a plane-wave medium at each step's intracavity intensity,
-    which isolates the transverse average to the mean-field level.
+    which isolates the transverse average to the mean-field level; a step
+    whose intensity lies on the unstable branch of the plane-wave response
+    (dY/dX <= 0 there) is counted in a warning.
     """
     n = ts.size
     bad = ~(np.isfinite(cs) & (cs >= 0.0) & np.isfinite(thetas))
@@ -262,11 +267,18 @@ def _run_scan(
     picks, branches = _follow(roots, (slope > 0.0).tolist(), ts)
     xs, x_amp, theta_eff = x_roots[picks], amp[picks], disperse[picks]
 
+    notes: list[str] = []
     p_n = p
     if sc.noise_transverse == "plane" and not isinstance(p.transverse, PlaneWave):
         # X is a state of the plane-wave medium at its drive Y_pw(X): no solve
         p_n = replace(p, transverse=PlaneWave())
-        x_amp = _state_terms(xs, _response_at(xs, cs, thetas, p_n).y, cs, thetas, p_n)[0]
+        plane = _response_at(xs, cs, thetas, p_n)
+        x_amp = _state_terms(xs, plane.y, cs, thetas, p_n)[0]
+        unstable = np.flatnonzero(plane.y1 <= 0.0)
+        if unstable.size:
+            notes.append(f"{unstable.size} steps analyse a state on the unstable branch of "
+                         f"the plane-wave response (dY/dX <= 0), the first at "
+                         f"t={ts[unstable[0]]}")
     v11, v12, v22 = _trace_noise(x_amp, xs, cs, thetas, p_n, sc.omega_hz)
     ve = efficiency_matrix(np.stack((v11, v12, v12, v22), axis=-1).reshape(n, 2, 2),
                            sc.eta)
@@ -286,11 +298,10 @@ def _run_scan(
     s_meas = calibrate_and_correct(signal_f, shot_f, elec_f)
     shot_ref = calibrate_and_correct(shot_f, shot_f, elec_f)
 
-    notes: list[str] = []
     if not (np.any(theta_eff > 0.0) and np.any(theta_eff < 0.0)):
-        msg = "scan never crosses the cavity resonance (theta_eff keeps one sign)"
+        notes.append("scan never crosses the cavity resonance (theta_eff keeps one sign)")
+    for msg in notes:
         warnings.warn(msg, stacklevel=3)
-        notes.append(msg)
 
     samples = tuple(map(TraceSample, ts.tolist(), c_list, theta_eff.tolist(), xs.tolist(),
                         branches, s_meas.tolist(), s_min.tolist(), s_max.tolist(),

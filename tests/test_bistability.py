@@ -27,13 +27,14 @@ from cavsqueeze import (
 )
 from cavsqueeze import bistability
 from cavsqueeze.bistability import (
-    _curvature_fdf,
+    _bin_sums,
+    _fold_grid,
     _fold_window,
     _gauss_legendre_01,
-    _grid_response,
     _grid_sums,
     _layout,
     _response,
+    _response_fdf,
     _slope_minima,
 )
 from cavsqueeze.spectra import _bin_columns
@@ -221,10 +222,10 @@ def test_curvature_derivative_matches_finite_difference():
                 transverse=transverse,
             )
             x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
-            y2, y3 = _curvature_fdf(x, p)
+            y2, y3 = _response_fdf(p, 2)((p.c, p.theta))(x)
             assert y2 == pytest.approx(_response(x, p).y2, rel=1e-12)
             # Richardson-extrapolated central difference of d2Y/dX2
-            f = lambda t: _curvature_fdf(t, p)[0]
+            f = lambda t: _response_fdf(p, 2)((p.c, p.theta))(t)[0]
             h = 1e-3 * x
             wide = (f(x + h) - f(x - h)) / (2 * h)
             narrow = (f(x + h / 2) - f(x - h / 2)) / h
@@ -246,9 +247,9 @@ def test_slope_minima_match_bisection():
                                (8, 30.0, 1.0, -2.0), (64, 8.3112565261436, 0.0, 0.0),
                                (16, 400.0, -1.0, 3.0)]:
         p = ModelParams(c=c, delta=delta, theta=theta, transverse=GaussianBins(m))
-        grid, on_grid = _grid_response(p, 1e-9, 1e4)
-        minima = _slope_minima(grid, on_grid.y2, p)
-        steps = np.flatnonzero((on_grid.y2[:-1] < 0.0) & (on_grid.y2[1:] >= 0.0))
+        cs, thetas = np.array([p.c]), np.array([p.theta])
+        grid, (step, steps, *_) = _fold_grid(p, 1e-9, 1e4, cs, thetas)
+        minima = _slope_minima(grid, p, cs, thetas, step, steps)
         assert minima.size == steps.size >= 1
         for x, i in zip(minima, steps):
             ref = bisect(lambda t: _response(t, p).y2, grid[i], grid[i + 1])
@@ -472,13 +473,21 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
     assert _grid_sums.cache_info().currsize == 2  # roots and folds share one; C search
     assert run() == cold
     assert _grid_sums.cache_info().currsize == 2
-    # the cached unit sums, scaled by powers of A, agree with a full evaluation
+    # the unit sums, scaled by powers of A, agree with a full evaluation
     xi_lo, xi_max = 1e-9, 100.0
-    grid, on_grid = _grid_response(p, xi_lo, xi_max)
+    xi, tp, tq, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
+    grid, _ = _fold_grid(p, xi_lo, xi_max, np.array([p.c]), np.array([p.theta]))
     assert np.array_equal(grid, 401.0 * np.geomspace(xi_lo, xi_max, 4096))
     direct = _response(grid, p)
-    for a, b in zip(on_grid[:3], direct[:3]):  # G, G', G''
-        assert np.max(np.abs(a - b) / np.abs(b)) <= 4e-15
+    unit = _bin_sums(xi, p.transverse, 1.0)
+    for a, b, k in zip(unit, direct[:3], (1, 2, 3)):  # G, G', G''
+        assert np.max(np.abs(a / 401.0 ** k - b) / np.abs(b)) <= 4e-15
+    # and so do the cached fold tables, to round-off in the terms they sum
+    u, v = p.c * (1.0 - p.delta * p.theta), p.c * p.c
+    for terms, b in (((1.0 + p.theta ** 2, u * tp / 401.0, v * tq / 401.0), direct.y1),
+                     ((u * tr / 401.0 ** 2, v * ts / 401.0 ** 2), direct.y2)):
+        scale = sum(np.abs(t) for t in terms)
+        assert np.max(np.abs(sum(terms) - b) / scale) <= 1e-13
     for a in _grid_sums(p.transverse, xi_lo, xi_max):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -509,8 +518,8 @@ def test_binned_roots_across_fold_windows(monkeypatch):
 
     windows = []
     folds = bistability._binned_folds
-    monkeypatch.setattr(bistability, "_binned_folds",
-                        lambda q, xi_max: windows.append(xi_max) or folds(q, xi_max))
+    monkeypatch.setattr(bistability, "_binned_folds", lambda q, xi_max, *steps:
+                        windows.append(xi_max) or folds(q, xi_max, *steps))
     # Y/A = 99, 100, the float after 100, 1e3 and a float just above 1e3
     ys = [float(y) for y in (99.0 * a, 100.0 * a, np.nextafter(100.0 * a, math.inf),
                              1e3 * a, np.nextafter(1e3 * a, math.inf))]

@@ -6,6 +6,7 @@ must match a step-by-step reference loop built from the public functions.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from cavsqueeze import (
     analyzer_chain,
     build_fluctuation_system,
     calibrate_and_correct,
+    critical_point,
     efficiency_matrix,
     free_release_scan,
     lo_phase,
@@ -97,6 +99,93 @@ def test_lockstep_plane_roots_equal_the_scalar_solve_near_folds():
     cs = cooperativity_decay(np.linspace(0.0, 0.025, 300), CLOUD).tolist()
     ys = [max(turning_points(replace(p, c=c)).ordinates, default=800.0) for c in cs]
     _assert_lockstep_equals_scalar(ys, cs, -20.0, [-7.5] * len(cs))
+
+
+# === lockstep binned roots ===
+
+
+def _assert_binned_lockstep_equals_scalar(ys, cs, delta, thetas, m):
+    p = ModelParams(delta=delta, transverse=GaussianBins(m))
+    rows = bistability._trace_roots(ys, cs, thetas, p)
+    assert len(rows) == len(ys)
+    for y, c, theta, row in zip(ys, cs, thetas, rows):
+        ref = [s.intensity for s in solve_steady_states(y, replace(p, c=c, theta=theta))]
+        assert row == ref, (y, c, delta, theta, m)
+    return rows
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_lockstep_binned_roots_equal_the_scalar_solve_on_random_steps(m):
+    # the operating-point ranges of the benchmark's queries
+    rng = np.random.default_rng(20160 + m)
+    for delta in np.linspace(-30.0, 30.0, 7).tolist():
+        n = 60
+        cs = np.exp(rng.uniform(0.0, math.log(500.0), n)).tolist()
+        thetas = rng.uniform(-10.0, 10.0, n).tolist()
+        ys = np.exp(rng.uniform(math.log(1e-2), math.log(1e4), n)).tolist()
+        _assert_binned_lockstep_equals_scalar(ys, cs, delta, thetas, m)
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_lockstep_binned_roots_equal_the_scalar_solve_near_folds(m):
+    cs, thetas, ys = [], [], []
+    for c, delta, theta in ((150.0, -20.0, -7.5), (30.0, 1.0, -2.0), (200.0, -5.0, 4.0)):
+        tp = turning_points(ModelParams(c=c, delta=delta, theta=theta,
+                                        transverse=GaussianBins(m)))
+        assert tp.bistable
+        lo, hi = sorted(tp.ordinates)
+        # exactly on each fold ordinate, an ulp and 1e-12 off it, and between
+        for y in (lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, math.inf),
+                  lo * (1.0 + 1e-12), hi * (1.0 - 1e-12), 0.5 * (lo + hi), 0.0):
+            cs.append(c)
+            thetas.append(theta)
+            ys.append(float(y))
+        _assert_binned_lockstep_equals_scalar(ys, cs, delta, thetas, m)
+        cs, thetas, ys = [], [], []
+
+    # just above the critical cooperativity, where the fold pair is narrow
+    p = ModelParams(c=8.0, delta=0.0, theta=0.0, transverse=GaussianBins(m))
+    c_crit, _, y_crit = critical_point(p)
+    for eps in (0.0, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        c = c_crit * (1.0 + eps)
+        ordinates = turning_points(replace(p, c=c)).ordinates
+        for y in (y_crit, *ordinates, 0.5 * sum(ordinates) if ordinates else 0.0):
+            cs.append(c)
+            thetas.append(0.0)
+            ys.append(float(y))
+    _assert_binned_lockstep_equals_scalar(ys, cs, 0.0, thetas, m)
+
+    # drives whose fold windows differ (Y/A = 100, the float above, 1e3), in one trace
+    a = 10.0
+    ys = [float(y) for y in (99.0 * a, 100.0 * a, np.nextafter(100.0 * a, math.inf),
+                             1e3 * a, 0.0)] * 4
+    rows = _assert_binned_lockstep_equals_scalar(ys, [100.0] * 20, 3.0, [0.0] * 20, m)
+    assert {len(r) for r in rows} == {1, 3}
+
+    # along a fold-crossing release path at the release detuning
+    p = ModelParams(c=220.0, delta=-20.0, theta=-7.5, transverse=GaussianBins(m))
+    cs = cooperativity_decay(np.linspace(0.0, 0.025, 60), CLOUD).tolist()
+    ys = [max(turning_points(replace(p, c=c)).ordinates, default=800.0) for c in cs]
+    _assert_binned_lockstep_equals_scalar(ys, cs, -20.0, [-7.5] * len(cs), m)
+
+
+def test_a_step_with_more_than_two_folds_raises_naming_it(monkeypatch):
+    fold_grid = bistability._fold_grid
+
+    def three_more_folds(p, xi_lo, xi_max, c, theta):
+        grid, (i, j, neg_lo, neg_hi, fi, fj, f_neg) = fold_grid(p, xi_lo, xi_max, c, theta)
+        # fold brackets without a sign change in them at step 7: Newton ends at an edge
+        return grid, (i, j, neg_lo, neg_hi, np.concatenate((fi, [7, 7, 7])),
+                      np.concatenate((fj, [100, 1000, 2000])),
+                      np.concatenate((f_neg, [True] * 3)))
+
+    monkeypatch.setattr(bistability, "_fold_grid", three_more_folds)
+    p = ModelParams(c=220.0, delta=-20.0, theta=-7.5, transverse=GaussianBins(8))
+    cs = np.linspace(100.0, 200.0, 20).tolist()
+    thetas = np.linspace(-7.5, -7.0, 20).tolist()
+    step7 = re.escape(repr(replace(p, c=cs[7], theta=thetas[7])))
+    with pytest.raises(RuntimeError, match=rf"found [3-5] slope sign changes at {step7}"):
+        bistability._trace_roots([800.0] * 20, cs, thetas, p)
 
 
 # === stacked spectra ===
@@ -177,17 +266,11 @@ def _columns(trace):
     return cols
 
 
-def _assert_trace_matches(trace, ref, thetas, exact_theta_eff):
+def _assert_trace_matches(trace, ref):
     got = _columns(trace)
-    assert np.array_equal(got["x"], ref["x"])
+    for key in ("x", "theta_eff", "shot_ref"):
+        assert np.array_equal(got[key], ref[key]), key
     assert got["branch"] == ref["branch"]
-    assert np.array_equal(got["shot_ref"], ref["shot_ref"])
-    if exact_theta_eff:
-        assert np.array_equal(got["theta_eff"], ref["theta_eff"])
-    else:
-        # relative to the terms theta and the dispersive shift it sums
-        scale = np.abs(thetas) + np.abs(ref["theta_eff"] - thetas)
-        assert np.all(np.abs(got["theta_eff"] - ref["theta_eff"]) <= 1e-13 * scale)
     for key in ("s_min", "s_max", "s_meas"):
         assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
 
@@ -197,15 +280,15 @@ def _release_case(p, **kw):
     ts = scans._scan_times(sc)
     cs = cooperativity_decay(ts, CLOUD)
     thetas = np.full(ts.size, sc.theta0)
-    return free_release_scan(sc, CLOUD, p), _reference_scan(sc, p, ts, cs, thetas), thetas
+    return free_release_scan(sc, CLOUD, p), _reference_scan(sc, p, ts, cs, thetas)
 
 
 def test_plane_wave_release_matches_the_step_by_step_reference():
     p = ModelParams(c=220.0, delta=-20.0)
-    trace, ref, thetas = _release_case(p)
+    trace, ref = _release_case(p)
     assert "LOWER" in ref["branch"]  # it runs through the bistable window
     assert np.max(np.abs(np.diff(np.log(ref["x"])))) > 0.5  # and jumps off its end
-    _assert_trace_matches(trace, ref, thetas, exact_theta_eff=True)
+    _assert_trace_matches(trace, ref)
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -218,21 +301,23 @@ def test_hysteretic_piezo_sweeps_match_the_step_by_step_reference(theta0, rate):
     thetas = sc.theta0 + sc.theta_rate * ts
     ref = _reference_scan(sc, p, ts, np.full(ts.size, p.c), thetas)
     assert len(set(ref["branch"])) == 2  # one jump between the branches
-    _assert_trace_matches(piezo_scan(sc, p), ref, thetas, exact_theta_eff=True)
+    _assert_trace_matches(piezo_scan(sc, p), ref)
 
 
 def test_binned_release_matches_the_step_by_step_reference():
     p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
-    trace, ref, thetas = _release_case(p, dt_s=2.5e-4)
-    _assert_trace_matches(trace, ref, thetas, exact_theta_eff=False)
+    trace, ref = _release_case(p, dt_s=2.5e-4)
+    _assert_trace_matches(trace, ref)
 
 
+@pytest.mark.filterwarnings("ignore:.* on the unstable branch of the plane-wave")
 def test_plane_noise_binned_release_matches_the_step_by_step_reference():
     p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
-    trace, ref, thetas = _release_case(p, dt_s=2.5e-4, noise_transverse="plane")
-    _assert_trace_matches(trace, ref, thetas, exact_theta_eff=False)
+    trace, ref = _release_case(p, dt_s=2.5e-4, noise_transverse="plane")
+    _assert_trace_matches(trace, ref)
 
 
+@pytest.mark.filterwarnings("ignore:.* on the unstable branch of the plane-wave")
 @pytest.mark.parametrize("noise", ["model", "plane"])
 def test_a_binned_trace_does_not_depend_on_the_block_size(monkeypatch, noise):
     sc = ScanConfig(duration_s=0.025, dt_s=2.5e-4, vbw_hz=1e3, noise_transverse=noise)
@@ -242,12 +327,11 @@ def test_a_binned_trace_does_not_depend_on_the_block_size(monkeypatch, noise):
         [sc.drive_y] * 100, cooperativity_decay(scans._scan_times(sc), CLOUD).tolist(),
         [sc.theta0] * 100, p))
     assert 100 < n_roots < bistability._BLOCK_BINS // 8  # one block by default
-    # blocks of 3 roots and of 3 states, ending partway through a step's roots
+    # blocks of 3 steps for the roots, and of 3 roots and of 3 states, ending
+    # partway through a step's roots
     monkeypatch.setattr(bistability, "_BLOCK_BINS", 3 * 8)
     assert len(list(bistability._trace_blocks(n_roots, p.transverse))) == -(-n_roots // 3)
-    # the bin sums of a block round as BLAS sums them, which depends on its size
-    _assert_trace_matches(free_release_scan(sc, CLOUD, p), whole,
-                          np.full(100, sc.theta0), exact_theta_eff=False)
+    _assert_trace_matches(free_release_scan(sc, CLOUD, p), whole)
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -260,8 +344,7 @@ def test_a_trace_without_drive_sits_at_zero():
         thetas = sc.theta0 + sc.theta_rate * ts
         ref = _reference_scan(sc, p, ts, np.full(ts.size, p.c), thetas)
         assert np.all(ref["x"] == 0.0)
-        _assert_trace_matches(piezo_scan(sc, p), ref, thetas,
-                              exact_theta_eff=isinstance(profile, PlaneWave))
+        _assert_trace_matches(piezo_scan(sc, p), ref)
 
 
 # === failures ===

@@ -1,6 +1,7 @@
 """Tests for swept-operating-point traces and the synthetic measurement chain."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,23 @@ def test_plane_wave_noise_option_changes_profiled_spectra():
     assert np.max(np.abs(x_model - x_plane)) < 1e-9  # same steady state
     dev = max(abs(a.s_min - b.s_min) for a, b in zip(tr_model.samples, tr_plane.samples))
     assert dev > 1e-4  # but a genuinely different fluctuation medium
+
+
+def test_plane_noise_warns_of_states_on_the_plane_wave_unstable_branch():
+    # the Gaussian-8 release passes intensities at which the plane-wave
+    # response folds back: at dt = 50 us, steps 139-143 (6.95 to 7.15 ms)
+    p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
+    sc = _release_config(duration_s=0.025, dt_s=5e-5, vbw_hz=1e3, seed=11,
+                         noise_transverse="plane")
+    msg = ("5 steps analyse a state on the unstable branch of the plane-wave "
+           f"response (dY/dX <= 0), the first at t={139 * 5e-5}")
+    with pytest.warns(UserWarning, match=re.escape(msg)):
+        tr = free_release_scan(sc, CLOUD, p)
+    assert tr.warnings == (msg,)
+    # the binned states themselves are stable, and model noise has no such note
+    tr_model = free_release_scan(replace(sc, noise_transverse="model"), CLOUD, p)
+    assert tr_model.warnings == ()
+    assert [s.x for s in tr_model.samples] == [s.x for s in tr.samples]
 
 
 # === piezo traces ===
