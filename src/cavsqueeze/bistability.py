@@ -276,10 +276,15 @@ def _response_at(x_int, c, theta, p: ModelParams) -> _Response:
     """``_response`` at C and theta given apart from ``p``, as scalars or as
     arrays shaped like X: the cooperativity and detuning of every step of a
     trace at once."""
-    x = np.asarray(x_int, dtype=float)
+    return _sums_and_response(np.asarray(x_int, dtype=float), c, theta, p)[1]
+
+
+def _sums_and_response(x, c, theta, p: ModelParams, n: int = 3):
+    """G and its first n - 1 derivatives at X (``_bin_sums``) and the
+    response there, for X a float or an array (``_response_at``)."""
     a_sat = 1.0 + p.delta * p.delta
-    return _response_from_sums(x, *_bin_sums(x, p.transverse, a_sat), a_sat,
-                               c, p.delta, theta)
+    sums = _bin_sums(x, p.transverse, a_sat, n)
+    return sums, _response_from_sums(x, *sums[:3], a_sat, c, p.delta, theta)
 
 
 def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
@@ -300,31 +305,48 @@ def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
     return _Response(g, g1, g2, absorb, disperse, x * factor, y1, y2)
 
 
-def _response_fdf(p: ModelParams, order: int):
-    """``_newton_many``'s maker of x -> (f, f') on the response of ``p``'s
-    delta and profile, for brackets that each carry (C, theta) or, for the
-    roots, (C, theta, Y).
+def _root_fdf(p: ModelParams):
+    """``_newton_many``'s maker of x -> (Y(X) - Y, dY/dX) on the response of
+    ``p``'s delta and profile, for brackets that each carry (C, theta, Y)."""
+    def make(params):
+        c, theta, y = params
 
-    ``order`` 0 gives f = Y(X) - Y (the roots), 1 f = dY/dX (the folds) and
-    2 f = d2Y/dX2 (the local minima of dY/dX).  proj = absorb - delta
-    disperse = 1 - delta theta + 2 C A G has the derivative 2 C A G', so
-    differentiating d2Y/dX2 gives Y''' = 12 C G'' proj + 24 C^2 A G'^2
-    + 4 C X G''' proj + 24 C^2 A X G' G''.
+        def fdf(x):
+            at = _sums_and_response(x, c, theta, p)[1]
+            return at.y - y, at.y1
+        return fdf
+    return make
+
+
+def _slope_fdf(p: ModelParams):
+    """As ``_root_fdf``, x -> (dY/dX, d2Y/dX2) for brackets that each carry
+    (C, theta): its roots are the folds."""
+    def make(params):
+        c, theta = params
+
+        def fdf(x):
+            at = _sums_and_response(x, c, theta, p)[1]
+            return at.y1, at.y2
+        return fdf
+    return make
+
+
+def _curvature_fdf(p: ModelParams):
+    """As ``_slope_fdf``, x -> (d2Y/dX2, d3Y/dX3): its roots are the local
+    minima of dY/dX.
+
+    proj = absorb - delta disperse = 1 - delta theta + 2 C A G has the
+    derivative 2 C A G', so differentiating d2Y/dX2 gives Y''' = 12 C G''
+    proj + 24 C^2 A G'^2 + 4 C X G''' proj + 24 C^2 A X G' G''.
     """
-    delta, transverse = p.delta, p.transverse
+    delta = p.delta
     a_sat = 1.0 + delta * delta
 
     def make(params):
-        c, theta = params[0], params[1]
+        c, theta = params
 
         def fdf(x):
-            sums = _bin_sums(x, transverse, a_sat, 4 if order == 2 else 3)
-            at = _response_from_sums(x, *sums[:3], a_sat, c, delta, theta)
-            if order == 0:
-                return at.y - params[2], at.y1
-            if order == 1:
-                return at.y1, at.y2
-            _, g1, g2, g3 = sums
+            (_, g1, g2, g3), at = _sums_and_response(x, c, theta, p, 4)
             proj = at.absorb - delta * at.disperse
             y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
                   + 4.0 * c * x * g3 * proj + 24.0 * c * c * a_sat * x * g1 * g2)
@@ -494,7 +516,7 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
     ``params`` holds arrays with one entry per bracket, and
     ``make_fdf(params)`` gives the fdf of those brackets: on arrays for the
     pass, on a tuple of floats for one bracket (the cubic's coefficients for
-    ``_cubic_fdf``, C and theta for ``_response_fdf``).  Every bracket goes
+    ``_cubic_fdf``, C and theta for ``_slope_fdf``).  Every bracket goes
     through ``_newton``'s IEEE operations, bisection fallback and stopping
     rules, so where the fdf rounds an entry of an array as it rounds a
     float, its root equals the scalar one bit for bit.  Finished brackets
@@ -658,61 +680,71 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     return TurningPoints(points, ys, len(points) == 2)
 
 
+def _table_weights(p: ModelParams, c: np.ndarray, theta: np.ndarray):
+    """The weights u/A and v/A of ``_grid_sums``' tables P and Q at every
+    step of the (n,) arrays ``c`` and ``theta``, as (n, 1) columns; R and S
+    take a further 1/A."""
+    a_sat = 1.0 + p.delta * p.delta
+    return (c * (1.0 - p.delta * theta) / a_sat)[:, None], (c * c / a_sat)[:, None]
+
+
+def _minimum_brackets(p: ModelParams, xi_lo: float, xi_max: float, c: np.ndarray,
+                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (step, j) pairs whose interval [X_j, X_j+1] of the fold grid X =
+    A xi, xi from ``xi_lo`` to ``xi_max``, holds a - to + sign change of
+    d2Y/dX2, a local minimum of dY/dX, at the steps of the (n,) arrays
+    ``c`` and ``theta``.  d2Y/dX2 on the grid is u R + v S, from
+    ``_grid_sums``' tables: an (n, 4096) pass, so callers pass few steps."""
+    a_sat = 1.0 + p.delta * p.delta
+    _, _, _, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
+    u, v = _table_weights(p, c, theta)
+    curv = (u / a_sat) * tr
+    curv += (v / a_sat) * ts
+    neg = curv < 0.0
+    return np.divmod(np.flatnonzero(neg[:, :-1] & ~neg[:, 1:]), tr.size - 1)
+
+
 def _fold_grid(p: ModelParams, xi_lo: float, xi_max: float, c: np.ndarray,
-               theta: np.ndarray, slopes: bool = True):
+               theta: np.ndarray):
     """The fold grid X = A xi, xi from ``xi_lo`` to ``xi_max``, and the
     brackets on it at every step of the (n,) arrays ``c`` and ``theta``.
 
-    Returns the grid and the (step, j) pairs whose interval [X_j, X_j+1]
-    holds a - to + sign change of d2Y/dX2, a local minimum of dY/dX.  With
-    ``slopes`` (the fold search; the search over C of ``critical_point``
-    needs only the minima) it also returns whether dY/dX < 0 at X_j and at
-    X_j+1 of each of those, and the step and j of every other interval over
-    which the sign of dY/dX changes (zero counting as positive), with
-    whether dY/dX < 0 at X_j.  dY/dX and d2Y/dX2 on the grid are a few
-    products of ``_grid_sums``' tables per step, formed over blocks of steps
-    so that memory stays flat in the number of steps.
+    Returns the grid and the (step, j) pairs of ``_minimum_brackets``, with
+    whether dY/dX < 0 at X_j and at X_j+1 of each, and the step and j of
+    every other interval over which the sign of dY/dX changes (zero
+    counting as positive), with whether dY/dX < 0 at X_j.  dY/dX on the
+    grid is 1 + theta^2 + u P + v Q; both passes run over blocks of steps so
+    that memory stays flat in the number of steps.
     """
-    a_sat = 1.0 + p.delta * p.delta
-    xi, tp, tq, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
-    # the weights of the tables at every step, u/A and v/A
-    u = (c * (1.0 - p.delta * theta) / a_sat)[:, None]
-    v = (c * c / a_sat)[:, None]
+    xi, tp, tq, _, _ = _grid_sums(p.transverse, xi_lo, xi_max)
+    u, v = _table_weights(p, c, theta)
     # a quarter of ``_BLOCK_BINS`` (step, grid point) pairs per block: its
     # few float arrays then take about 128 kB each
     rows = max(1, _BLOCK_BINS // (4 * xi.size))
     found = []
     for b in range(0, c.size, rows):
-        ub, vb = u[b:b + rows], v[b:b + rows]
-        curv = (ub / a_sat) * tr
-        curv += (vb / a_sat) * ts
-        neg = curv < 0.0
-        # (step, j) of the intervals, from their flat index
-        k = np.flatnonzero(neg[:, :-1] & ~neg[:, 1:])
-        i, j = np.divmod(k, xi.size - 1)
-        if not slopes:
-            found.append((i + b, j))
-            continue
+        s = slice(b, b + rows)
+        i, j = _minimum_brackets(p, xi_lo, xi_max, c[s], theta[s])
         # a rounded sum a + b is negative exactly when b < -a
-        slope = ub * tp
-        slope += vb * tq
-        neg = slope < -(1.0 + theta[b:b + rows, None] * theta[b:b + rows, None])
+        slope = u[s] * tp
+        slope += v[s] * tq
+        neg = slope < -(1.0 + theta[s, None] * theta[s, None])
         change = neg[:, :-1] != neg[:, 1:]
-        change.ravel()[k] = False
+        change[i, j] = False
         fi, fj = np.divmod(np.flatnonzero(change), xi.size - 1)
         found.append((i + b, j, neg[i, j], neg[i, j + 1], fi + b, fj, neg[fi, fj]))
     if len(found) > 1:
         found[0] = tuple(np.concatenate(col) for col in zip(*found))
-    return a_sat * xi, found[0]
+    return (1.0 + p.delta * p.delta) * xi, found[0]
 
 
 def _slope_minima(grid: np.ndarray, p: ModelParams, c: np.ndarray, theta: np.ndarray,
                   step: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The local minimum of dY/dX in each bracket [X_j, X_j+1] of
-    ``_fold_grid``, at C and theta of its step: safeguarded Newton
+    ``_minimum_brackets``, at C and theta of its step: safeguarded Newton
     (``_newton_many``) on d2Y/dX2 from the midpoint, to round-off."""
     lo, hi = grid[j], grid[j + 1]
-    return _newton_many(_response_fdf(p, 2), (c[step], theta[step]), lo, hi,
+    return _newton_many(_curvature_fdf(p), (c[step], theta[step]), lo, hi,
                         0.5 * (lo + hi), np.ones(step.size, dtype=bool))
 
 
@@ -750,13 +782,13 @@ def _binned_folds(p: ModelParams, xi_max: float, c: np.ndarray,
     grid, (i, j, neg_lo, neg_hi, fi, fj, f_neg) = _fold_grid(
         p, min(1e-9, 1e-6 * xi_max), xi_max, c, theta)
     minima = _slope_minima(grid, p, c, theta, i, j)
-    neg_min = _response_fdf(p, 1)((c[i], theta[i]))(minima)[0] < 0.0
+    neg_min = _slope_fdf(p)((c[i], theta[i]))(minima)[0] < 0.0
     left, right = neg_lo != neg_min, neg_min != neg_hi
     step = np.concatenate((fi, i[left], i[right]))
     lo = np.concatenate((grid[fj], grid[j[left]], minima[right]))
     hi = np.concatenate((grid[fj + 1], minima[left], grid[j[right] + 1]))
     rising = np.concatenate((f_neg, neg_lo[left], neg_min[right]))
-    x = _newton_many(_response_fdf(p, 1), (c[step], theta[step]), lo, hi,
+    x = _newton_many(_slope_fdf(p), (c[step], theta[step]), lo, hi,
                      0.5 * (lo + hi), rising)
 
     # each step's folds ascending, less each one within 1e-8 (relative) of
@@ -993,15 +1025,18 @@ def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
         k = np.flatnonzero(windows == w)
         folds[k] = _binned_folds(p, w, c[k], theta[k])
 
+    # the folds in (x_lo, Y) first, so that the edges ascend even where
+    # the lower fold lies at or below x_lo and the upper one above it
     top = y[:, None]
-    inside = (x_lo[:, None] < folds) & (folds < top)
+    inner = np.where((x_lo[:, None] < folds) & (folds < top), folds, np.inf)
+    inner.sort(axis=1)
     edges = np.empty((y.size, 4))
-    edges[:, 0], edges[:, 1:3], edges[:, 3] = x_lo, np.where(inside, folds, top), y
+    edges[:, 0], edges[:, 1:3], edges[:, 3] = x_lo, np.minimum(inner, top), y
     valid = np.ones(edges.shape, dtype=bool)
-    valid[:, 1:3] = inside
+    valid[:, 1:3] = inner < np.inf
     at = _response_from_sums(edges, *_bin_sums(edges, p.transverse, a_sat), a_sat,
                              c[:, None], p.delta, theta[:, None])
-    return _segment_roots_many(_response_fdf(p, 0), (c, theta, y), edges, at.y - top,
+    return _segment_roots_many(_root_fdf(p), (c, theta, y), edges, at.y - top,
                                at.y2, valid)
 
 
@@ -1088,15 +1123,16 @@ def critical_point(p: ModelParams, c_hint: float | None = None,
         xi_max = x_max / (1.0 + p.delta * p.delta)
 
     theta = np.array([p.theta])
+    grid = (1.0 + p.delta * p.delta) * _grid_sums(p.transverse, 1e-6, xi_max)[0]
 
     def min_slope(c: float) -> tuple[float, float]:
         # a response without a local slope minimum rises monotonically
         cs = np.array([c])
-        grid, (step, j) = _fold_grid(p, 1e-6, xi_max, cs, theta, slopes=False)
+        step, j = _minimum_brackets(p, 1e-6, xi_max, cs, theta)
         if step.size == 0:
             return math.inf, math.nan
         minima = _slope_minima(grid, p, cs, theta, step, j)
-        slopes = _response_fdf(p, 1)((cs[step], theta[step]))(minima)[0]
+        slopes = _slope_fdf(p)((cs[step], theta[step]))(minima)[0]
         i = int(np.argmin(slopes))
         return float(slopes[i]), float(minima[i])
 

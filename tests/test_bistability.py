@@ -28,13 +28,13 @@ from cavsqueeze import (
 from cavsqueeze import bistability
 from cavsqueeze.bistability import (
     _bin_sums,
+    _curvature_fdf,
     _fold_grid,
     _fold_window,
     _gauss_legendre_01,
     _grid_sums,
     _layout,
     _response,
-    _response_fdf,
     _slope_minima,
 )
 from cavsqueeze.spectra import _bin_columns
@@ -222,10 +222,10 @@ def test_curvature_derivative_matches_finite_difference():
                 transverse=transverse,
             )
             x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
-            y2, y3 = _response_fdf(p, 2)((p.c, p.theta))(x)
+            y2, y3 = _curvature_fdf(p)((p.c, p.theta))(x)
             assert y2 == pytest.approx(_response(x, p).y2, rel=1e-12)
             # Richardson-extrapolated central difference of d2Y/dX2
-            f = lambda t: _response_fdf(p, 2)((p.c, p.theta))(t)[0]
+            f = lambda t: _curvature_fdf(p)((p.c, p.theta))(t)[0]
             h = 1e-3 * x
             wide = (f(x + h) - f(x - h)) / (2 * h)
             narrow = (f(x + h / 2) - f(x - h / 2)) / h
@@ -543,6 +543,33 @@ def test_binned_roots_across_fold_windows(monkeypatch):
         counts.append(len(states))
     assert counts == [1, 1, 1, 3, 3]
     assert searched == [100.0, 100.0, 1e3, 1e3, 1e4]
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_binned_roots_far_above_both_fold_ordinates(m):
+    # at Y/A = 1e5-1e7 the lower bracket edge Y / (4 max factor) lies above the
+    # lower fold and below the upper one, and only the upper one may split it
+    for delta in (0.0, 3.0):
+        p = ModelParams(c=100.0, delta=delta, theta=0.0, transverse=GaussianBins(m))
+        a = 1.0 + delta ** 2
+        tp = turning_points(p, x_max=1e7 * a)
+        assert tp.bistable
+        ys = [f * a for f in (1e4, 1e5, 1e6, 1e7)]
+        rows = bistability._trace_roots(ys, [p.c] * 4, [p.theta] * 4, p)
+        for y, row in zip(ys, rows):
+            # independent reference: sign changes of Y(X) - Y, refined by brentq
+            grid = np.geomspace(1e-6 * y, y, 20001)
+            resid = state_equation(grid, p) - y
+            idx = np.flatnonzero(np.sign(resid[:-1]) != np.sign(resid[1:]))
+            ref = [brentq(lambda x: state_equation(x, p) - y, grid[i], grid[i + 1],
+                          xtol=1e-300, rtol=4 * np.finfo(float).eps) for i in idx]
+            states = solve_steady_states(y, p)
+            assert row == [s.intensity for s in states]
+            assert len(states) == len(ref), (m, delta, y)
+            for s, x in zip(states, ref):
+                assert abs(s.intensity - x) <= 1e-12 * x
+            if y > max(tp.ordinates):
+                assert [s.branch for s in states] == [Branch.MONOSTABLE]
 
 
 def test_plane_wave_roots_against_exact_discriminant():
