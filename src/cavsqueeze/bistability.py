@@ -1034,8 +1034,7 @@ def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
     edges[:, 0], edges[:, 1:3], edges[:, 3] = x_lo, np.minimum(inner, top), y
     valid = np.ones(edges.shape, dtype=bool)
     valid[:, 1:3] = inner < np.inf
-    at = _response_from_sums(edges, *_bin_sums(edges, p.transverse, a_sat), a_sat,
-                             c[:, None], p.delta, theta[:, None])
+    at = _sums_and_response(edges, c[:, None], theta[:, None], p)[1]
     return _segment_roots_many(_root_fdf(p), (c, theta, y), edges, at.y - top,
                                at.y2, valid)
 
