@@ -35,6 +35,7 @@ import enum
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -221,10 +222,24 @@ def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
     """G and its first n - 1 derivatives (n <= 4) at X >= 0, shaped like X.
 
     With the bin reciprocals r_j = 1/(A + s_j X), formed once, the k-th
-    derivative is (-1)^k k! sum_j w_j s_j^(k+1) r_j^(k+1).  Each sum is
-    numpy's reduction along the bin axis, which rounds a single X and every
-    row of a stack alike; a matrix product does not.
+    derivative is (-1)^k k! sum_j w_j s_j^(k+1) r_j^(k+1) (``_reduce_bins``).
+    A plane wave's one bin (s = w = 1) gives G = r = 1/(X + A) in closed
+    form, with the reduction's products bit for bit, and in Python floats
+    for a float X: a single state's calls then pay no numpy call.
     """
+    if isinstance(transverse, PlaneWave):
+        r = 1.0 / (x + a_sat)
+        r2 = r * r
+        r3 = r2 * r
+        return [r, -r2, 2.0 * r3, -6.0 * (r3 * r)][:n]
+    return _reduce_bins(x, transverse, a_sat, n)
+
+
+def _reduce_bins(x, transverse: Transverse, a_sat: float, n: int) -> list:
+    """``_bin_sums`` as sums over the bins of ``transverse``: numpy arrays
+    shaped like X.  Each sum is numpy's reduction along the bin axis, which
+    rounds a single X and every row of a stack alike; a matrix product does
+    not."""
     _, _, s, ws = _layout(transverse)
     r = np.multiply.outer(x, s)
     r += a_sat
@@ -267,7 +282,7 @@ def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
 def _response(x_int, p: ModelParams) -> _Response:
     """The state equation and its first two derivatives at X >= 0.
 
-    Entries are arrays shaped like X.
+    Entries are shaped like X: floats for a float X, else arrays.
     """
     return _response_at(x_int, p.c, p.theta, p)
 
@@ -275,8 +290,9 @@ def _response(x_int, p: ModelParams) -> _Response:
 def _response_at(x_int, c, theta, p: ModelParams) -> _Response:
     """``_response`` at C and theta given apart from ``p``, as scalars or as
     arrays shaped like X: the cooperativity and detuning of every step of a
-    trace at once."""
-    return _sums_and_response(np.asarray(x_int, dtype=float), c, theta, p)[1]
+    trace at once.  A float X stays a float (see ``_bin_sums``)."""
+    x = x_int if isinstance(x_int, float) else np.asarray(x_int, dtype=float)
+    return _sums_and_response(x, c, theta, p)[1]
 
 
 def _sums_and_response(x, c, theta, p: ModelParams, n: int = 3):
@@ -426,8 +442,10 @@ def _plane_cubics(c: float, delta: float, theta: float, y_drive: float = 0.0):
     real roots).  Everything is computed exactly in integers, with each
     input written as an integer over a common power of two 2^k, and each
     coefficient is rounded once: float-formed coefficients move the roots
-    near the critical point by more than the fold pair is wide.
+    near the critical point by more than the fold pair is wide.  A
+    coefficient beyond the float range raises ValueError naming the inputs.
     """
+    inputs = c, delta, theta, y_drive
     (c, cd), (d, dd), (t, td), (y, yd) = (float(v).as_integer_ratio()
                                           for v in (c, delta, theta, y_drive))
     # each denominator is a power of two: bring all four to s = 2^k
@@ -455,8 +473,13 @@ def _plane_cubics(c: float, delta: float, theta: float, y_drive: float = 0.0):
     terms = (18 * h30 * h2 * h1, -4 * h22 * h2 * h0, h22 * h11, -4 * h3 * h11 * h1,
              -27 * h30 * h30)
     distinct = (sum(terms) << _TANGENT_BITS) > max(map(abs, terms))
-    return ((f[0] / s6, f[1] / s6, f[2] / s6, f[3] / s6),
-            (h3 / s2, h2 / s4, h1 / s6, h0 / (s4 * s4)), distinct)
+    try:
+        return ((f[0] / s6, f[1] / s6, f[2] / s6, f[3] / s6),
+                (h3 / s2, h2 / s4, h1 / s6, h0 / (s4 * s4)), distinct)
+    except OverflowError:
+        raise ValueError(
+            "the plane-wave state equation at C={!r}, delta={!r}, theta={!r}, Y={!r} "
+            "has coefficients beyond the float range".format(*inputs)) from None
 
 
 def _cubic(coeffs, x):
@@ -676,7 +699,7 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     else:
         folds = _binned_folds(p, xi_max, np.array([p.c]), np.array([p.theta]))[0].tolist()
     points = tuple(x for x in folds if x < x_max)
-    ys = tuple(state_equation(x, p) for x in points)
+    ys = tuple(float(_response(x, p).y) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
 
 
@@ -835,7 +858,12 @@ def _state_terms(x_int, y_drive, c, theta, p: ModelParams):
 def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
                     branch: Branch) -> SteadyState:
     amp, at = _state_terms(x_root, y_drive, p.c, p.theta, p)
-    slope = float(at.y1)
+    slope, theta_eff = float(at.y1), float(at.disperse)
+    if not (math.isfinite(slope) and math.isfinite(theta_eff)):
+        # a plane wave's response is in Python floats, which overflow silently
+        warnings.warn(f"the response at X={x_root!r}, Y={y_drive!r} overflows the "
+                      f"float range: dY/dX = {slope!r}, theta_eff = {theta_eff!r}",
+                      RuntimeWarning, stacklevel=3)
     return SteadyState(
         x=complex(amp),
         intensity=float(x_root),
@@ -843,7 +871,7 @@ def _assemble_state(x_root: float, y_drive: float, p: ModelParams,
         branch=branch,
         stable=slope > 0.0,
         slope=slope,
-        theta_eff=float(at.disperse),
+        theta_eff=theta_eff,
     )
 
 

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bistability import ModelParams, SteadyState, _layout, _trace_blocks
+from .bistability import ModelParams, PlaneWave, SteadyState, _layout, _trace_blocks
 
 __all__ = [
     "FluctuationSystem",
@@ -84,6 +84,9 @@ class FluctuationSystem:
     sat         -- coefficient of P^-1 in S, 2 kappa C gamma sum w u^2 d
     dip         -- coefficient of P^-1 P^-H in Q, the bins' dipole noise
 
+    A plane wave's one bin holds floats: pivot_u2 is a float, w_sigma and
+    w_power tuples of three.
+
     ``a`` (real drift matrix A) and ``d`` (symmetric shot-normalized
     diffusion matrix D, cavity block 2 kappa I2, one 3x3 block per bin),
     both (2+3M) x (2+3M), are assembled on first access; ``output_spectrum``
@@ -93,9 +96,9 @@ class FluctuationSystem:
     state: SteadyState
     params: ModelParams
     kappa_in_hz: float
-    pivot_u2: np.ndarray
-    w_sigma: np.ndarray
-    w_power: np.ndarray
+    pivot_u2: np.ndarray | float
+    w_sigma: np.ndarray | tuple[float, float, float]
+    w_power: np.ndarray | tuple[float, float, float]
     sat: float
     dip: float
 
@@ -125,19 +128,24 @@ def _sigma_cav(p: ModelParams, c):
     return 2.0 * p.kappa_hz * c / (p.n_atoms * p.gamma_par_hz)
 
 
-def _inversions(x_int, p: ModelParams) -> np.ndarray:
-    """Every bin's inversion d_j = A/(A + u_j^2 X), A = 1 + delta^2: (M,) at
-    a scalar X, (n, M) at n values of X."""
-    s = _layout(p.transverse)[2]
+def _bin_factors(x_int, p: ModelParams):
+    """(u^2, w u^2, d) of every bin at X, with the inversion d_j = A/(A +
+    u_j^2 X), A = 1 + delta^2: read-only (M,) arrays, and d (M,) at a
+    scalar X, (n, M) at n values of X.  One plane-wave state (a float X)
+    gives its one bin (u = w = 1) as three floats, so that its spectra pay
+    no numpy call."""
     a_sat = 1.0 + p.delta * p.delta
-    return a_sat / (a_sat + np.multiply.outer(x_int, s))
+    if isinstance(p.transverse, PlaneWave) and isinstance(x_int, float):
+        return 1.0, 1.0, a_sat / (a_sat + x_int)
+    _, _, u2, wu2 = _layout(p.transverse)
+    return u2, wu2, a_sat / (a_sat + np.multiply.outer(x_int, u2))
 
 
 def _bin_columns(ss: SteadyState, p: ModelParams) -> tuple[np.ndarray, ...]:
     """(u, w, d, p_re, p_im) of every bin of ``ss``, one array each: the
-    inversion d_j (``_inversions``) and the dipole p_j = u_j d_j x/(1 + i delta)."""
+    inversion d_j (``_bin_factors``) and the dipole p_j = u_j d_j x/(1 + i delta)."""
     u, w, _, _ = _layout(p.transverse)
-    dsat = _inversions(ss.intensity, p)
+    dsat = _bin_factors(np.asarray(ss.intensity, dtype=float), p)[2]
     pol = u * ss.x * dsat / complex(1.0, p.delta)
     return u, w, dsat, pol.real, pol.imag
 
@@ -203,7 +211,7 @@ def build_fluctuation_system(ss: SteadyState, p: ModelParams) -> FluctuationSyst
 
     ``ss`` must be a mean-field steady state of ``p`` (as returned by
     ``solve_steady_states``): each bin's inversion follows from its X
-    (``_inversions``).  Valid on any branch; the resulting spectra are
+    (``_bin_factors``).  Valid on any branch; the resulting spectra are
     physically meaningful only where the drift is stable.  Rejects
     gamma_par_ratio > 2, which would require negative pure dephasing.
     """
@@ -219,13 +227,14 @@ def _kappa_in(p: ModelParams) -> float:
 def _system_sums(x, x_int, c, p: ModelParams):
     """(pivot_u2, w_sigma, w_power, sat, dip) of ``FluctuationSystem``.
 
-    One state (complex x, float X and C) gives them as there; n states
-    ((n,) arrays x, X and C, the rest of ``p`` shared) stack the bin axis
-    last: pivot_u2 (n, M), w_sigma and w_power (3, n, M), sat and dip (n,).
+    One state (complex x, float X and C) gives them as there; one
+    plane-wave state gives its one bin in floats (``_bin_factors``), with
+    w_sigma and w_power tuples of three; n states ((n,) arrays x, X and C,
+    the rest of ``p`` shared) stack the bin axis last: pivot_u2 (n, M),
+    w_sigma and w_power (3, n, M), sat and dip (n,).
     """
     kappa, gamma, gpar = p.kappa_hz, p.gamma_hz, p.gamma_par_hz
-    _, _, u2, wu2 = _layout(p.transverse)
-    dsat = _inversions(x_int, p)
+    u2, wu2, dsat = _bin_factors(x_int, p)
     # bin j couples to the cavity at g_cav w_j u_j; g_j^2 times the scale
     # 1/(w_j N sigma_cav) of its diffusion block is alpha w_j u_j^2 (N cancels)
     g_cav = 2.0 * kappa * c
@@ -235,25 +244,34 @@ def _system_sums(x, x_int, c, p: ModelParams):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(c > 0, g_cav * g_cav / (p.n_atoms * _sigma_cav(p, c)), 0.0)
+    one_bin = isinstance(dsat, float)
     w4 = wu2 * u2
-    if dsat.ndim > 1:
+    if not one_bin and dsat.ndim > 1:
         w4 = np.broadcast_to(w4, dsat.shape)  # the rows below stack as one array
     w4d = w4 * dsat
     # rows 0-2 are summed against 1/sigma_j, rows 3-5 against 1/|sigma_j|^2
-    weights = np.array([w4d, w4, w4d, w4 * u2, w4d * u2, w4 - w4d]) * np.array([
+    rows = (w4d, w4, w4d, w4 * u2, w4d * u2, w4 - w4d)
+    factors = (
         g_cav * gamma * gpar,
         2.0 * gamma ** 3 * alpha,
         gamma * gpar * alpha,
         2.0 * gamma ** 4 * gpar * alpha,
         2.0 * (gamma * gpar) ** 2 * alpha,
         2.0 * gamma ** 2 * gpar * alpha,
-    ])[..., None]
+    )
+    pivot = gamma * gpar * (x.real * x.real + x.imag * x.imag)
+    dip = 2.0 * gamma ** 2 / gpar * alpha
+    if one_bin:
+        weights = [row * f for row, f in zip(rows, factors)]
+        return (pivot * u2, tuple(weights[:3]), tuple(weights[3:]),
+                g_cav * gamma * (dsat * wu2), dip * wu2)
+    weights = np.array(rows) * np.array(factors)[..., None]
     sat = g_cav * gamma * (dsat @ wu2)
-    dip = 2.0 * gamma ** 2 / gpar * alpha * float(wu2.sum())
+    dip = dip * float(wu2.sum())
     if one:
         sat, dip = float(sat), float(dip)
-    return (np.multiply.outer(gamma * gpar * (x.real * x.real + x.imag * x.imag), u2),
-            weights[:3].astype(complex), weights[3:], sat, dip)
+    return (np.multiply.outer(pivot, u2), weights[:3].astype(complex), weights[3:],
+            sat, dip)
 
 
 def drift_eigenvalues(fs: FluctuationSystem) -> np.ndarray:
@@ -283,10 +301,11 @@ def quadrature_extrema(v: np.ndarray) -> tuple[float, float, float]:
     v = np.asarray(v, dtype=float)
     if v.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {v.shape}")
-    scale = max(abs(v[0, 0]), abs(v[1, 1]), 1e-300)
-    if abs(v[0, 1] - v[1, 0]) > 1e-8 * scale:
+    (va, vb), (vc, vd) = v.tolist()
+    scale = max(abs(va), abs(vd), 1e-300)
+    if abs(vb - vc) > 1e-8 * scale:
         raise ValueError(f"spectral matrix must be symmetric, got {v!r}")
-    return _extrema(float(v[0, 0]), float(0.5 * (v[0, 1] + v[1, 0])), float(v[1, 1]))
+    return _extrema(va, 0.5 * (vb + vc), vd)
 
 
 def _envelope(va, vb, vc):
@@ -337,7 +356,8 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     One state gives Python floats from Python complex arithmetic; n states
     (``_system_sums``'s stacked terms, x and theta (n,) arrays, the rest of
     ``p`` shared) give (n,) arrays from the same expressions.  Only the bin
-    sums and the singularity check tell the two apart.
+    sums and the singularity check tell the two apart: a plane-wave state's
+    one bin is summed in Python complex arithmetic too.
     """
     kappa, gamma = p.kappa_hz, p.gamma_hz
     one = not isinstance(x, np.ndarray)
@@ -350,7 +370,13 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     pa, pb = zg / det_p, gd / det_p  # P^-1 = [[pa, pb], [-pb, pa]]
 
     inv = 1.0 / ((z + p.gamma_par_hz) + pa * pivot_u2)  # 1 / sigma_j
-    if one:
+    if isinstance(inv, complex):  # one plane-wave state's one bin
+        (ws0, ws1, ws2), (wp0, wp1, wp2) = w_sigma, w_power
+        mag = abs(inv)
+        power = mag * mag
+        s0, s1, s2 = ws0 * inv, ws1 * inv, ws2 * inv
+        r0, r1, r2 = wp0 * power, wp1 * power, wp2 * power
+    elif one:
         s0, s1, s2 = (w_sigma @ inv).tolist()
         r0, r1, r2 = (w_power @ np.abs(inv) ** 2).tolist()
     else:
@@ -423,6 +449,10 @@ def _trace_noise(x, x_int, c, theta, p: ModelParams, omega_hz: float) -> np.ndar
     return out
 
 
+_EYE2 = np.eye(2)
+_EYE2.flags.writeable = False
+
+
 def efficiency_matrix(v: np.ndarray, eta: float) -> np.ndarray:
     """Noise after a lossy detection path: V -> eta*V + (1 - eta)*I.
 
@@ -432,4 +462,4 @@ def efficiency_matrix(v: np.ndarray, eta: float) -> np.ndarray:
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     v = np.asarray(v, dtype=float)
-    return eta * v + (1.0 - eta) * np.eye(2)
+    return eta * v + (1.0 - eta) * _EYE2

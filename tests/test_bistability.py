@@ -15,11 +15,13 @@ from cavsqueeze import (
     GaussianBins,
     ModelParams,
     PlaneWave,
+    ScanConfig,
     bin_layout,
     cooperativity_from_amplitudes,
     critical_point,
     gaussian_susceptibility_limit,
     peak_transmission,
+    piezo_scan,
     solve_steady_states,
     state_equation,
     state_equation_slope,
@@ -34,6 +36,7 @@ from cavsqueeze.bistability import (
     _gauss_legendre_01,
     _grid_sums,
     _layout,
+    _reduce_bins,
     _response,
     _slope_minima,
 )
@@ -176,6 +179,50 @@ def test_gaussian_bins_take_a_numpy_integer_count():
     prof = GaussianBins(np.int64(8))
     assert prof == GaussianBins(8)
     assert np.array_equal(bin_layout(prof)[0], bin_layout(GaussianBins(8))[0])
+
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: solve_steady_states(800.0, ModelParams(c=1e200)), id="steady-C"),
+    pytest.param(lambda: turning_points(ModelParams(c=1e300)), id="turning-C"),
+    pytest.param(lambda: solve_steady_states(1e308, ModelParams()), id="steady-Y"),
+    pytest.param(lambda: piezo_scan(ScanConfig(theta_rate=112.5, duration_s=4e-4, dt_s=8e-5,
+                                               vbw_hz=2500.0),
+                                    ModelParams(c=1e200)), id="piezo-C"),
+])
+def test_plane_wave_coefficients_beyond_the_float_range_raise_a_value_error(call):
+    with pytest.raises(ValueError, match=r"at C=.*, delta=.*, theta=.*, Y=.* "
+                                         "has coefficients beyond the float range"):
+        call()
+
+
+
+def test_a_steady_state_beyond_the_float_range_warns():
+    # the coefficients fit, but the slope at X = Y overflows: numpy warned
+    # here, and the plane wave's float response must too
+    with pytest.warns(RuntimeWarning, match="overflows the float range"):
+        (state,) = solve_steady_states(1e300, ModelParams(c=1e140))
+    assert not math.isfinite(state.slope)
+
+def test_plane_wave_bin_sums_are_the_one_bin_reduction_bit_for_bit():
+    """The closed form G = r = 1/(X + A), -r^2, 2 r^3, -6 r^4 rounds as the
+    reduction over the one plane-wave bin, and keeps a float X a float."""
+    rng = np.random.default_rng(17)
+    xs = np.concatenate(([0.0, 5e-324, 1e-300, 1.0, 1e150, 1e300, np.finfo(float).max],
+                         np.exp(rng.uniform(-30.0, 30.0, 200))))
+    for a_sat in (1.0, 1.0 + 0.3 * 0.3, 401.0, 1.0 + 1e10):
+        for n in (1, 2, 3, 4):
+            for x in (xs, xs.reshape(-1, 9), *xs[:40], *(np.asarray(v) for v in xs[:40])):
+                got = _bin_sums(x, PlaneWave(), a_sat, n)
+                ref = _reduce_bins(x, PlaneWave(), a_sat, n)
+                assert len(got) == len(ref) == n
+                for g, r in zip(got, ref):
+                    assert np.shape(g) == np.shape(x) == np.shape(r)
+                    assert np.array_equal(g, r), (x, a_sat, n)
+            for x in xs[:40].tolist():
+                got = _bin_sums(x, PlaneWave(), a_sat, n)
+                assert all(type(g) is float for g in got)
+                assert got == [float(r) for r in _reduce_bins(x, PlaneWave(), a_sat, n)]
 
 
 # === derivatives ===

@@ -210,7 +210,8 @@ def test_stacked_spectra_match_output_spectrum(profile, loss):
     c = np.array([p.c for p in params])
     theta = np.array([p.theta for p in params])
     sums = _system_sums(x, x_int, c, base)
-    for omega in (0.0, 5e6, 1e10):
+    kappa = base.kappa_hz
+    for omega in (0.0, 0.5 * kappa, kappa, 2.0 * kappa, 5.0 * kappa, 1e10):
         got = np.stack(_output_noise(x, theta, *sums, _kappa_in(base), base, omega), axis=1)
         for k, (ss, p) in enumerate(zip(states, params)):
             v = output_spectrum(build_fluctuation_system(ss, p), omega).v
