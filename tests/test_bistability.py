@@ -181,7 +181,6 @@ def test_gaussian_bins_take_a_numpy_integer_count():
     assert np.array_equal(bin_layout(prof)[0], bin_layout(GaussianBins(8))[0])
 
 
-
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: solve_steady_states(800.0, ModelParams(c=1e200)), id="steady-C"),
     pytest.param(lambda: turning_points(ModelParams(c=1e300)), id="turning-C"),
@@ -196,13 +195,13 @@ def test_plane_wave_coefficients_beyond_the_float_range_raise_a_value_error(call
         call()
 
 
-
 def test_a_steady_state_beyond_the_float_range_warns():
     # the coefficients fit, but the slope at X = Y overflows: numpy warned
     # here, and the plane wave's float response must too
     with pytest.warns(RuntimeWarning, match="overflows the float range"):
         (state,) = solve_steady_states(1e300, ModelParams(c=1e140))
     assert not math.isfinite(state.slope)
+
 
 def test_plane_wave_bin_sums_are_the_one_bin_reduction_bit_for_bit():
     """The closed form G = r = 1/(X + A), -r^2, 2 r^3, -6 r^4 rounds as the

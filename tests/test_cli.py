@@ -173,7 +173,6 @@ def test_validation_failures_exit_one():
     assert rc == 1 and "config" in err
 
 
-
 @pytest.mark.parametrize("args", [
     ["steady", "--model.C=1e200"],
     ["turning", "--model.C=1e300"],
@@ -184,6 +183,7 @@ def test_plane_wave_coefficients_beyond_the_float_range_exit_one(args):
     assert rc == 1 and out == ""
     assert err.startswith("error: the plane-wave state equation at C=")
     assert "beyond the float range" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("command, key", [("release", "scan.seed"), ("mc-cloud", "cloud.mc_seed")])
 def test_negative_seeds_are_rejected_before_any_work(tmp_path, command, key):
