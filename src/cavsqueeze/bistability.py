@@ -263,8 +263,8 @@ def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
     with P = 4 (G + X G'), Q = 4 A (G^2 + 2 X G G'), R = P' and S = Q'.
     Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), P and
     Q at A are these tables times A^-1, R and S times A^-2: one table serves
-    every delta, C and theta (see ``_fold_grid``), so a trace, a search over
-    C, or queries at any delta share it.  Read-only, since every caller
+    every delta, C and theta (see ``_fold_grid``), so a trace, the fold
+    curve of ``critical_point``, or queries at any delta share it.  Read-only, since every caller
     shares them.
     """
     xi = np.geomspace(xi_lo, xi_max, 4096)
@@ -400,27 +400,6 @@ def _checked(value, name: str, positive: bool = False) -> np.ndarray:
         sign = ">" if positive else ">="
         raise ValueError(f"{name} must be finite and {sign} 0, got {value}")
     return v
-
-
-def _bisect(f, lo: float, hi: float, flo: float, rel_tol: float) -> float:
-    """Sign change of f on [lo, hi], where f(lo) is ``flo``, by bisection.
-
-    Used only where no derivative of f is at hand: the search over C of
-    ``critical_point``.  Stops once the bracket is narrower than ``rel_tol``
-    times its midpoint.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # A fold pair whose fold-cubic discriminant is below 2^-46 (64 ulps) of its
@@ -682,10 +661,11 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     Returns 0, 1 or 2 points; exactly 2 means the response is bistable
     within the window.  ``x_max`` must be finite and > 0.
 
-    Binned profiles have no exact tangency test.  Within about 4e-14
-    (relative) above ``critical_point``'s C, round-off in dY/dX on the fold
-    grid decides whether a fold pair narrower than about 3e-7 (relative) is
-    reported (measured for GaussianBins(64) in the README).
+    Binned profiles have no exact tangency test.  Within a few ulps (about
+    1.3e-15 relative) of ``critical_point``'s C, round-off in dY/dX on the
+    fold grid decides whether a fold pair narrower than about 2e-7
+    (relative) is reported (measured for GaussianBins(8) and (64) in the
+    README).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -1124,56 +1104,70 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
     return c
 
 
-def critical_point(p: ModelParams, c_hint: float | None = None,
-                   x_max: float | None = None) -> tuple[float, float, float]:
+def _fold_curve(c0: float, lin, quad):
+    """The least C > 0 with c0 + C lin + C^2 quad = 0 (c0 > 0), inf where
+    there is none, elementwise: arrays, or 0-d for floats.
+
+    At fixed X, dY/dX = 1 + theta^2 + C (1 - delta theta) P + C^2 Q (see
+    ``_grid_sums``), so with these coefficients the result is the fold
+    curve, the C at which X is a fold.  The root is formed free of
+    cancellation: 2 c0/(sqrt(disc) - lin) where lin <= 0, and (lin +
+    sqrt(disc))/(-2 quad) where lin > 0, which has a positive root only if
+    quad < 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(lin * lin - 4.0 * quad * c0)
+        c = np.where(lin <= 0.0, 2.0 * c0 / (root - lin), (lin + root) / (-2.0 * quad))
+    return np.where(c > 0.0, c, math.inf)
+
+
+def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, float, float]:
     """Onset of bistability for the detunings/profile in ``p``.
 
     Returns (c_crit, x_crit, y_crit): the cooperativity at which the two
-    folds of the response merge into a degenerate point with dY/dX = 0 and
-    d2Y/dX2 = 0, together with that point's coordinates.  ``p.c`` is ignored
-    except as a search hint.  Solved by bisecting (``_bisect``, to 1e-12
-    relative in C) the minimum slope over X, negative iff bistable, as a
-    function of C; that minimum is the lowest of the local minima of dY/dX
-    (``_slope_minima``) bracketed by the sign changes of d2Y/dX2 on a log
-    grid up to ``x_max`` (default 1e4 (1 + delta^2)).  On the grid d2Y/dX2
-    = u R + v S, from tables cached in X/(1 + delta^2) (see ``_grid_sums``),
-    so every C of the search shares one table, and with the default
-    ``x_max`` so does every delta.
+    folds of the response merge into a cusp with dY/dX = 0 and d2Y/dX2 = 0,
+    together with that point's coordinates, as floats.  ``p.c`` is ignored.
+
+    The cusp is the minimum over X of the fold curve C_fold(X) (see
+    ``_fold_curve``), searched below ``x_max`` (default 1e4 (1 + delta^2)):
+    one array pass over the log grid of ``_grid_sums``, cached in X/(1 +
+    delta^2) so that with the default ``x_max`` every delta shares it, takes
+    the argmin, and d2Y/dX2 at C_fold must change sign from - to + across
+    its neighbours.  One safeguarded Newton (``_newton``) then solves
+    d2Y/dX2(X, C_fold(X)) = 0 between them, with d3Y/dX3 as the derivative:
+    exact at the root, where dC_fold/dX = 0.  An error e in X moves C by
+    O(e^2) only.  Plane waves and binned profiles take this one path.  A
+    window with no cusp (no finite C_fold, the argmin at either end of the
+    grid, or no sign change) raises RuntimeError naming ``x_max`` and ``p``.
 
     For binned profiles, round-off in dY/dX decides the fold count within
-    about 4e-14 (relative) above the returned C (see ``turning_points``).
+    a few ulps of the returned C (see ``turning_points``).
     """
+    a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
-        xi_max = 1e4
+        xi_max, x_max = 1e4, 1e4 * a_sat
     else:
         _checked(x_max, "x_max", positive=True)
-        xi_max = x_max / (1.0 + p.delta * p.delta)
+        xi_max = x_max / a_sat
+    slope0, proj = 1.0 + p.theta * p.theta, 1.0 - p.delta * p.theta
+    xi, tp, tq, tr, ts = _grid_sums(p.transverse, 1e-6, xi_max)
+    c_fold = _fold_curve(slope0, (proj / a_sat) * tp, tq / a_sat)
+    j = int(np.argmin(c_fold))
+    # the sign of d2Y/dX2 = C (proj R + C S)/A^2 at the argmin's neighbours;
+    # at either end of the grid, twice at the argmin, which fails the test
+    k = [j - 1, j + 1] if 0 < j < xi.size - 1 else [j, j]
+    curv_lo, curv_hi = (proj * tr[k] + c_fold[k] * ts[k]).tolist()
+    if not -math.inf < curv_lo < 0.0 < curv_hi < math.inf:
+        raise RuntimeError(f"no cusp of the fold curve below x_max={x_max!r} at {p!r}")
 
-    theta = np.array([p.theta])
-    grid = (1.0 + p.delta * p.delta) * _grid_sums(p.transverse, 1e-6, xi_max)[0]
+    def fold_c(x: float) -> float:
+        g, g1 = _bin_sums(x, p.transverse, a_sat, 2)
+        xg1 = x * g1
+        return float(_fold_curve(slope0, 4.0 * proj * (g + xg1),
+                                 4.0 * a_sat * g * (g + 2.0 * xg1)))
 
-    def min_slope(c: float) -> tuple[float, float]:
-        # a response without a local slope minimum rises monotonically
-        cs = np.array([c])
-        step, j = _minimum_brackets(p, 1e-6, xi_max, cs, theta)
-        if step.size == 0:
-            return math.inf, math.nan
-        minima = _slope_minima(grid, p, cs, theta, step, j)
-        slopes = _slope_fdf(p)((cs[step], theta[step]))(minima)[0]
-        i = int(np.argmin(slopes))
-        return float(slopes[i]), float(minima[i])
-
-    c_hi = c_hint if c_hint and c_hint > 0 else 1.0
-    for _ in range(60):
-        if min_slope(c_hi)[0] < 0.0:
-            break
-        c_hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"response never turns bistable below C={c_hi:.3g} at {p!r}"
-        )
-    # an empty cavity (C = 0) responds linearly: no slope minimum
-    c_crit = _bisect(lambda c: min_slope(c)[0], 0.0, c_hi, math.inf, 1e-12)
-    _, x_crit = min_slope(c_crit)
-    y_crit = state_equation(x_crit, replace(p, c=c_crit))
-    return c_crit, x_crit, y_crit
+    curvature = _curvature_fdf(p)
+    lo, x, hi = (a_sat * xi[j - 1:j + 2]).tolist()
+    x_crit = float(_newton(lambda t: curvature((fold_c(t), p.theta))(t), lo, hi, x, True))
+    c_crit = fold_c(x_crit)
+    return c_crit, x_crit, float(_response_at(x_crit, c_crit, p.theta, p).y)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -343,6 +344,69 @@ def test_critical_point_detuned_is_consistent():
     assert state_equation(x, pc) == pytest.approx(y, rel=1e-12)
 
 
+# (C, X, Y) at the critical point as bisection in C found it, to 1e-12 relative
+_CRITICAL_POINTS = {
+    (PlaneWave(), 0.0, 0.0): (4.0, 3.0000000000000018, 27.0),
+    (PlaneWave(), -20.0, -7.5): (101.78795857194928, 87.26472713969918, 236.59357736444713),
+    (PlaneWave(), 3.0, 1.0): (8.447838757969294, 14.25718549166603, 57.96040288626692),
+    (PlaneWave(), 2.0, 0.5): (6.4951905283833185, 10.000000000000002, 50.00000000000033),
+    (PlaneWave(), -20.0, 0.0): (53.5194068094861, 824.9058184979864, 3490.7950827317486),
+    (GaussianBins(8), 0.0, 0.0): (8.26114877900909, 13.61609065506958, 246.38023931768123),
+    (GaussianBins(8), -20.0, -7.5): (103.16991520029842, 196.00130499737708,
+                                     546.0643137085183),
+    (GaussianBins(8), 3.0, 1.0): (11.457815292600571, 51.50917542498059, 272.93601828919236),
+    (GaussianBins(8), 2.0, 0.5): (10.407001258954551, 41.06814015330998, 311.4283142319568),
+    (GaussianBins(8), -20.0, 0.0): (87.13996671963832, 3420.28432084647, 22303.033562474106),
+    (GaussianBins(64), 0.0, 0.0): (8.311256526143552, 13.297236724807977, 248.7649082158856),
+    (GaussianBins(64), -20.0, -7.5): (103.16991520029842, 196.00130499737142,
+                                      546.0643137085191),
+    (GaussianBins(64), 3.0, 1.0): (11.458259223505593, 51.50259236632451, 272.9564552047521),
+    (GaussianBins(64), 2.0, 0.5): (10.413243050705205, 40.98676084223558, 311.75280285085546),
+    (GaussianBins(64), -20.0, 0.0): (87.2035522130609, 3411.9954374863282, 22331.097598890537),
+}
+
+
+@pytest.mark.parametrize("transverse, delta, theta", list(_CRITICAL_POINTS))
+def test_critical_point_matches_pinned_bisection(transverse, delta, theta):
+    c_ref, x_ref, y_ref = _CRITICAL_POINTS[transverse, delta, theta]
+    got = critical_point(ModelParams(c=1.0, delta=delta, theta=theta, transverse=transverse))
+    assert all(type(v) is float for v in got)
+    c, x, y = got
+    assert c == pytest.approx(c_ref, rel=1e-12)
+    assert x == pytest.approx(x_ref, rel=1e-11)
+    assert y == pytest.approx(y_ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("transverse, delta, theta, exact", [
+    # delta theta = 1: C^2 = (5 + X)^3 / (16 (X - 5)), least at X = 10
+    (PlaneWave(), 2.0, 0.5, (15.0 * math.sqrt(3.0) / 4.0, 10.0, 50.0)),
+    # one bin at s = 1/2, w = 2: G = 1/(1 + X/2), the absorptive cusp at X = 2 * 3
+    (GaussianBins(1), 0.0, 0.0, (4.0, 6.0, 54.0)),
+])
+def test_critical_point_exact(transverse, delta, theta, exact):
+    got = critical_point(ModelParams(c=1.0, delta=delta, theta=theta, transverse=transverse))
+    assert got == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("transverse, delta, theta", list(_CRITICAL_POINTS))
+def test_critical_point_brackets_the_onset_of_folds(transverse, delta, theta):
+    # independent of the search: a plane wave's folds come from the fold
+    # cubic's discriminant, formed in integers, a binned profile's from the
+    # sign changes of dY/dX (round-off decides within a few ulps of C)
+    p = ModelParams(c=1.0, delta=delta, theta=theta, transverse=transverse)
+    c, _, _ = critical_point(p)
+    assert turning_points(dataclasses.replace(p, c=c * (1.0 - 1e-13))).points == ()
+    assert turning_points(dataclasses.replace(p, c=c * (1.0 + 1e-13))).bistable
+
+
+@pytest.mark.parametrize("x_max", [0.5, 2.0])
+def test_critical_point_window_without_cusp_raises(x_max):
+    # the absorptive cusp sits at X = 3: below X = 1 no C folds the response,
+    # and up to X = 2 the fold curve still falls at the window's top
+    with pytest.raises(RuntimeError, match=r"x_max=.*ModelParams"):
+        critical_point(absorptive(1.0), x_max=x_max)
+
+
 # === steady-state roots ===
 
 def test_linear_cavity_root():
@@ -516,7 +580,7 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
     _grid_sums.cache_clear()
     cold = run()
     assert len(cold[0]) == 3 and cold[1].bistable
-    assert _grid_sums.cache_info().currsize == 2  # roots and folds share one; C search
+    assert _grid_sums.cache_info().currsize == 2  # roots and folds share one; fold curve
     assert run() == cold
     assert _grid_sums.cache_info().currsize == 2
     # the unit sums, scaled by powers of A, agree with a full evaluation
