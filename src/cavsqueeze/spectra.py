@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -349,6 +350,10 @@ def output_spectrum(fs: FluctuationSystem, omega_hz: float) -> QuadratureSpectru
                               s_min=s_min, s_max=s_max, theta_min=theta)
 
 
+# the smallest normal float: a 1/|sigma_j|^2 below it has lost its precision
+_TINY = sys.float_info.min
+
+
 def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: float,
                   p: ModelParams, omega_hz: float):
     """(v11, v12, v22) of ``output_spectrum``'s V at Ω = ``omega_hz``.
@@ -356,8 +361,12 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     One state gives Python floats from Python complex arithmetic; n states
     (``_system_sums``'s stacked terms, x and theta (n,) arrays, the rest of
     ``p`` shared) give (n,) arrays from the same expressions.  Only the bin
-    sums and the singularity check tell the two apart: a plane-wave state's
-    one bin is summed in Python complex arithmetic too.
+    sums and the two checks tell the two apart: a plane-wave state's one bin
+    is summed in Python complex arithmetic too.  Raises RuntimeError where
+    the response is singular, and where a bin with a non-zero ``w_power``
+    weight has 1/|sigma_j|^2 below the smallest normal float (from X of
+    about 1e150 at delta = -20): the atoms' a a^H term of Q would lose its
+    precision, then drop out, and V fall below the vacuum.
     """
     kappa, gamma = p.kappa_hz, p.gamma_hz
     one = not isinstance(x, np.ndarray)
@@ -374,14 +383,24 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
         (ws0, ws1, ws2), (wp0, wp1, wp2) = w_sigma, w_power
         mag = abs(inv)
         power = mag * mag
+        underflow = power < _TINY and any(w_power)
         s0, s1, s2 = ws0 * inv, ws1 * inv, ws2 * inv
         r0, r1, r2 = wp0 * power, wp1 * power, wp2 * power
-    elif one:
-        s0, s1, s2 = (w_sigma @ inv).tolist()
-        r0, r1, r2 = (w_power @ np.abs(inv) ** 2).tolist()
     else:
-        s0, s1, s2 = (w_sigma * inv).sum(axis=-1)
-        r0, r1, r2 = (w_power * np.abs(inv) ** 2).sum(axis=-1)
+        power = np.abs(inv) ** 2
+        underflow = (power.min() < _TINY
+                     and bool(np.any((power < _TINY) & np.any(w_power != 0.0, axis=0))))
+        if one:
+            s0, s1, s2 = (w_sigma @ inv).tolist()
+            r0, r1, r2 = (w_power @ power).tolist()
+        else:
+            s0, s1, s2 = (w_sigma * inv).sum(axis=-1)
+            r0, r1, r2 = (w_power * power).sum(axis=-1)
+    if underflow:
+        raise RuntimeError(
+            f"the atomic noise underflows at omega_hz={omega_hz}: 1/|sigma_j|^2 is "
+            "below the smallest normal float, the intracavity intensity too large"
+        )
 
     # a = P^-1 x, h = P^-T x, f = P^-1 q, e = P^-1 conj(h)
     a1, a2 = pa * x1 + pb * x2, pa * x2 - pb * x1

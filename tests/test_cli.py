@@ -201,6 +201,12 @@ def test_runtime_failures_exit_two():
     assert rc == 2 and "truncated" in err
 
 
+def test_atomic_noise_underflow_exits_two(tmp_path):
+    out_path = tmp_path / "out.csv"
+    rc, _, err = run_cli(["spectrum", "--scan.drive_Y=1e160", f"--output.path={out_path}"])
+    assert rc == 2 and "atomic noise underflows" in err
+
+
 def test_fitc_roundtrip_through_files(tmp_path):
     from cavsqueeze import CloudParams, cooperativity_decay
 

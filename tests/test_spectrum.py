@@ -464,3 +464,31 @@ def test_gaussian_profile_spectrum_stays_physical():
         q = output_spectrum(fs, 5e6)
         assert q.s_min * q.s_max >= 1.0 - 1e-9
         assert q.s_min > -1e-9
+
+
+# 1/|sigma_j|^2 underflows from Y of about 1e156 on; V at 1e140, pinned bit for bit
+_V_AT_1E140 = {
+    PlaneWave(): [[1.0, -3.5762786865234373e-14], [-3.5762786865234373e-14, 1761.0]],
+    GaussianBins(8): [[0.9999999999999984, -4.768371582031249e-14],
+                      [-4.768371582031249e-14, 1760.9999999999993]],
+}
+
+
+@pytest.mark.parametrize("transverse", list(_V_AT_1E140))
+def test_atomic_noise_underflow_raises_instead_of_negative_noise(transverse):
+    p = ModelParams(transverse=transverse)
+    ss = _single_stable_state(1e140, p)
+    assert output_spectrum(build_fluctuation_system(ss, p), 0.0).v.tolist() == \
+        _V_AT_1E140[transverse]
+    for y in (1e158, 1e160):
+        ss = _single_stable_state(y, p)
+        with pytest.raises(RuntimeError, match="atomic noise underflows at omega_hz=0.0"):
+            output_spectrum(build_fluctuation_system(ss, p), 0.0)
+        # the stacked path of a trace
+        one = [np.array([v]) for v in (ss.x, ss.intensity, p.c, p.theta)]
+        with pytest.raises(RuntimeError, match="atomic noise underflows"):
+            spectra._trace_noise(*one, p, 0.0)
+        # an empty cavity weights no bin against 1/|sigma_j|^2
+        empty = dataclasses.replace(p, c=0.0)
+        q = output_spectrum(build_fluctuation_system(_single_stable_state(y, empty), empty), 0.0)
+        assert q.s_min == q.s_max == 1.0
