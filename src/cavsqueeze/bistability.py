@@ -1110,10 +1110,10 @@ def _fold_curve(c0: float, lin, quad):
 
     At fixed X, dY/dX = 1 + theta^2 + C (1 - delta theta) P + C^2 Q (see
     ``_grid_sums``), so with these coefficients the result is the fold
-    curve, the C at which X is a fold.  The root is formed free of
-    cancellation: 2 c0/(sqrt(disc) - lin) where lin <= 0, and (lin +
-    sqrt(disc))/(-2 quad) where lin > 0, which has a positive root only if
-    quad < 0.
+    curve, the C at which X is a fold.  With disc = lin^2 - 4 quad c0, the
+    root is formed free of cancellation: 2 c0/(sqrt(disc) - lin) where lin
+    <= 0, and (lin + sqrt(disc))/(-2 quad) where lin > 0, which has a
+    positive root only if quad < 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(lin * lin - 4.0 * quad * c0)

@@ -466,7 +466,8 @@ def test_gaussian_profile_spectrum_stays_physical():
         assert q.s_min > -1e-9
 
 
-# 1/|sigma_j|^2 underflows from Y of about 1e156 on; V at 1e140, pinned bit for bit
+# at the default model 1/|sigma_j|^2 is subnormal from Y of about 1e150 on;
+# V at 1e140, pinned bit for bit
 _V_AT_1E140 = {
     PlaneWave(): [[1.0, -3.5762786865234373e-14], [-3.5762786865234373e-14, 1761.0]],
     GaussianBins(8): [[0.9999999999999984, -4.768371582031249e-14],
