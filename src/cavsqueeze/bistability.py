@@ -253,27 +253,31 @@ def _reduce_bins(x, transverse: Transverse, a_sat: float, n: int) -> list:
     return sums
 
 
+def _fold_tables(x, transverse: Transverse, a_sat: float):
+    """G and the fold tables P, Q, R and S of ``_grid_sums`` at X, at A."""
+    g, g1, g2 = _bin_sums(x, transverse, a_sat)
+    xg1 = x * g1
+    return np.array((g, 4.0 * (g + xg1), 4.0 * a_sat * g * (g + 2.0 * xg1),
+                     4.0 * (2.0 * g1 + x * g2),
+                     8.0 * a_sat * (2.0 * g * g1 + x * (g1 * g1 + g * g2))))
+
+
 @lru_cache(maxsize=16)
 def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
-    """The 4096-point log grid in xi = X/A from ``xi_lo`` to ``xi_max`` and
-    the unit fold tables P, Q, R and S on it, those at A = 1.
+    """The 4096-point log grid in xi = X/A from ``xi_lo`` to ``xi_max``, and
+    the (5, 4096) table of G and the unit fold tables P, Q, R and S on it.
 
     With u = C (1 - delta theta) and v = C^2, Y = X [1 + theta^2 + 4 u G
     + 4 v A G^2], so dY/dX = 1 + theta^2 + u P + v Q and d2Y/dX2 = u R + v S
     with P = 4 (G + X G'), Q = 4 A (G^2 + 2 X G G'), R = P' and S = Q'.
-    Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), P and
-    Q at A are these tables times A^-1, R and S times A^-2: one table serves
-    every delta, C and theta (see ``_fold_grid``), so a trace, the fold
-    curve of ``critical_point``, or queries at any delta share it.  Read-only, since every caller
-    shares them.
+    Since sum_j w_j s_j/(A + s_j X) = A^-1 sum_j w_j s_j/(1 + s_j xi), G, P
+    and Q at A are these tables times A^-1, R and S times A^-2: one table
+    serves every delta, C and theta.  Read-only: shared.
     """
     xi = np.geomspace(xi_lo, xi_max, 4096)
     # summed over blocks of grid points, so that memory stays flat in the bin count
-    g, g1, g2 = (np.concatenate(col) for col in zip(
-        *(_bin_sums(xi[b], transverse, 1.0) for b in _trace_blocks(xi.size, transverse))))
-    xg1 = xi * g1
-    out = (xi, 4.0 * (g + xg1), 4.0 * g * (g + 2.0 * xg1), 4.0 * (2.0 * g1 + xi * g2),
-           8.0 * (2.0 * g * g1 + xi * (g1 * g1 + g * g2)))
+    out = xi, np.concatenate([_fold_tables(xi[b], transverse, 1.0)
+                              for b in _trace_blocks(xi.size, transverse)], axis=1)
     for a in out:
         a.flags.writeable = False
     return out
@@ -321,34 +325,21 @@ def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
     return _Response(g, g1, g2, absorb, disperse, x * factor, y1, y2)
 
 
-def _root_fdf(p: ModelParams):
+def _root_fdf(p: ModelParams, slope: bool = False):
     """``_newton_many``'s maker of x -> (Y(X) - Y, dY/dX) on the response of
-    ``p``'s delta and profile, for brackets that each carry (C, theta, Y)."""
+    ``p``'s delta and profile, for brackets that each carry (C, theta, Y);
+    with ``slope``, of x -> (dY/dX, d2Y/dX2) for brackets that carry (C,
+    theta): its roots are the folds."""
     def make(params):
-        c, theta, y = params
-
         def fdf(x):
-            at = _sums_and_response(x, c, theta, p)[1]
-            return at.y - y, at.y1
-        return fdf
-    return make
-
-
-def _slope_fdf(p: ModelParams):
-    """As ``_root_fdf``, x -> (dY/dX, d2Y/dX2) for brackets that each carry
-    (C, theta): its roots are the folds."""
-    def make(params):
-        c, theta = params
-
-        def fdf(x):
-            at = _sums_and_response(x, c, theta, p)[1]
-            return at.y1, at.y2
+            at = _sums_and_response(x, params[0], params[1], p)[1]
+            return (at.y1, at.y2) if slope else (at.y - params[2], at.y1)
         return fdf
     return make
 
 
 def _curvature_fdf(p: ModelParams):
-    """As ``_slope_fdf``, x -> (d2Y/dX2, d3Y/dX3): its roots are the local
+    """As ``_root_fdf``, x -> (d2Y/dX2, d3Y/dX3): its roots are the local
     minima of dY/dX.
 
     proj = absorb - delta disperse = 1 - delta theta + 2 C A G has the
@@ -518,7 +509,7 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
     ``params`` holds arrays with one entry per bracket, and
     ``make_fdf(params)`` gives the fdf of those brackets: on arrays for the
     pass, on a tuple of floats for one bracket (the cubic's coefficients for
-    ``_cubic_fdf``, C and theta for ``_slope_fdf``).  Every bracket goes
+    ``_cubic_fdf``, C, theta and Y for ``_root_fdf``).  Every bracket goes
     through ``_newton``'s IEEE operations, bisection fallback and stopping
     rules, so where the fdf rounds an entry of an array as it rounds a
     float, its root equals the scalar one bit for bit.  Finished brackets
@@ -565,15 +556,17 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
     return out
 
 
-def _segment_roots(fdf, edges, fvals, curvs) -> list[float]:
-    """Roots of f on the segments between ascending ``edges``.
-
-    ``fvals`` and ``curvs`` hold f and (the sign of) f'' at the edges, and
-    f is monotone on each segment.  Returns every edge where f is 0, then
-    one ``_newton`` root in each segment over which f changes sign.  Newton
+def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
+    """Roots of the cubic on the segments between ascending ``edges``, over
+    each of which it is monotone: every edge where it is 0, then one
+    ``_newton`` root in each segment over which it changes sign.  Newton
     starts from the end where f and f'' share a sign, so that it closes in
     from one side when no inflection lies between, else from the midpoint.
+    Edge values stay Python floats: numpy scalars would double the cost.
     """
+    c3, c2, _, _ = coeffs
+    fdf, fvals = _cubic_fdf(coeffs), [_cubic(coeffs, x) for x in edges]
+    curvs = [3.0 * c3 * x + c2 for x in edges]
     roots = [x for x, fx in zip(edges, fvals) if fx == 0.0]
     for lo, hi, flo, fhi, clo, chi in zip(edges, edges[1:], fvals, fvals[1:],
                                           curvs, curvs[1:]):
@@ -583,25 +576,18 @@ def _segment_roots(fdf, edges, fvals, curvs) -> list[float]:
     return roots
 
 
-def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
-    # edge values stay Python floats: numpy scalars would double the cost
-    c3, c2, _, _ = coeffs
-    return _segment_roots(_cubic_fdf(coeffs), edges,
-                          [_cubic(coeffs, x) for x in edges],
-                          [3.0 * c3 * x + c2 for x in edges])
+def _cubic_segment_roots_many(coeffs, edges: np.ndarray,
+                              valid: np.ndarray | None = None) -> np.ndarray:
+    """``_cubic_segment_roots`` for many cubics at once, in lockstep.
 
-
-def _segment_roots_many(make_fdf, params, edges: np.ndarray, fvals: np.ndarray,
-                        curvs: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """``_segment_roots`` for many functions at once.
-
-    ``params`` holds (k,) arrays, the function of each row for
-    ``_newton_many``'s ``make_fdf``; ``edges`` is (k, E) and ascending along
-    each row, and ``fvals`` and ``curvs`` hold f and f'' there.  An edge that
-    is not ``valid`` repeats the next one, so its segments are empty.
-    Returns (k, 2E - 1): the edges where f is 0, then one Newton root per
-    segment (``_segment_roots``'s start points), NaN where there is none.
+    ``coeffs`` holds four (k,) arrays; ``edges`` is (k, E) and ascending
+    along each row.  An edge that is not ``valid`` repeats the next one, so
+    its segments are empty.  Returns (k, 2E - 1): the edges where the cubic
+    is 0, then one Newton root per segment (``_cubic_segment_roots``' start
+    points), NaN where there is none.
     """
+    cols = tuple(a[:, None] for a in coeffs)
+    fvals, curvs = _cubic(cols, edges), 3.0 * cols[0] * edges + cols[1]
     zero = fvals == 0.0 if valid is None else valid & (fvals == 0.0)
     f_lo, f_hi = fvals[:, :-1], fvals[:, 1:]
     row, col = np.divmod(np.flatnonzero(((f_lo < 0.0) & (0.0 < f_hi))
@@ -612,18 +598,9 @@ def _segment_roots_many(make_fdf, params, edges: np.ndarray, fvals: np.ndarray,
     start = np.where(fhi * curvs[row, col + 1] > 0.0, hi,
                      np.where(flo * curvs[row, col] > 0.0, lo, 0.5 * (lo + hi)))
     roots = np.full(f_lo.shape, np.nan)
-    roots[row, col] = _newton_many(make_fdf, tuple(a[row] for a in params), lo, hi,
+    roots[row, col] = _newton_many(_cubic_fdf, tuple(a[row] for a in coeffs), lo, hi,
                                    start, flo < 0.0)
     return np.concatenate((np.where(zero, edges, np.nan), roots), axis=1)
-
-
-def _cubic_segment_roots_many(coeffs, edges: np.ndarray,
-                              valid: np.ndarray | None = None) -> np.ndarray:
-    """``_cubic_segment_roots`` for many cubics at once: ``coeffs`` holds
-    four (k,) arrays, and the rest is as in ``_segment_roots_many``."""
-    cols = tuple(a[:, None] for a in coeffs)
-    return _segment_roots_many(_cubic_fdf, coeffs, edges, _cubic(cols, edges),
-                               3.0 * cols[0] * edges + cols[1], valid)
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -652,20 +629,12 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     ``x_max`` defaults to 100 (1 + delta^2).  For a plane wave the folds are
     the positive roots of the fold cubic H (see ``_plane_cubics``), whose
     coefficients are formed exactly; a fold pair tangent to round-off, as at
-    the onset of bistability, counts as no fold.  Gaussian profiles bracket
-    the folds on a logarithmic grid in xi = X/(1 + delta^2), on which dY/dX
-    and d2Y/dX2 are a few products of tables cached per profile and window,
-    split each grid interval at the local minimum of dY/dX it holds (see
-    ``_binned_folds``), and refine each fold by safeguarded Newton on dY/dX;
-    the default window, xi in [1e-9, 100], is one table for every delta.
-    Returns 0, 1 or 2 points; exactly 2 means the response is bistable
-    within the window.  ``x_max`` must be finite and > 0.
-
-    Binned profiles have no exact tangency test.  Within a few ulps (about
-    1.3e-15 relative) of ``critical_point``'s C, round-off in dY/dX on the
-    fold grid decides whether a fold pair narrower than about 2e-7
-    (relative) is reported (measured for GaussianBins(8) and (64) in the
-    README).
+    the onset of bistability, counts as no fold.  A binned profile's folds
+    are where its C crosses the fold locus C_fold(X) and its partner root
+    (``_level_crossings``) on the cached grid, each refined by Newton on
+    dY/dX; a narrow pair's knot is ``critical_point``'s cusp, so the fold
+    count flips exactly at its C.  Returns 0, 1 or 2 points; exactly 2 means
+    the response is bistable within the window (``x_max`` finite and > 0).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -677,146 +646,215 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
         _, h, distinct = _plane_cubics(p.c, p.delta, p.theta)
         folds = _plane_folds(h, distinct)
     else:
-        folds = _binned_folds(p, xi_max, np.array([p.c]), np.array([p.theta]))[0].tolist()
+        # dY/dX >= |z| (|z| - 4 C xi sum w s^2 / sqrt(A)) with |z|^2 = Y/X > 1: no fold below
+        _, _, s, ws = _layout(p.transverse)
+        bottom = 0.5 * a_sat * math.sqrt(a_sat) / (4.0 * p.c * (ws @ s)) if p.c else math.inf
+        (_, lo, hi, start, rising), _ = _level_crossings(_Locus(p, True, None, p.theta),
+                                                         *_locus_grid(p, xi_max, None, bottom),
+                                                         np.array([p.c]))
+        if lo.size > 2:
+            raise RuntimeError(f"found {lo.size} folds at {p!r}, more than two")
+        folds = sorted(_newton_many(_root_fdf(p, True), (np.full(lo.size, p.c),
+                                    np.full(lo.size, p.theta)), lo, hi, start, rising).tolist())
     points = tuple(x for x in folds if x < x_max)
     ys = tuple(float(_response(x, p).y) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
 
 
-def _table_weights(p: ModelParams, c: np.ndarray, theta: np.ndarray):
-    """The weights u/A and v/A of ``_grid_sums``' tables P and Q at every
-    step of the (n,) arrays ``c`` and ``theta``, as (n, 1) columns; R and S
-    take a further 1/A."""
+class _Locus(NamedTuple):
+    """Where X is a steady state at drive ``y`` (a fold, with ``fold``) as a
+    level of C or theta, the other of ``c``, ``theta`` fixed (the swept is None)."""
+    p: ModelParams
+    fold: bool
+    c: float | None
+    theta: float | None
+    y: float = 0.0
+
+    def sums(self, x):
+        return _fold_tables(x, self.p.transverse, 1.0 + self.p.delta * self.p.delta)
+
+
+def _locus_grid(p: ModelParams, xi_max: float, top: float | None = None,
+                bottom: float = 0.0):
+    """The vertices X = A xi in (``bottom``, A ``xi_max``] of ``_grid_sums``'
+    grid and G, P, Q, R and S there, at A.  With ``top`` (a drive Y): X = 0
+    (sums copied), then up to the first vertex >= Y, or Y: the roots' range."""
     a_sat = 1.0 + p.delta * p.delta
-    return (c * (1.0 - p.delta * theta) / a_sat)[:, None], (c * c / a_sat)[:, None]
+    xi, table = _grid_sums(p.transverse, min(1e-9, 1e-6 * xi_max), xi_max)
+    x = a_sat * xi
+    i = min(int(np.searchsorted(x, bottom, "right")), x.size - 2)
+    j = x.size if top is None else int(np.searchsorted(x, top)) + 1
+    x, sums = x[i:j], table[:, i:j] / np.array([[a_sat]] * 3 + [[a_sat * a_sat]] * 2)
+    if top is None:
+        return x, sums
+    if x[-1] < top:  # the window's top rounded below Y
+        x, sums = np.append(x, top), np.c_[sums, _fold_tables(top, p.transverse, a_sat)]
+    return np.concatenate(([0.0], x)), np.concatenate((sums[:, :1], sums), axis=1)
 
 
-def _minimum_brackets(p: ModelParams, xi_lo: float, xi_max: float, c: np.ndarray,
-                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (step, j) pairs whose interval [X_j, X_j+1] of the fold grid X =
-    A xi, xi from ``xi_lo`` to ``xi_max``, holds a - to + sign change of
-    d2Y/dX2, a local minimum of dY/dX, at the steps of the (n,) arrays
-    ``c`` and ``theta``.  d2Y/dX2 on the grid is u R + v S, from
-    ``_grid_sums``' tables: an (n, 4096) pass, so callers pass few steps."""
-    a_sat = 1.0 + p.delta * p.delta
-    _, _, _, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
-    u, v = _table_weights(p, c, theta)
-    curv = (u / a_sat) * tr
-    curv += (v / a_sat) * ts
-    neg = curv < 0.0
-    return np.divmod(np.flatnonzero(neg[:, :-1] & ~neg[:, 1:]), tr.size - 1)
+def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
+    """The two branches of ``loc`` at X from G, P, Q, R and S there.
 
-
-def _fold_grid(p: ModelParams, xi_lo: float, xi_max: float, c: np.ndarray,
-               theta: np.ndarray):
-    """The fold grid X = A xi, xi from ``xi_lo`` to ``xi_max``, and the
-    brackets on it at every step of the (n,) arrays ``c`` and ``theta``.
-
-    Returns the grid and the (step, j) pairs of ``_minimum_brackets``, with
-    whether dY/dX < 0 at X_j and at X_j+1 of each, and the step and j of
-    every other interval over which the sign of dY/dX changes (zero
-    counting as positive), with whether dY/dX < 0 at X_j.  dY/dX on the
-    grid is 1 + theta^2 + u P + v Q; both passes run over blocks of steps so
-    that memory stays flat in the number of steps.
+    The state equation is u0 (1 + theta^2) + C (1 - delta theta) u1 + C^2 u2
+    = u3 with u = (X, 4 G X, 4 A G^2 X, Y), the fold dY/dX = 0 has u = (1, P,
+    Q, 0), and their X-derivatives v = (1, P, Q), (0, R, S): a p^2 + b p + c0
+    = 0 in the swept p.  Returns (plus, minus) = (-b +- sqrt(disc))/(2a) free
+    of cancellation, the slope at each, sqrt(disc) (a closed form but for the
+    fold locus in theta; NaN where disc < 0) and a.  The p-derivative of the
+    left side is +sqrt(disc) on plus, -sqrt(disc) on minus.
     """
-    xi, tp, tq, _, _ = _grid_sums(p.transverse, xi_lo, xi_max)
-    u, v = _table_weights(p, c, theta)
-    # a quarter of ``_BLOCK_BINS`` (step, grid point) pairs per block: its
-    # few float arrays then take about 128 kB each
-    rows = max(1, _BLOCK_BINS // (4 * xi.size))
-    found = []
-    for b in range(0, c.size, rows):
-        s = slice(b, b + rows)
-        i, j = _minimum_brackets(p, xi_lo, xi_max, c[s], theta[s])
-        # a rounded sum a + b is negative exactly when b < -a
-        slope = u[s] * tp
-        slope += v[s] * tq
-        neg = slope < -(1.0 + theta[s, None] * theta[s, None])
-        change = neg[:, :-1] != neg[:, 1:]
-        change[i, j] = False
-        fi, fj = np.divmod(np.flatnonzero(change), xi.size - 1)
-        found.append((i + b, j, neg[i, j], neg[i, j + 1], fi + b, fj, neg[fi, fj]))
-    if len(found) > 1:
-        found[0] = tuple(np.concatenate(col) for col in zip(*found))
-    return (1.0 + p.delta * p.delta) * xi, found[0]
+    delta = loc.p.delta
+    a_sat, gx = 1.0 + delta * delta, 4.0 * g * x
+    u0, u1, u2, u3 = (1.0, tp, tq, 0.0) if loc.fold else (x, gx, a_sat * g * gx, loc.y)
+    v0, v1, v2 = (0.0, tr, ts) if loc.fold else (1.0, tp, tq)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if loc.c is None:
+            theta, k = loc.theta, 1.0 - delta * loc.theta
+            a, b, c0 = u2, k * u1, u0 * (1.0 + theta * theta) - u3
+            offset, lin, quad, falling = v0 * (1.0 + theta * theta), k * v1, v2, k < 0.0
+            # b^2 - 4 a c0, as k^2 + (delta + theta)^2 = A (1 + theta^2) has it
+            s = (delta + theta) * (delta + theta)
+            disc = (k * k * (tp - 4.0 * g) ** 2 - 4.0 * s * tq / a_sat if loc.fold
+                    else 4.0 * g * gx * (a_sat * loc.y - x * s))
+        else:
+            c = loc.c
+            a, b, c0 = u0 + 0.0 * u1, -c * delta * u1, u0 + c * u1 + c * c * u2 - u3
+            offset, lin, quad = v0 + c * v1 + c * c * v2, -c * delta * v1, v0
+            falling = c * delta > 0.0
+            disc = (b * b - 4.0 * a * c0 if loc.fold
+                    else 4.0 * x * (loc.y - x * (1.0 + 2.0 * c * g) ** 2))
+        root = np.sqrt(disc)
+        q = 0.5 * (root - b) if falling else -0.5 * (b + root)
+        branches = (q / a, c0 / q) if falling else (c0 / q, q / a)
+        slopes = [offset + v * (lin + v * quad) for v in branches]
+    return (*branches, *slopes, root, a)
 
 
-def _slope_minima(grid: np.ndarray, p: ModelParams, c: np.ndarray, theta: np.ndarray,
-                  step: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The local minimum of dY/dX in each bracket [X_j, X_j+1] of
-    ``_minimum_brackets``, at C and theta of its step: safeguarded Newton
-    (``_newton_many``) on d2Y/dX2 from the midpoint, to round-off."""
-    lo, hi = grid[j], grid[j + 1]
-    return _newton_many(_curvature_fdf(p), (c[step], theta[step]), lo, hi,
-                        0.5 * (lo + hi), np.ones(step.size, dtype=bool))
+def _knot(loc: _Locus, sign: float, lo: float, hi: float, rising: bool,
+          x: float | None = None) -> tuple[float, float]:
+    """The extremum (X, p) of branch ``sign`` of ``loc`` in [lo, hi]: Newton on
+    its slope from ``x`` (default mid-cell), exact where dp/dX = 0; without
+    ``x``, ``critical_point``'s cusp if it lies there."""
+    if x is None and loc.fold and loc.c is None:
+        try:
+            c, x_crit, _ = critical_point(replace(loc.p, theta=loc.theta))
+        except RuntimeError:
+            c, x_crit = None, math.nan
+        if lo <= x_crit <= hi:
+            return x_crit, c
+    make = _curvature_fdf(loc.p) if loc.fold else _root_fdf(loc.p, True)
+
+    def at(t):
+        return float(_locus_terms(loc, t, *loc.sums(t))[0 if sign > 0.0 else 1])
+
+    x = _newton(lambda t: make((at(t), loc.theta) if loc.c is None else (loc.c, at(t)))(t),
+                lo, hi, 0.5 * (lo + hi) if x is None else float(x), rising)
+    return float(x), at(x)
+
+
+def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
+    """Where each of ``levels`` crosses the locus ``loc`` on the vertices X.
+
+    Between knots, cells over which its slope changes sign, a branch is
+    monotone, and ``searchsorted`` finds each level on each such run.  The
+    branches meet in tip cells, where disc changes sign.  A root locus starts
+    at X = 0 (F = -Y < 0) at p = +inf and -inf; where a (the fold locus' Q)
+    changes sign a branch passes infinity.  For the levels in its range (its
+    ends' padded by its width times the larger |dp/dX|) a knot cell is split
+    at its polished knot (``_knot``).  Two knots of one cell bracket a cusp,
+    where |slope| has a small local minimum that keeps its sign; that cell
+    takes the cusp, a fold locus knot, as a vertex too.  A crossing is a sign
+    change of p - level >= 0, so what a level finds depends on it alone.
+    Returns (i, lo, hi, start, rising): index of the level, cell, start, and
+    whether the left side minus the right is negative at lo; and the knots.
+    """
+    plus, minus, s_plus, s_minus, root, lead = _locus_terms(loc, x, *sums)
+    if x[0] == 0.0 and not loc.fold:
+        plus[0], minus[0], s_plus[0], s_minus[0] = math.inf, -math.inf, 1.0, 1.0
+    real = root >= 0.0
+    tips = np.flatnonzero(real[:-1] != real[1:]).tolist()
+    runs = list(zip([0] * bool(real[0]) + [j + 1 for j in tips if not real[j]],
+                    [j for j in tips if real[j]] + [x.size - 1] * bool(real[-1])))
+    poles = set(np.flatnonzero(lead[:-1] * lead[1:] < 0.0).tolist() if loc.fold else ())
+    l_min, l_max = float(levels.min()), float(levels.max())
+    # crossings as (level, cell, branch) on the vertices, or the cells refined
+    cusps, knots, hits, refined = [], [], [np.empty((3, 0), dtype=int)], []
+    for s in () if loc.fold else (s_plus, s_minus):
+        m = np.abs(s)
+        v = np.flatnonzero(m[2:-1] * x[2:-1] < 0.1 * loc.y) + 2
+        for v in v[(m[v] < m[v - 1]) & (m[v] <= m[v + 1]) & real[v - 1] & real[v + 1]
+                   & ((s[v - 1] < 0.0) == (s[v + 1] < 0.0))].tolist():
+            cusps += _level_crossings(loc._replace(fold=True), x[v - 1:v + 3],
+                                      sums[:, v - 1:v + 3], levels)[1]
+    for j in tips + [x.size - 1] * (not loc.fold and bool(real[-1])):
+        # a tip: branch 0 (1) if the locus is real at its lower (upper) end
+        v = j + (j + 1 < x.size and bool(real[j + 1]))
+        i = np.flatnonzero(((plus[v] >= levels) != (minus[v] >= levels)) & (j not in poles))
+        refined.append((i, *np.full((4, i.size), [[x[j]], [x[min(j + 1, x.size - 1)]],
+                                                  [plus[v]], [math.nan]]), v - j))
+    for b, (w, s) in enumerate(((plus, s_plus), (minus, s_minus))):
+        special = {}  # knot and cusp cells: the range of levels they refine
+        for j in np.flatnonzero((s[:-1] < 0.0) != (s[1:] < 0.0)).tolist():
+            if (real[j] and real[j + 1] and root[j] > 0.0 and root[j + 1] > 0.0
+                    and j not in poles and (j > 0 or x[0] > 0.0 or loc.fold)):
+                pad = max(abs(s[j] / root[j]), abs(s[j + 1] / root[j + 1])) * (x[j + 1] - x[j])
+                special[j] = [min(w[j], w[j + 1]) - pad, max(w[j], w[j + 1]) + pad]
+        for xc, c_lo, c_hi in cusps:
+            j = int(np.searchsorted(x, xc)) - 1
+            if 0 <= j < x.size - 1 and x[j] < xc and real[j] and real[j + 1]:
+                r = special.setdefault(j, [min(w[j], w[j + 1]), max(w[j], w[j + 1])])
+                r[:] = min(r[0], c_lo), max(r[1], c_hi)
+        cut = sorted(set(special) | {j for j in poles if w[j] * w[j + 1] < 0.0})
+        for first, last in runs:
+            for j in [j for j in cut if first <= j < last] + [last]:
+                v, ends = w[first:j + 1], sorted((float(w[first]), float(w[j])))
+                if j == first or ends[1] < l_min or ends[0] > l_max:
+                    first = j + 1
+                    continue  # a monotone piece that no level reaches
+                k = (np.searchsorted(v, levels, "left") if v[-1] >= v[0]
+                     else v.size - np.searchsorted(v[::-1], levels, "left"))
+                i = np.flatnonzero((k > 0) & (k < v.size))
+                hits.append(np.stack((i, first + k[i] - 1, np.full(i.size, b))))
+                first = j + 1
+        for j, (lo, hi) in special.items():
+            if hi < l_min or lo > l_max or not (
+                    mine := np.flatnonzero((levels >= lo) & (levels <= hi))).size:
+                continue
+            xs, vs, ss = [x[j], x[j + 1]], [w[j], w[j + 1]], [s[j], s[j + 1]]
+            for xc in sorted(cp[0] for cp in cusps if x[j] < cp[0] < x[j + 1]):
+                terms = _locus_terms(loc, xc, *loc.sums(xc))
+                xs[-1:-1], vs[-1:-1], ss[-1:-1] = [xc], [float(terms[b])], [float(terms[2 + b])]
+            for m in reversed(range(len(xs) - 1)):
+                if (ss[m] < 0.0) != (ss[m + 1] < 0.0):
+                    xk, vk = _knot(loc, 1.0 - 2.0 * b, xs[m], xs[m + 1], ss[m] < 0.0)
+                    xs[m + 1:m + 1], vs[m + 1:m + 1] = [xk], [vk]
+                    knots.append((xk, lo, hi))
+            xs, vs = np.array(xs), np.array(vs)
+            row, m = np.nonzero(np.diff(vs >= levels[mine, None], axis=1))
+            refined.append((mine[row], xs[m], xs[m + 1], vs[m], vs[m + 1], b))
+    if len(hits) == 1 and not refined:
+        return (hits[0][0], *np.empty((3, 0)), np.empty(0, dtype=bool)), knots
+    i, m, b = np.concatenate(hits, axis=1)
+    w = np.where(b == 0, plus[m], minus[m]), np.where(b == 0, plus[m + 1], minus[m + 1])
+    cells = [(i, x[m], x[m + 1], *w, b)] + [(*c[:5], np.full(c[0].size, c[5])) for c in refined]
+    # Newton starts where the chord crosses the level, or mid-cell
+    i, lo, hi, w_lo, w_hi, b = (np.concatenate(col) for col in zip(*cells))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (levels[i] - w_lo) / (w_hi - w_lo)
+    start = np.where((t > 0.0) & (t < 1.0), lo + t * (hi - lo), 0.5 * (lo + hi))
+    rising = np.where(b == 0, levels[i] < w_lo, levels[i] > w_lo)
+    return (i.astype(int), lo, hi, start, rising), knots
 
 
 def _fold_window(xi: float) -> float:
-    """The smallest power of ten >= max(xi, 100); ``xi`` itself above 1e308,
-    where that power is not a float.
-
-    A root solve at drive Y searches the folds up to X/A = this window of
-    Y/A, so that a few cached grids serve every drive; the smallest window
-    is the default one of ``turning_points``.
-    """
+    """The smallest power of ten >= max(xi, 100) (``xi`` above 1e308): a root
+    solve at drive Y forms its loci up to X/A = this window of Y/A, so that a
+    few cached grids serve every drive and the smallest is ``turning_points``'."""
     if xi <= 100.0:
         return 100.0
     k = math.ceil(math.log10(xi))
     # log10 can round across an integer: take the least candidate >= xi
-    for e in (k - 1, k, k + 1):
-        if e <= 308 and 10.0 ** e >= xi:
-            return 10.0 ** e
-    return xi
-
-
-def _binned_folds(p: ModelParams, xi_max: float, c: np.ndarray,
-                  theta: np.ndarray) -> np.ndarray:
-    """The folds below X/A = ``xi_max`` at every step of the (n,) arrays
-    ``c`` and ``theta``, in lockstep: (n, 2), ascending, inf where none.
-
-    A fold pair narrower than the grid step leaves no sign change of dY/dX
-    on the grid, but the slope minimum between the folds is negative: so
-    each grid interval that holds a slope minimum is split there, and every
-    interval over which dY/dX changes sign brackets a fold, refined by
-    Newton on dY/dX from its midpoint.  A fold within 1e-8 (relative) of the
-    last one kept at its step is dropped (only slope noise at a fold makes
-    one); a step left with more than two raises RuntimeError naming it.
-    """
-    grid, (i, j, neg_lo, neg_hi, fi, fj, f_neg) = _fold_grid(
-        p, min(1e-9, 1e-6 * xi_max), xi_max, c, theta)
-    minima = _slope_minima(grid, p, c, theta, i, j)
-    neg_min = _slope_fdf(p)((c[i], theta[i]))(minima)[0] < 0.0
-    left, right = neg_lo != neg_min, neg_min != neg_hi
-    step = np.concatenate((fi, i[left], i[right]))
-    lo = np.concatenate((grid[fj], grid[j[left]], minima[right]))
-    hi = np.concatenate((grid[fj + 1], minima[left], grid[j[right] + 1]))
-    rising = np.concatenate((f_neg, neg_lo[left], neg_min[right]))
-    x = _newton_many(_slope_fdf(p), (c[step], theta[step]), lo, hi,
-                     0.5 * (lo + hi), rising)
-
-    # each step's folds ascending, less each one within 1e-8 (relative) of
-    # the last one kept: (step, column) and X of the folds kept
-    rows, cols, kept = [], [], []
-    order = np.lexsort((x, step))
-    last_step, last, col = -1, -math.inf, 0
-    for k, xk in zip(step[order].tolist(), x[order].tolist()):
-        if k != last_step:
-            last_step, last, col = k, -math.inf, 0
-        if xk - last > 1e-8 * xk:
-            rows.append(k)
-            cols.append(col)
-            kept.append(xk)
-            last, col = xk, col + 1
-    if 2 in cols:
-        k = rows[cols.index(2)]
-        raise RuntimeError(
-            f"found {rows.count(k)} slope sign changes at "
-            f"{replace(p, c=float(c[k]), theta=float(theta[k]))!r}; "
-            "the saturable response should fold at most twice"
-        )
-    folds = np.full((c.size, 2), np.inf)
-    folds[rows, cols] = kept
-    return folds
+    return next((10.0 ** e for e in (k - 1, k, k + 1) if e <= 308 and 10.0 ** e >= xi), xi)
 
 
 def _state_terms(x_int, y_drive, c, theta, p: ModelParams):
@@ -878,53 +916,40 @@ def _branch_labels(n_roots: int) -> list[Branch]:
 def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     """All steady states at drive intensity Y, sorted by increasing X.
 
-    Roots are bracketed on the monotone segments of the response, split at
-    the folds below Y.  For a plane wave they are the roots of the exact
-    root cubic F (see ``_plane_cubics``), each polished by safeguarded
-    Newton on F inside its bracket.  Gaussian profiles take the folds from
-    ``_binned_folds``, searched up to X/(1 + delta^2) = the smallest power
-    of ten at or above max(Y/(1 + delta^2), 100), so that drives share
-    cached grids, and polish each root by the same safeguarded Newton on
-    the binned state equation.  Three roots are labeled lower/middle/upper
-    and the middle one is always unstable; a single root is labeled
-    monostable.
+    For a plane wave the roots are those of the exact root cubic F (see
+    ``_plane_cubics``), bracketed between the folds below Y and polished by
+    safeguarded Newton on F.  A binned profile solves a one-step trace: its
+    C crosses the root locus C(X) at Y (``_binned_roots``).  Within about
+    2e-10 (relative) of ``critical_point``'s C, where a root triple spans
+    about 1e-5 of X and F is at round-off there, round-off decides whether
+    it finds one root or three.  Three roots are labeled lower/middle/upper
+    and the middle one is always unstable; one root is labeled monostable.
     """
     _checked(y_drive, "drive intensity Y")
     if y_drive == 0.0:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
-    if isinstance(p.transverse, PlaneWave):
-        roots = _distinct(_plane_roots(y_drive, p))
-    else:
-        row = _binned_roots(np.array([float(y_drive)]), np.array([p.c]),
-                            np.array([p.theta]), p)[0]
-        roots = _distinct([x for x in row.tolist() if x == x])
+    roots = (_distinct(_plane_roots(y_drive, p)) if isinstance(p.transverse, PlaneWave)
+             else _trace_roots([float(y_drive)], [p.c], [p.theta], p)[0])
     return [_assemble_state(x, y_drive, p, lab)
             for x, lab in zip(roots, _branch_labels(len(roots)))]
 
 
 def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
-    """The distinct roots at every step of a trace, each list ascending.
-
-    ``y``, ``c`` and ``theta`` are lists with one value per step; the delta
-    and the profile are those of ``p``.  Every step is solved in lockstep: a
-    plane wave by ``_plane_roots_many``, a binned profile by
-    ``_binned_roots`` over blocks of steps (``_trace_blocks``), so that
-    memory stays flat in the trace length.  A binned ``solve_steady_states``
-    runs ``_binned_roots`` on its one step.  The roots of the default
-    12,500-step Gaussian-64 release take about 0.75 s, 60 us a step, where a
-    solve per step took about 0.5 ms (one BLAS thread, shared 2-core box).
-    """
+    """The distinct roots at every step of a trace (lists ``y``, ``c`` and
+    ``theta``; delta and the profile of ``p``) by ``_plane_roots_many`` or
+    ``_binned_roots``: 47-112 ms for the default 12,500-step Gaussian-64
+    release, against 0.49-0.84 s of a fold search per step (one BLAS
+    thread, shared 2-core box)."""
     if isinstance(p.transverse, PlaneWave):
         rows = _plane_roots_many(y, c, p.delta, theta)
     else:
         y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
-        rows = np.full((y.size, 7), np.nan)
+        rows = np.full((y.size, 3), np.nan)
         rows[y == 0.0, 0] = 0.0
         driven = np.flatnonzero(y != 0.0)
-        for b in _trace_blocks(driven.size, p.transverse):
-            k = driven[b]
-            rows[k] = _binned_roots(y[k], c[k], theta[k], p)
+        if driven.size:
+            rows[driven] = _binned_roots(y[driven], c[driven], theta[driven], p)
     return [_distinct([x for x in row if x == x]) for row in rows.tolist()]
 
 
@@ -1011,40 +1036,45 @@ def _plane_roots_many(y, c, delta: float, theta) -> np.ndarray:
 
 def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
                   p: ModelParams) -> np.ndarray:
-    """The roots at drives Y > 0, C and theta, (n,) arrays, in lockstep.
-
-    Roots satisfy X <= Y, so only the folds below Y split the brackets, and
-    the lower bracket edge sits below Y / max(state-equation factor).  The
-    folds come from ``_binned_folds``, searched up to X/A =
-    ``_fold_window(Y/A)`` so that drives share cached grids; the Newton
-    polish on the state equation then runs over every (step, segment) at
-    once (``_segment_roots_many``).  Returns (n, 7) as ``_plane_roots_many``.
+    """The roots at drives Y > 0, C and theta, (n,) arrays: (n, 3), each row
+    ascending, NaN where there is none.  A trace that shares Y and C crosses
+    one root locus theta(X); otherwise steps that share Y and theta cross one
+    root locus C(X) (``_level_crossings``), as a single solve does.  Each cell
+    is polished by lockstep Newton; more than three crossings raise.
     """
     a_sat = 1.0 + p.delta * p.delta
     g0 = float(np.sum(_layout(p.transverse)[3])) / a_sat
-    absorb = 1.0 + 2.0 * c * g0
-    disperse = np.abs(theta) + 2.0 * c * abs(p.delta) * g0
-    x_lo = 0.25 * y / (absorb * absorb + disperse * disperse)
-    xis = (y / a_sat).tolist()
-    window_of = {xi: _fold_window(xi) for xi in set(xis)}
-    windows = np.array([window_of[xi] for xi in xis])
-    folds = np.empty((y.size, 2))
-    for w in set(window_of.values()):
-        k = np.flatnonzero(windows == w)
-        folds[k] = _binned_folds(p, w, c[k], theta[k])
-
-    # the folds in (x_lo, Y) first, so that the edges ascend even where
-    # the lower fold lies at or below x_lo and the upper one above it
-    top = y[:, None]
-    inner = np.where((x_lo[:, None] < folds) & (folds < top), folds, np.inf)
-    inner.sort(axis=1)
-    edges = np.empty((y.size, 4))
-    edges[:, 0], edges[:, 1:3], edges[:, 3] = x_lo, np.minimum(inner, top), y
-    valid = np.ones(edges.shape, dtype=bool)
-    valid[:, 1:3] = inner < np.inf
-    at = _sums_and_response(edges, c[:, None], theta[:, None], p)[1]
-    return _segment_roots_many(_root_fdf(p), (c, theta, y), edges, at.y - top,
-                               at.y2, valid)
+    sweep_theta = (c == c[0]).all() and (y == y[0]).all() and not (theta == theta[0]).all()
+    groups, cells = [np.arange(y.size)], []
+    if y.size > 1 and not sweep_theta:
+        o = np.lexsort((theta, y))
+        groups = np.split(o, np.flatnonzero(np.diff(np.stack((y, theta))[:, o]).any(0)) + 1)
+    for k in groups:
+        yk, ck, tk = float(y[k[0]]), float(c[k[0]]), float(theta[k[0]])
+        # Y(X) <= X times the factor at G(0) >= G(X): no root lies below Y/factor
+        top, detune = np.max(c[k]), np.max(np.abs(theta[k]))
+        factor = (1.0 + 2.0 * top * g0) ** 2 + (detune + 2.0 * top * abs(p.delta) * g0) ** 2
+        j, *cell = _level_crossings(
+            _Locus(p, False, ck, None, yk) if sweep_theta else _Locus(p, False, None, tk, yk),
+            *_locus_grid(p, _fold_window(yk / a_sat), yk, 0.5 * yk / factor),
+            theta[k] if sweep_theta else c[k])[0]
+        cells.append((k[j], *cell))
+    step, lo, hi, start, rising = (np.concatenate(col) for col in zip(*cells))
+    count = np.bincount(step, minlength=y.size)
+    if count.max() > 3:
+        i = int(np.argmax(count))
+        q = replace(p, c=float(c[i]), theta=float(theta[i]))
+        raise RuntimeError(f"found {count[i]} crossings of the root locus, more than three, "
+                           f"at Y={float(y[i])!r}, {q!r}")
+    roots = np.empty(step.size)
+    for b in _trace_blocks(step.size, p.transverse):
+        s = step[b]
+        roots[b] = _newton_many(_root_fdf(p), (c[s], theta[s], y[s]), lo[b], hi[b],
+                                start[b], rising[b])
+    order = np.lexsort((roots, step))
+    step, out = step[order], np.full((y.size, 3), np.nan)
+    out[step, np.arange(step.size) - np.searchsorted(step, step)] = roots[order]
+    return out
 
 
 def peak_transmission(y_drive: float, p: ModelParams) -> float:
@@ -1056,7 +1086,7 @@ def peak_transmission(y_drive: float, p: ModelParams) -> float:
     the susceptibility at delta = 0, and h(X) = A Y_1(X/A), where Y_1 is the
     state equation at C/A and delta = theta = 0.  The peak is therefore
     A times the largest root of ``solve_steady_states`` at drive Y/A there:
-    the exact cubic for a plane wave, the fold-bracketed solver otherwise.
+    the exact cubic for a plane wave, the root locus in C otherwise.
     """
     _checked(y_drive, "drive intensity Y", positive=True)
     a_sat = 1.0 + p.delta * p.delta
@@ -1104,23 +1134,6 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
     return c
 
 
-def _fold_curve(c0: float, lin, quad):
-    """The least C > 0 with c0 + C lin + C^2 quad = 0 (c0 > 0), inf where
-    there is none, elementwise: arrays, or 0-d for floats.
-
-    At fixed X, dY/dX = 1 + theta^2 + C (1 - delta theta) P + C^2 Q (see
-    ``_grid_sums``), so with these coefficients the result is the fold
-    curve, the C at which X is a fold.  With disc = lin^2 - 4 quad c0, the
-    root is formed free of cancellation: 2 c0/(sqrt(disc) - lin) where lin
-    <= 0, and (lin + sqrt(disc))/(-2 quad) where lin > 0, which has a
-    positive root only if quad < 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(lin * lin - 4.0 * quad * c0)
-        c = np.where(lin <= 0.0, 2.0 * c0 / (root - lin), (lin + root) / (-2.0 * quad))
-    return np.where(c > 0.0, c, math.inf)
-
-
 def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, float, float]:
     """Onset of bistability for the detunings/profile in ``p``.
 
@@ -1128,20 +1141,16 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
     folds of the response merge into a cusp with dY/dX = 0 and d2Y/dX2 = 0,
     together with that point's coordinates, as floats.  ``p.c`` is ignored.
 
-    The cusp is the minimum over X of the fold curve C_fold(X) (see
-    ``_fold_curve``), searched below ``x_max`` (default 1e4 (1 + delta^2)):
-    one array pass over the log grid of ``_grid_sums``, cached in X/(1 +
-    delta^2) so that with the default ``x_max`` every delta shares it, takes
-    the argmin, and d2Y/dX2 at C_fold must change sign from - to + across
-    its neighbours.  One safeguarded Newton (``_newton``) then solves
-    d2Y/dX2(X, C_fold(X)) = 0 between them, with d3Y/dX3 as the derivative:
-    exact at the root, where dC_fold/dX = 0.  An error e in X moves C by
-    O(e^2) only.  Plane waves and binned profiles take this one path.  A
-    window with no cusp (no finite C_fold, the argmin at either end of the
-    grid, or no sign change) raises RuntimeError naming ``x_max`` and ``p``.
-
-    For binned profiles, round-off in dY/dX decides the fold count within
-    a few ulps of the returned C (see ``turning_points``).
+    The cusp is the minimum over X of the fold curve C_fold(X), the least
+    positive C at which X is a fold (branch ``minus`` of the fold locus in
+    C), below ``x_max`` (default 1e4 (1 + delta^2)): one pass over the cached
+    grid takes the argmin, and d2Y/dX2 at C_fold must change sign from - to
+    + across its neighbours.  One safeguarded Newton (``_knot``) solves
+    d2Y/dX2(X, C_fold(X)) = 0 between them, with d3Y/dX3 as the derivative,
+    exact where dC_fold/dX = 0: an error e in X moves C by O(e^2).  Both
+    profiles take this path.  A window with no cusp raises RuntimeError
+    naming ``x_max`` and ``p``.  A binned ``turning_points`` takes this cusp
+    as its knot, so its fold count flips exactly at the returned C.
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -1149,25 +1158,14 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
     else:
         _checked(x_max, "x_max", positive=True)
         xi_max = x_max / a_sat
-    slope0, proj = 1.0 + p.theta * p.theta, 1.0 - p.delta * p.theta
-    xi, tp, tq, tr, ts = _grid_sums(p.transverse, 1e-6, xi_max)
-    c_fold = _fold_curve(slope0, (proj / a_sat) * tp, tq / a_sat)
-    j = int(np.argmin(c_fold))
-    # the sign of d2Y/dX2 = C (proj R + C S)/A^2 at the argmin's neighbours;
-    # at either end of the grid, twice at the argmin, which fails the test
-    k = [j - 1, j + 1] if 0 < j < xi.size - 1 else [j, j]
-    curv_lo, curv_hi = (proj * tr[k] + c_fold[k] * ts[k]).tolist()
-    if not -math.inf < curv_lo < 0.0 < curv_hi < math.inf:
+    loc = _Locus(p, True, None, p.theta)
+    x, sums = _locus_grid(p, xi_max)
+    c_fold, curv = _locus_terms(loc, x, *sums)[1::2][:2]
+    j = int(np.argmin(np.where(c_fold > 0.0, c_fold, math.inf)))
+    # d2Y/dX2 at the argmin's neighbours; at the grid's ends, twice at it
+    k = [j - 1, j + 1] if 0 < j < x.size - 1 else [j, j]
+    curv_lo, curv_hi = curv[k].tolist()
+    if not (c_fold[j] > 0.0 and -math.inf < curv_lo < 0.0 < curv_hi < math.inf):
         raise RuntimeError(f"no cusp of the fold curve below x_max={x_max!r} at {p!r}")
-
-    def fold_c(x: float) -> float:
-        g, g1 = _bin_sums(x, p.transverse, a_sat, 2)
-        xg1 = x * g1
-        return float(_fold_curve(slope0, 4.0 * proj * (g + xg1),
-                                 4.0 * a_sat * g * (g + 2.0 * xg1)))
-
-    curvature = _curvature_fdf(p)
-    lo, x, hi = (a_sat * xi[j - 1:j + 2]).tolist()
-    x_crit = float(_newton(lambda t: curvature((fold_c(t), p.theta))(t), lo, hi, x, True))
-    c_crit = fold_c(x_crit)
+    x_crit, c_crit = _knot(loc, -1.0, x[j - 1], x[j + 1], True, x[j])
     return c_crit, x_crit, float(_response_at(x_crit, c_crit, p.theta, p).y)

@@ -8,12 +8,15 @@ number.  Each turns its schedule into arrays of C and theta, one entry per
 time step, and the shared tracker works through the whole trace in passes,
 not step by step:
 
-1. roots: the distinct steady states of every step, all steps in lockstep
-   and bit for bit the roots of a single solve.  A plane wave polishes the
-   roots of its exact cubics (``bistability._plane_roots_many``); a binned
-   profile takes the fold grid of every step as a few products of cached
-   tables, then finds the slope minima, the folds and the roots over all
-   its brackets at once (``bistability._binned_roots``), in blocks of steps.
+1. roots: the distinct steady states of every step, all steps in lockstep.
+   A plane wave polishes the roots of its exact cubics
+   (``bistability._plane_roots_many``).  A binned profile forms one root
+   locus per trace on a cached grid, C(X) along a release and theta(X)
+   along a piezo sweep; each step's roots lie in the cells where its C or
+   theta crosses it, and one Newton polishes them all
+   (``bistability._binned_roots``).  A plane wave's or a release's rows are
+   bit for bit the roots of a single solve; a piezo sweep's agree to
+   round-off.
 2. states: slope dY/dX, effective detuning and amplitude x of every root of
    every step, in array passes over blocks of roots
    (``bistability._trace_states``), so that memory stays flat in the trace

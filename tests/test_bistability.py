@@ -32,14 +32,13 @@ from cavsqueeze import bistability
 from cavsqueeze.bistability import (
     _bin_sums,
     _curvature_fdf,
-    _fold_grid,
     _fold_window,
     _gauss_legendre_01,
     _grid_sums,
     _layout,
+    _locus_grid,
     _reduce_bins,
     _response,
-    _slope_minima,
 )
 from cavsqueeze.spectra import _bin_columns
 
@@ -279,30 +278,6 @@ def test_curvature_derivative_matches_finite_difference():
             assert y3 == pytest.approx((4 * narrow - wide) / 3, rel=1e-9)
 
 
-def test_slope_minima_match_bisection():
-    # Newton on d2Y/dX2 lands where a bisection to round-off does
-    def bisect(f, lo, hi):
-        while hi - lo > 4 * np.finfo(float).eps * hi:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    for m, c, delta, theta in [(64, 150.0, -20.0, -7.5), (16, 100.0, 3.0, 0.0),
-                               (8, 30.0, 1.0, -2.0), (64, 8.3112565261436, 0.0, 0.0),
-                               (16, 400.0, -1.0, 3.0)]:
-        p = ModelParams(c=c, delta=delta, theta=theta, transverse=GaussianBins(m))
-        cs, thetas = np.array([p.c]), np.array([p.theta])
-        grid, (step, steps, *_) = _fold_grid(p, 1e-9, 1e4, cs, thetas)
-        minima = _slope_minima(grid, p, cs, thetas, step, steps)
-        assert minima.size == steps.size >= 1
-        for x, i in zip(minima, steps):
-            ref = bisect(lambda t: _response(t, p).y2, grid[i], grid[i + 1])
-            assert abs(x - ref) <= 1e-12 * ref, (p, x, ref)
-
-
 # === turning points and the critical point ===
 
 def test_no_folds_without_atoms():
@@ -397,6 +372,16 @@ def test_critical_point_brackets_the_onset_of_folds(transverse, delta, theta):
     c, _, _ = critical_point(p)
     assert turning_points(dataclasses.replace(p, c=c * (1.0 - 1e-13))).points == ()
     assert turning_points(dataclasses.replace(p, c=c * (1.0 + 1e-13))).bistable
+
+
+@pytest.mark.parametrize("transverse, delta, theta",
+                         [k for k in _CRITICAL_POINTS if isinstance(k[0], GaussianBins)])
+def test_binned_fold_count_flips_exactly_at_the_critical_point(transverse, delta, theta):
+    # turning_points takes critical_point's polish as the cusp of its fold locus
+    p = ModelParams(c=1.0, delta=delta, theta=theta, transverse=transverse)
+    c, _, _ = critical_point(p)
+    assert turning_points(dataclasses.replace(p, c=c)).points == ()
+    assert turning_points(dataclasses.replace(p, c=float(np.nextafter(c, math.inf)))).bistable
 
 
 @pytest.mark.parametrize("x_max", [0.5, 2.0])
@@ -585,11 +570,13 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
     assert _grid_sums.cache_info().currsize == 2
     # the unit sums, scaled by powers of A, agree with a full evaluation
     xi_lo, xi_max = 1e-9, 100.0
-    xi, tp, tq, tr, ts = _grid_sums(p.transverse, xi_lo, xi_max)
-    grid, _ = _fold_grid(p, xi_lo, xi_max, np.array([p.c]), np.array([p.theta]))
+    xi, (tg, tp, tq, tr, ts) = _grid_sums(p.transverse, xi_lo, xi_max)
+    grid, (g, *_) = _locus_grid(p, xi_max)
     assert np.array_equal(grid, 401.0 * np.geomspace(xi_lo, xi_max, 4096))
     direct = _response(grid, p)
     unit = _bin_sums(xi, p.transverse, 1.0)
+    assert np.array_equal(tg, unit[0])  # the G column is the unit sum itself
+    assert np.max(np.abs(g - direct.g) / direct.g) <= 4e-15
     for a, b, k in zip(unit, direct[:3], (1, 2, 3)):  # G, G', G''
         assert np.max(np.abs(a / 401.0 ** k - b) / np.abs(b)) <= 4e-15
     # and so do the cached fold tables, to round-off in the terms they sum
@@ -598,7 +585,10 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
                      ((u * tr / 401.0 ** 2, v * ts / 401.0 ** 2), direct.y2)):
         scale = sum(np.abs(t) for t in terms)
         assert np.max(np.abs(sum(terms) - b) / scale) <= 1e-13
-    for a in _grid_sums(p.transverse, xi_lo, xi_max):
+    # the state equation from the G column, as the root locus reads it
+    y_g = grid * (1.0 + p.theta ** 2 + 4.0 * u * g + 4.0 * v * 401.0 * g * g)
+    assert np.max(np.abs(y_g - direct.y) / direct.y) <= 1e-13
+    for a in (xi, tg, tp, tq, tr, ts):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -627,9 +617,9 @@ def test_binned_roots_across_fold_windows(monkeypatch):
     assert tp.bistable and tp.points[0] < 100.0 * a < tp.points[1]
 
     windows = []
-    folds = bistability._binned_folds
-    monkeypatch.setattr(bistability, "_binned_folds", lambda q, xi_max, *steps:
-                        windows.append(xi_max) or folds(q, xi_max, *steps))
+    locus_grid = bistability._locus_grid
+    monkeypatch.setattr(bistability, "_locus_grid", lambda q, xi_max, *top:
+                        windows.append(xi_max) or locus_grid(q, xi_max, *top))
     # Y/A = 99, 100, the float after 100, 1e3 and a float just above 1e3
     ys = [float(y) for y in (99.0 * a, 100.0 * a, np.nextafter(100.0 * a, math.inf),
                              1e3 * a, np.nextafter(1e3 * a, math.inf))]
@@ -680,6 +670,79 @@ def test_binned_roots_far_above_both_fold_ordinates(m):
                 assert abs(s.intensity - x) <= 1e-12 * x
             if y > max(tp.ordinates):
                 assert [s.branch for s in states] == [Branch.MONOSTABLE]
+
+
+def _roots_between_folds(y, p):
+    """Independent reference: one brentq root of Y(X) - Y on each monotone
+    segment between 0, the folds of ``turning_points`` and Y."""
+    edges = [0.0, *turning_points(p, x_max=y).points, y]
+    resid = [state_equation(x, p) - y for x in edges]
+    return [brentq(lambda x: state_equation(x, p) - y, lo, hi, xtol=1e-300,
+                   rtol=4 * np.finfo(float).eps)
+            for lo, hi, f_lo, f_hi in zip(edges, edges[1:], resid, resid[1:])
+            if f_lo * f_hi < 0.0]
+
+
+def _level_of_fold(p, y, name, lo, hi, pick):
+    """The C or theta (``name``) at which fold ordinate ``pick`` (min or max)
+    of the response of ``p`` is Y: a knot of the root locus at Y."""
+    return brentq(lambda v: pick(turning_points(dataclasses.replace(p, **{name: v}))
+                                 .ordinates) - y, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+# (swept parameter, the other one fixed, drive, brackets of the two knots)
+_KNOTS = [("c", dict(theta=-7.5), 800.0, ((109.0, 110.0, max), (112.0, 113.0, min))),
+          ("theta", dict(c=150.0), 3000.0, ((-8.7, -8.5, max), (-5.6, -5.4, min)))]
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("name, fixed, y, knots", _KNOTS)
+def test_binned_roots_inside_a_knot_cell(m, name, fixed, y, knots):
+    # a level within 1e-10 of a knot of the root locus: on one side the
+    # response has a root pair narrower than one cell of the locus grid
+    p = ModelParams(delta=-20.0, transverse=GaussianBins(m), **fixed)
+    cell = math.log(1e11) / 4095  # the grid's log step at the smallest window
+    for lo, hi, pick in knots:
+        knot = _level_of_fold(p, y, name, lo, hi, pick)
+        levels = [knot * (1.0 - 1e-10), knot * (1.0 + 1e-10)]
+        # a release shares theta and sweeps C, a piezo sweep shares C
+        rows = bistability._trace_roots(
+            [y] * 2, levels if name == "c" else [p.c] * 2,
+            levels if name == "theta" else [p.theta] * 2, p)
+        assert sorted(len(r) for r in rows) == [1, 3], (name, knot)
+        for v, row in zip(levels, rows):
+            q = dataclasses.replace(p, **{name: v})
+            ref = _roots_between_folds(y, q)
+            assert len(row) == len(ref)
+            for x, r in zip(row, ref):
+                # a root of the narrow pair is as ill-conditioned as dY/dX is small
+                assert abs(x - r) <= 1e-12 * r + 1e-13 * y / abs(state_equation_slope(r, q))
+            if len(row) == 3:
+                pair = min(row[1] - row[0], row[2] - row[1])
+                assert pair < cell * row[1]  # narrower than a cell
+            # a one-step trace is the single solve, on the root locus C(X)
+            if name == "c":
+                assert row == [s.intensity for s in solve_steady_states(y, q)]
+
+
+@pytest.mark.parametrize("m, c, x_ref", [
+    # step 8 of the Gaussian-64 benchmark release, and just below the tip's C
+    (8, 109.15523448392895, 424.1956684740072),
+    (64, 109.15523448392895, 424.19566847402547),
+    (8, 109.20608118433053, 424.19834710743805),
+    (64, 109.20608118433053, 424.19834710743805),
+])
+def test_binned_root_in_the_tip_cell(m, c, x_ref):
+    # the root locus C(X) at delta = -20, theta = -7.5, Y = 800 is real up to
+    # X_t = A Y/(delta + theta)^2 = 424.198..., where its two branches meet:
+    # these roots lie in the grid cell that holds X_t (pinned from the
+    # earlier per-step fold search)
+    p = ModelParams(c=c, delta=-20.0, theta=-7.5, transverse=GaussianBins(m))
+    x_tip = 401.0 * 800.0 / 27.5 ** 2
+    states = solve_steady_states(800.0, p)
+    assert len(states) == 1
+    assert x_tip * (1.0 - math.log(1e11) / 4095) < states[0].intensity <= x_tip
+    assert abs(states[0].intensity - x_ref) <= 1e-14 * x_ref
 
 
 def test_plane_wave_roots_against_exact_discriminant():

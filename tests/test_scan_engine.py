@@ -169,22 +169,27 @@ def test_lockstep_binned_roots_equal_the_scalar_solve_near_folds(m):
     _assert_binned_lockstep_equals_scalar(ys, cs, -20.0, [-7.5] * len(cs), m)
 
 
-def test_a_step_with_more_than_two_folds_raises_naming_it(monkeypatch):
-    fold_grid = bistability._fold_grid
+@pytest.mark.parametrize("sweep", ["c", "theta"])
+def test_a_step_with_more_than_three_crossings_raises_naming_it(monkeypatch, sweep):
+    crossings = bistability._level_crossings
 
-    def three_more_folds(p, xi_lo, xi_max, c, theta):
-        grid, (i, j, neg_lo, neg_hi, fi, fj, f_neg) = fold_grid(p, xi_lo, xi_max, c, theta)
-        # fold brackets without a sign change in them at step 7: Newton ends at an edge
-        return grid, (i, j, neg_lo, neg_hi, np.concatenate((fi, [7, 7, 7])),
-                      np.concatenate((fj, [100, 1000, 2000])),
-                      np.concatenate((f_neg, [True] * 3)))
+    def three_more(loc, x, sums, levels):
+        (i, lo, hi, start, rising), knots = crossings(loc, x, sums, levels)
+        if not loc.fold:
+            # cells without a root in them at step 7: Newton ends at an edge
+            cells = np.array([10, 100, 200])
+            i, lo, hi, start = (np.concatenate(pair) for pair in (
+                (i, [7] * 3), (lo, x[cells]), (hi, x[cells + 1]),
+                (start, 0.5 * (x[cells] + x[cells + 1]))))
+            rising = np.concatenate((rising, [True] * 3))
+        return (i, lo, hi, start, rising), knots
 
-    monkeypatch.setattr(bistability, "_fold_grid", three_more_folds)
+    monkeypatch.setattr(bistability, "_level_crossings", three_more)
     p = ModelParams(c=220.0, delta=-20.0, theta=-7.5, transverse=GaussianBins(8))
-    cs = np.linspace(100.0, 200.0, 20).tolist()
-    thetas = np.linspace(-7.5, -7.0, 20).tolist()
-    step7 = re.escape(repr(replace(p, c=cs[7], theta=thetas[7])))
-    with pytest.raises(RuntimeError, match=rf"found [3-5] slope sign changes at {step7}"):
+    cs = np.linspace(100.0, 200.0, 20).tolist() if sweep == "c" else [150.0] * 20
+    thetas = [-7.5] * 20 if sweep == "c" else np.linspace(-7.5, -7.0, 20).tolist()
+    step7 = re.escape(f"Y=800.0, {replace(p, c=cs[7], theta=thetas[7])!r}")
+    with pytest.raises(RuntimeError, match=rf"found [4-6] crossings .* {step7}"):
         bistability._trace_roots([800.0] * 20, cs, thetas, p)
 
 
