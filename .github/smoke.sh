@@ -11,6 +11,23 @@ cavsqueeze spectrum --model.transverse=gaussian --model.gaussian_bins=64 --scan.
 cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --model.C=150 --model.delta=-3 --model.theta=2
 cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=64 --model.C=400 --model.delta=-1 --model.theta=3 --scan.drive_Y=100000
 cavsqueeze mc-cloud --cloud.mc_samples=20000 --cloud.n_times=3
+decay=$(mktemp)
+trap 'rm -f "$decay"' EXIT
+# noiseless decay samples of the default cloud (C0 = 220, sigma_r = 4 mm, T = 5 mK)
+cat > "$decay" <<'EOF'
+t_s,c
+0.0,220.0
+0.005555555555555556,137.14832854977107
+0.011111111111111112,64.23324141358457
+0.016666666666666666,33.9050112257775
+0.022222222222222223,20.29708136546715
+0.02777777777777778,13.302478683139684
+0.03333333333333333,9.29498115260082
+0.03888888888888889,6.804064775608972
+0.044444444444444446,5.157113395869568
+0.05,4.014721842257404
+EOF
+cavsqueeze fitc "$decay"
 cavsqueeze oracle --model.n_atoms=1 --model.C=0.2 --scan.drive_Y=0.01 --scan.n_omega=3
 cavsqueeze release --scan.duration_s=0.018 --scan.dt_s=0.00018 --scan.vbw_hz=1000
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=64 --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250

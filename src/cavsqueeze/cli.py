@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import os
+import re
 import stat
 import sys
+from dataclasses import fields
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -24,32 +25,47 @@ from .bistability import solve_steady_states, turning_points
 from .cloud import cooperativity_decay, fit_cooperativity, mc_cooperativity, read_samples
 from .config import ConfigError, RunConfig, load_config
 from .oracle import me_oracle_spectrum
-from .scans import free_release_scan, piezo_scan
+from .scans import Trace, free_release_scan, piezo_scan
 from .spectra import build_fluctuation_system, efficiency_matrix, output_spectrum, quadrature_extrema
 
 __all__ = ["main", "entry"]
 
+# the trace CSV's columns: the ``Trace`` fields of these names, lower-cased
 TRACE_HEADER = ["t_s", "c", "theta_eff", "X", "branch", "s_meas", "s_min", "s_max", "shot_ref"]
 SPECTRUM_HEADER = ["omega_hz", "v11", "v12", "v22", "s_min", "s_max", "theta_min"]
 
-
-def _format(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _write_csv(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+def _fields(column: Iterable[Any]) -> list[str]:
+    """One column's CSV fields, formatted once by the type of its values.
+
+    A float prints as ``float.__repr__`` (round-trip precision), a bool as
+    ``true`` or ``false``, an int in decimal, and a str as it is, quoted as
+    ``csv.writer`` quotes a field where it holds a comma, a quote, CR or LF.
+    """
+    col = np.asarray(column)
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        return list(map(float.__repr__, values))
+    if col.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, values))
+    if col.dtype.kind == "U":
+        return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v
+                for v in values]
+    raise TypeError(f"no CSV format for a column of {col.dtype}")
+
+
+def _write_csv(cfg: RunConfig, header: Sequence[str],
+               columns: Iterable[Iterable[Any]]) -> None:
+    """Write ``header`` and the table whose columns are ``columns`` at once."""
     path = cfg["output.path"]
-    formatted = [[_format(v) for v in row] for row in rows]
+    rows = map(",".join, zip(*map(_fields, columns), strict=True))
+    text = "\n".join([",".join(header), *rows]) + "\n"
     with (_open_output(path) if path else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(formatted)
+        fh.write(text)
 
 
 def _open_output(path: str):
@@ -86,13 +102,13 @@ def _open_output(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _spectrum_rows(spectra, eta: float):
+def _spectrum_columns(spectra, eta: float):
     rows = []
     for q in spectra:
         ve = efficiency_matrix(q.v, eta)
         lo, hi, theta = quadrature_extrema(ve)
         rows.append([q.omega_hz, ve[0, 0], ve[0, 1], ve[1, 1], lo, hi, theta])
-    return rows
+    return zip(*rows)
 
 
 def _omega_grid(cfg: RunConfig) -> np.ndarray:
@@ -108,13 +124,12 @@ def _cmd_steady(cfg: RunConfig, args: argparse.Namespace) -> None:
     p = cfg.model_params()
     roots = solve_steady_states(cfg["scan.drive_Y"], p)
     rows = [[r.intensity, r.drive, r.branch.name, r.stable, r.slope] for r in roots]
-    _write_csv(cfg, ["X", "Y", "branch", "stable", "slope"], rows)
+    _write_csv(cfg, ["X", "Y", "branch", "stable", "slope"], zip(*rows))
 
 
 def _cmd_turning(cfg: RunConfig, args: argparse.Namespace) -> None:
     tp = turning_points(cfg.model_params())
-    rows = [[x, y] for x, y in zip(tp.points, tp.ordinates)]
-    _write_csv(cfg, ["X", "Y"], rows)
+    _write_csv(cfg, ["X", "Y"], [tp.points, tp.ordinates])
 
 
 def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -125,39 +140,26 @@ def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> None:
     ss = min(stable, key=lambda r: r.intensity)
     fs = build_fluctuation_system(ss, p)
     spectra = [output_spectrum(fs, float(om)) for om in _omega_grid(cfg)]
-    _write_csv(cfg, SPECTRUM_HEADER, _spectrum_rows(spectra, cfg["detection.eta"]))
+    _write_csv(cfg, SPECTRUM_HEADER, _spectrum_columns(spectra, cfg["detection.eta"]))
 
 
-def _trace_rows(trace):
-    return [
-        [s.t_s, s.c, s.theta_eff, s.x, s.branch, s.s_meas, s.s_min, s.s_max, s.shot_ref]
-        for s in trace.samples
-    ]
+def _write_trace(cfg: RunConfig, trace: Trace) -> None:
+    _write_csv(cfg, TRACE_HEADER, [getattr(trace, name.lower()) for name in TRACE_HEADER])
 
 
 def _cmd_release(cfg: RunConfig, args: argparse.Namespace) -> None:
-    trace = free_release_scan(cfg.scan_config(), cfg.cloud_params(), cfg.model_params())
-    _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
+    _write_trace(cfg, free_release_scan(cfg.scan_config(), cfg.cloud_params(),
+                                        cfg.model_params()))
 
 
 def _cmd_piezo(cfg: RunConfig, args: argparse.Namespace) -> None:
-    trace = piezo_scan(cfg.scan_config(), cfg.model_params())
-    _write_csv(cfg, TRACE_HEADER, _trace_rows(trace))
+    _write_trace(cfg, piezo_scan(cfg.scan_config(), cfg.model_params()))
 
 
 def _cmd_fitc(cfg: RunConfig, args: argparse.Namespace) -> None:
     fr = fit_cooperativity(read_samples(args.data))
-    header = [
-        "c0", "sigma_r_m", "temp_k", "tau_r_s", "tau_g_s",
-        "c0_err", "sigma_r_err", "temp_k_err",
-        "rms_residual", "n_iter", "converged", "message",
-    ]
-    row = [
-        fr.c0, fr.sigma_r_m, fr.temp_k, fr.tau_r_s, fr.tau_g_s,
-        fr.c0_err, fr.sigma_r_err, fr.temp_k_err,
-        fr.rms_residual, fr.n_iter, fr.converged, fr.message,
-    ]
-    _write_csv(cfg, header, [row])
+    names = [f.name for f in fields(fr)]
+    _write_csv(cfg, names, [[getattr(fr, name)] for name in names])
 
 
 def _cmd_mc_cloud(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -171,7 +173,7 @@ def _cmd_mc_cloud(cfg: RunConfig, args: argparse.Namespace) -> None:
         seed=int(cfg["cloud.mc_seed"]),
     )
     rows = [[t, c_hat, cooperativity_decay(t, cp)] for t, c_hat in est]
-    _write_csv(cfg, ["t_s", "c_hat", "c_model"], rows)
+    _write_csv(cfg, ["t_s", "c_hat", "c_model"], zip(*rows))
 
 
 def _cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -181,7 +183,7 @@ def _cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> None:
         drive_y=cfg["scan.drive_Y"],
         fock_cutoff=int(cfg["model.fock_cutoff"]),
     )
-    _write_csv(cfg, SPECTRUM_HEADER, _spectrum_rows(spectra, cfg["detection.eta"]))
+    _write_csv(cfg, SPECTRUM_HEADER, _spectrum_columns(spectra, cfg["detection.eta"]))
 
 
 COMMANDS = {

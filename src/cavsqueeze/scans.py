@@ -23,20 +23,32 @@ not step by step:
    length whatever the bin count.
 3. tracking: the only Python loop over steps follows the steady state
    quasi-statically (branch continuity, hysteretic jumps when a branch ends)
-   among the stable roots (dY/dX > 0).
+   among the stable roots (dY/dX > 0).  It gives the ``x``, ``theta_eff``
+   and ``branch`` columns.
 4. spectra: the output noise at the analysis frequency for every step at
    once (``spectra._trace_noise``, the closed form of ``output_spectrum``),
-   then the detection efficiency, the quadrature extrema and the noise of
-   the local-oscillator quadrature.
+   then the detection efficiency, the quadrature extrema (the ``s_min`` and
+   ``s_max`` columns) and the noise of the local-oscillator quadrature.
 5. the synthetic detection chain: ``analyzer_chain`` (multiplicative
    analyzer noise and a single-pole video filter) and
    ``calibrate_and_correct`` (electronic-noise subtraction and shot-noise
-   calibration).  The signal, shot and electronic series draw from one
-   Philox stream at ``seed``, in that order.
+   calibration), which give the ``s_meas`` and ``shot_ref`` columns.  The
+   signal, shot and electronic series draw from one Philox stream at
+   ``seed``, in that order.
 
-Scan timescales (ms) sit far above the cavity and atomic relaxation times
-(sub-us), so the quasi-static approximation is exact for all practical
-purposes; no dynamical integration is performed.
+The ``Trace`` returned holds these arrays as they are, one column per
+quantity; no per-step object is built unless ``Trace.samples`` is read.
+
+The tracker is quasi-static: no dynamical integration is performed, and a
+branch is left at the step where its fold is crossed.  Scan timescales (ms)
+sit far above the cavity and atomic relaxation times (sub-us), so away from
+folds the state follows its steady state closely.  Near a fold it does not:
+the relaxation rate vanishes at a saddle-node, so a swept state jumps late
+(slow passage; Haberman, SIAM J. Appl. Math. 37, 69 (1979)).  An RK4
+integration of the plane-wave mean-field equations along the C = 50 piezo
+sweeps of the acceptance tests (theta at +-50/s, 2e-4 a step) put that lag
+at 6 to 16 steps (4 on the up sweep if every rate is read as an angular
+frequency).  This package neither models nor tests the lag.
 """
 
 from __future__ import annotations
@@ -44,7 +56,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +130,7 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class TraceSample:
-    """One time step of a scan: state, envelope, and measured noise."""
+    """One time step of a scan: a row of ``Trace.samples``."""
 
     t_s: float
     c: float
@@ -130,12 +143,33 @@ class TraceSample:
     shot_ref: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Full scan output plus any non-fatal warnings raised during the run."""
+    """Full scan output, one column per ``TraceSample`` field, plus any
+    non-fatal warnings raised during the run.
 
-    samples: tuple[TraceSample, ...]
+    Each column has one entry per time step: ``branch`` is a tuple of branch
+    names, every other column a read-only float64 array.  Arrays have no
+    usable ``==``, so traces compare by identity; compare their columns.
+    """
+
+    t_s: np.ndarray
+    c: np.ndarray
+    theta_eff: np.ndarray
+    x: np.ndarray
+    branch: tuple[str, ...]
+    s_meas: np.ndarray
+    s_min: np.ndarray
+    s_max: np.ndarray
+    shot_ref: np.ndarray
     warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def samples(self) -> tuple[TraceSample, ...]:
+        """The trace as one ``TraceSample`` per step, built on first use."""
+        cols = (getattr(self, f.name) for f in fields(TraceSample))
+        return tuple(map(TraceSample, *(c.tolist() if isinstance(c, np.ndarray) else c
+                                        for c in cols)))
 
 
 def lo_phase(t_s, sc: ScanConfig):
@@ -236,6 +270,13 @@ def _follow(roots: list[list[float]], stable: list[bool],
     return picks, names
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, which stays writable for its owner."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _scan_times(sc: ScanConfig) -> np.ndarray:
     n = int(round(sc.duration_s / sc.dt_s))
     if n < 2:
@@ -261,9 +302,7 @@ def _run_scan(
         i = int(np.argmax(bad))
         replace(p, c=float(cs[i]), theta=float(thetas[i]))  # raises, naming the field
     _check_dephasing(p)
-    c_list, theta_list = cs.tolist(), thetas.tolist()
-
-    roots = _trace_roots([sc.drive_y] * n, c_list, theta_list, p)
+    roots = _trace_roots([sc.drive_y] * n, cs.tolist(), thetas.tolist(), p)
     step = np.repeat(np.arange(n), [len(r) for r in roots])
     x_roots = np.array([x for r in roots for x in r])
     amp, slope, disperse = _trace_states(x_roots, sc.drive_y, cs[step], thetas[step], p)
@@ -306,10 +345,10 @@ def _run_scan(
     for msg in notes:
         warnings.warn(msg, stacklevel=3)
 
-    samples = tuple(map(TraceSample, ts.tolist(), c_list, theta_eff.tolist(), xs.tolist(),
-                        branches, s_meas.tolist(), s_min.tolist(), s_max.tolist(),
-                        shot_ref.tolist()))
-    return Trace(samples=samples, warnings=tuple(notes))
+    return Trace(t_s=_read_only(ts), c=_read_only(cs), theta_eff=_read_only(theta_eff),
+                 x=_read_only(xs), branch=tuple(branches), s_meas=_read_only(s_meas),
+                 s_min=_read_only(s_min), s_max=_read_only(s_max),
+                 shot_ref=_read_only(shot_ref), warnings=tuple(notes))
 
 
 def free_release_scan(sc: ScanConfig, cp: CloudParams, p: ModelParams) -> Trace:

@@ -191,11 +191,8 @@ def test_criterion_08_release_scan_regime():
     trace = free_release_scan(sc, RELEASE_CLOUD, p)
     elapsed = time.perf_counter() - start
 
-    t = np.array([s.t_s for s in trace.samples])
-    x = np.array([s.x for s in trace.samples])
-    theta_eff = np.array([s.theta_eff for s in trace.samples])
-    s_meas = np.array([s.s_meas for s in trace.samples])
-    s_max = np.array([s.s_max for s in trace.samples])
+    t, x, theta_eff = trace.t_s, trace.x, trace.theta_eff
+    s_meas, s_max = trace.s_meas, trace.s_max
 
     s_floor = float(np.min(s_meas))
     floor_ok = 0.45 <= s_floor <= 0.70
@@ -239,8 +236,7 @@ def test_criterion_09_piezo_regime():
     sc20 = ScanConfig(duration_s=0.025, dt_s=2e-6,
                       drive_y=180.0, theta0=-8.0, theta_rate=360.0)
     trace = piezo_scan(sc20, p20)
-    s_env = np.array([s.s_min for s in trace.samples])
-    x = np.array([s.x for s in trace.samples])
+    s_env, x = trace.s_min, trace.x
     best = float(np.min(s_env))
     best_ok = 0.70 <= best <= 0.90
     jumps20 = int(np.sum(np.abs(np.diff(np.log(x))) > 0.5))
@@ -256,8 +252,8 @@ def test_criterion_09_piezo_regime():
                         drive_y=drive, theta0=theta0, theta_rate=rate,
                         rel_noise=0.0, elec_floor=0.0)
         tr = piezo_scan(sc, p50)
-        xs = np.array([s.x for s in tr.samples])
-        thetas = theta0 + rate * np.array([s.t_s for s in tr.samples])
+        xs = tr.x
+        thetas = theta0 + rate * tr.t_s
         idx = np.nonzero(np.abs(np.diff(np.log(xs))) > 0.5)[0]
         return float(thetas[idx[0] + 1]) if idx.size else math.nan
 

@@ -2,17 +2,21 @@
 
 import io
 import contextlib
+import csv
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavsqueeze
-from cavsqueeze.cli import main
+from cavsqueeze.cli import TRACE_HEADER, _write_csv, main
 from cavsqueeze.config import ConfigError, DEFAULTS, load_config
+from cavsqueeze.scans import Trace, TraceSample
 
 
 def run_cli(args):
@@ -405,3 +409,65 @@ def test_a_read_only_output_file_opens_as_open_for_writing_does(tmp_path):
     else:
         assert rc == 1 and "Permission denied" in err
         assert path.read_text() == "stale\n"
+
+
+# === the column-wise CSV writer ===
+
+
+def _csv_writer_reference(header, rows):
+    """The table as ``csv.writer`` writes it, each value formatted on its own."""
+    def text(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[text(v) for v in row] for row in rows])
+    return buf.getvalue()
+
+
+def _written(tmp_path, header, columns):
+    path = tmp_path / "table.csv"
+    _write_csv(load_config(None, [f"--output.path={path}"]), header, columns)
+    return path.read_bytes().decode("utf-8")
+
+
+def test_the_writer_matches_csv_writer_value_by_value(tmp_path):
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 123.456, 1e16]
+    ints = [0, -7, 1, 2**40, 12, -1, 3, 999]
+    bools = [True, False, False, True, True, False, True, False]
+    strs = ["MONOSTABLE", "a,b", 'say "hi"', "two\nlines", "", " padded ", "x;y", "\u00e9"]
+    columns = [
+        floats,                          # Python floats
+        [np.float64(v) for v in floats],  # numpy scalars, as in a list of rows
+        np.array(floats),                # an array column, as a Trace holds
+        ints,
+        np.array(ints, dtype=np.int64),
+        bools,
+        np.array(bools),
+        strs,
+    ]
+    header = [f"col{k}" for k in range(len(columns))]
+    got = _written(tmp_path, header, columns)
+    assert got == _csv_writer_reference(header, list(zip(*columns)))
+
+
+def test_the_writer_quotes_a_carriage_return(tmp_path):
+    # csv.writer quotes a lone CR from Python 3.13 on, as RFC 4180 asks;
+    # this package writes no field that holds one
+    assert _written(tmp_path, ["a", "b"], [["x\ry"], [1.5]]) == 'a,b\n"x\ry",1.5\n'
+
+
+def test_an_empty_table_prints_the_header_only(tmp_path):
+    assert _written(tmp_path, ["X", "Y"], []) == "X,Y\n"
+    assert _written(tmp_path, ["X", "Y"], [(), ()]) == "X,Y\n"
+    assert run_cli(["turning", "--model.C=0"]) == (0, "X,Y\n", "")
+
+
+def test_the_trace_header_names_the_trace_columns_in_row_order():
+    names = [f.name for f in fields(TraceSample)]
+    assert [h.lower() for h in TRACE_HEADER] == names
+    assert [f.name for f in fields(Trace)] == names + ["warnings"]

@@ -265,20 +265,13 @@ def _reference_scan(sc, p, ts, cs, thetas):
                 shot_ref=calibrate_and_correct(shot_f, shot_f, elec_f))
 
 
-def _columns(trace):
-    cols = {k: np.array([getattr(s, k) for s in trace.samples])
-            for k in ("t_s", "c", "x", "theta_eff", "s_min", "s_max", "s_meas", "shot_ref")}
-    cols["branch"] = [s.branch for s in trace.samples]
-    return cols
-
-
 def _assert_trace_matches(trace, ref):
-    got = _columns(trace)
     for key in ("x", "theta_eff", "shot_ref"):
-        assert np.array_equal(got[key], ref[key]), key
-    assert got["branch"] == ref["branch"]
+        assert np.array_equal(getattr(trace, key), ref[key]), key
+    assert list(trace.branch) == list(ref["branch"])
     for key in ("s_min", "s_max", "s_meas"):
-        assert np.all(np.abs(got[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
+        got = getattr(trace, key)
+        assert np.all(np.abs(got - ref[key]) <= 1e-13 * np.abs(ref[key])), key
 
 
 def _release_case(p, **kw):
@@ -328,7 +321,7 @@ def test_plane_noise_binned_release_matches_the_step_by_step_reference():
 def test_a_binned_trace_does_not_depend_on_the_block_size(monkeypatch, noise):
     sc = ScanConfig(duration_s=0.025, dt_s=2.5e-4, vbw_hz=1e3, noise_transverse=noise)
     p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
-    whole = _columns(free_release_scan(sc, CLOUD, p))
+    whole = vars(free_release_scan(sc, CLOUD, p))
     n_roots = sum(len(r) for r in bistability._trace_roots(
         [sc.drive_y] * 100, cooperativity_decay(scans._scan_times(sc), CLOUD).tolist(),
         [sc.theta0] * 100, p))

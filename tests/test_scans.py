@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from cavsqueeze import (
     CloudParams,
     GaussianBins,
     ModelParams,
+    PlaneWave,
     ScanConfig,
+    TraceSample,
     analyzer_chain,
     calibrate_and_correct,
     free_release_scan,
@@ -22,6 +24,7 @@ from cavsqueeze import (
 from cavsqueeze.scans import _video_filter
 
 CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
+FLOAT_COLUMNS = ("t_s", "c", "theta_eff", "x", "s_meas", "s_min", "s_max", "shot_ref")
 
 
 def _release_config(**kw):
@@ -29,6 +32,12 @@ def _release_config(**kw):
                 drive_y=800.0, theta0=-7.5, rel_noise=0.0, elec_floor=0.0)
     base.update(kw)
     return ScanConfig(**base)
+
+
+def _same_trace(a, b):
+    """Every float column equal, and the branch names and warnings too."""
+    return (all(np.array_equal(getattr(a, k), getattr(b, k)) for k in FLOAT_COLUMNS)
+            and a.branch == b.branch and a.warnings == b.warnings)
 
 
 # === local oscillator and analyzer pieces ===
@@ -112,7 +121,7 @@ def test_scan_noise_stream_layout_is_pinned():
     sc = ScanConfig(duration_s=2e-3, dt_s=4e-6, drive_y=12.0, theta0=-5.0,
                     theta_rate=5000.0, rel_noise=0.1, elec_floor=0.1, seed=2024)
     tr = piezo_scan(sc, ModelParams(c=0.0, delta=0.0))  # true noise is 1
-    n = len(tr.samples)
+    n = tr.t_s.size
     xi = np.random.Generator(np.random.Philox(sc.seed)).standard_normal((3, n))
     sig, shot, elec = (
         _video_filter(level * (1.0 + 0.1 * row), sc.vbw_hz, sc.dt_s)
@@ -120,8 +129,8 @@ def test_scan_noise_stream_layout_is_pinned():
     )
     s_meas = calibrate_and_correct(sig, shot, elec)
     shot_ref = calibrate_and_correct(shot, shot, elec)
-    assert np.max(np.abs([s.s_meas for s in tr.samples] - s_meas)) < 1e-12
-    assert np.max(np.abs([s.shot_ref for s in tr.samples] - shot_ref)) < 1e-12
+    assert np.max(np.abs(tr.s_meas - s_meas)) < 1e-12
+    assert np.max(np.abs(tr.shot_ref - shot_ref)) < 1e-12
 
 
 # === configuration guards ===
@@ -189,12 +198,11 @@ def test_release_without_atoms_is_flat_shot_noise():
     p = ModelParams(c=0.0, delta=-20.0)
     tr = free_release_scan(sc, cloud, p)
     assert tr.warnings  # the effective detuning never crosses zero
-    for s in tr.samples:
-        assert abs(s.x - 1.0) < 1e-6          # X = Y / (1 + theta^2)
-        assert abs(s.s_meas - 1.0) < 1e-6
-        assert abs(s.s_min - 1.0) < 1e-6
-        assert abs(s.s_max - 1.0) < 1e-6
-        assert abs(s.theta_eff - 2.0) < 1e-9
+    assert np.max(np.abs(tr.x - 1.0)) < 1e-6          # X = Y / (1 + theta^2)
+    assert np.max(np.abs(tr.s_meas - 1.0)) < 1e-6
+    assert np.max(np.abs(tr.s_min - 1.0)) < 1e-6
+    assert np.max(np.abs(tr.s_max - 1.0)) < 1e-6
+    assert np.max(np.abs(tr.theta_eff - 2.0)) < 1e-9
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -203,9 +211,25 @@ def test_release_trace_is_deterministic():
     p = ModelParams(c=220.0, delta=-20.0)
     tr1 = free_release_scan(sc, CLOUD, p)
     tr2 = free_release_scan(sc, CLOUD, p)
-    assert tr1 == tr2
+    assert _same_trace(tr1, tr2)
     tr3 = free_release_scan(replace(sc, seed=7), CLOUD, p)
-    assert tr3 != tr1
+    assert not _same_trace(tr3, tr1)
+
+
+@pytest.mark.parametrize("profile", [PlaneWave(), GaussianBins(8)])
+def test_the_row_view_holds_the_columns_step_by_step(profile):
+    p = ModelParams(c=220.0, delta=-20.0, transverse=profile)
+    sc = _release_config(duration_s=0.025, dt_s=2.5e-4, vbw_hz=1e3)
+    tr = free_release_scan(sc, CLOUD, p)
+    assert set(tr.branch) == {"LOWER", "MONOSTABLE"}  # it leaves the bistable window
+    for name in FLOAT_COLUMNS:
+        col = getattr(tr, name)
+        assert col.dtype == np.float64 and col.shape == (100,) and not col.flags.writeable
+    assert isinstance(tr.branch, tuple) and len(tr.branch) == 100
+    assert len(tr.samples) == 100 and tr.samples is tr.samples  # built once
+    for i, row in enumerate(tr.samples):
+        assert astuple(row) == tuple(getattr(tr, f.name)[i] for f in fields(TraceSample))
+        assert all(type(getattr(row, name)) is float for name in FLOAT_COLUMNS)
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -213,13 +237,12 @@ def test_noiseless_release_measurement_stays_inside_the_envelope():
     sc = _release_config(duration_s=1.5e-3)
     p = ModelParams(c=220.0, delta=-20.0)
     tr = free_release_scan(sc, CLOUD, p)
-    lo = min(s.s_min for s in tr.samples)
-    hi = max(s.s_max for s in tr.samples)
-    for s in tr.samples:
-        assert lo - 1e-9 <= s.s_meas <= hi + 1e-9
+    lo = np.min(tr.s_min)
+    hi = np.max(tr.s_max)
+    assert np.all((lo - 1e-9 <= tr.s_meas) & (tr.s_meas <= hi + 1e-9))
     # cooperativity column follows the cloud decay
-    assert abs(tr.samples[0].c - CLOUD.c0) < 1e-9
-    assert tr.samples[-1].c < CLOUD.c0
+    assert abs(tr.c[0] - CLOUD.c0) < 1e-9
+    assert tr.c[-1] < CLOUD.c0
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -227,7 +250,7 @@ def test_shot_reference_is_calibrated_to_unity():
     sc = _release_config(rel_noise=0.1, elec_floor=0.1, duration_s=1.0e-3)
     p = ModelParams(c=220.0, delta=-20.0)
     tr = free_release_scan(sc, CLOUD, p)
-    ref = np.array([s.shot_ref for s in tr.samples])
+    ref = tr.shot_ref
     assert abs(np.mean(ref) - 1.0) < 1e-9
     assert np.all(ref > 0.0)
 
@@ -239,10 +262,8 @@ def test_plane_wave_noise_option_changes_profiled_spectra():
     sc_plane = replace(sc_model, noise_transverse="plane")
     tr_model = free_release_scan(sc_model, CLOUD, p)
     tr_plane = free_release_scan(sc_plane, CLOUD, p)
-    x_model = np.array([s.x for s in tr_model.samples])
-    x_plane = np.array([s.x for s in tr_plane.samples])
-    assert np.max(np.abs(x_model - x_plane)) < 1e-9  # same steady state
-    dev = max(abs(a.s_min - b.s_min) for a, b in zip(tr_model.samples, tr_plane.samples))
+    assert np.max(np.abs(tr_model.x - tr_plane.x)) < 1e-9  # same steady state
+    dev = np.max(np.abs(tr_model.s_min - tr_plane.s_min))
     assert dev > 1e-4  # but a genuinely different fluctuation medium
 
 
@@ -260,7 +281,7 @@ def test_plane_noise_warns_of_states_on_the_plane_wave_unstable_branch():
     # the binned states themselves are stable, and model noise has no such note
     tr_model = free_release_scan(replace(sc, noise_transverse="model"), CLOUD, p)
     assert tr_model.warnings == ()
-    assert [s.x for s in tr_model.samples] == [s.x for s in tr.samples]
+    assert np.array_equal(tr_model.x, tr.x)
 
 
 # === piezo traces ===
@@ -273,14 +294,11 @@ def test_piezo_sweep_of_empty_cavity_traces_a_lorentzian():
                     rel_noise=0.0, elec_floor=0.0)
     tr = piezo_scan(sc, p)
     assert tr.warnings == ()  # the sweep crosses the resonance
-    for s in tr.samples:
-        theta = -5.0 + 1000.0 * s.t_s
-        assert abs(s.theta_eff - theta) < 1e-12
-        assert abs(s.x - 12.0 / (1.0 + theta * theta)) < 1e-9
-        assert abs(s.s_meas - 1.0) < 1e-9
-    xs = np.array([s.x for s in tr.samples])
-    ts = np.array([s.t_s for s in tr.samples])
-    assert abs(ts[np.argmax(xs)] - 5.0e-3) < 1e-4  # peak where theta = 0
+    theta = -5.0 + 1000.0 * tr.t_s
+    assert np.max(np.abs(tr.theta_eff - theta)) < 1e-12
+    assert np.max(np.abs(tr.x - 12.0 / (1.0 + theta * theta))) < 1e-9
+    assert np.max(np.abs(tr.s_meas - 1.0)) < 1e-9
+    assert abs(tr.t_s[np.argmax(tr.x)] - 5.0e-3) < 1e-4  # peak where theta = 0
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -295,11 +313,10 @@ def test_piezo_hysteresis_jumps_at_the_fold_edges():
                         drive_y=900.0, theta0=theta0, theta_rate=rate,
                         rel_noise=0.0, elec_floor=0.0)
         tr = piezo_scan(sc, p)
-        x = np.array([s.x for s in tr.samples])
-        thetas = theta0 + rate * np.array([s.t_s for s in tr.samples])
-        dln = np.abs(np.diff(np.log(x)))
+        thetas = theta0 + rate * tr.t_s
+        dln = np.abs(np.diff(np.log(tr.x)))
         jumps = np.nonzero(dln > 0.5)[0]
-        return thetas, jumps, dln, set(s.branch for s in tr.samples)
+        return thetas, jumps, dln, set(tr.branch)
 
     th_up, j_up, dln_up, br_up = sweep(-1.6, 50.0)
     assert len(j_up) == 1
