@@ -33,5 +33,6 @@ cavsqueeze release --scan.duration_s=0.018 --scan.dt_s=0.00018 --scan.vbw_hz=100
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=64 --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=8 --scan.noise_transverse=plane --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250
 cavsqueeze piezo --model.C=50 --scan.drive_Y=900 --scan.theta0=-1.7 --scan.theta_rate=112.5 --scan.duration_s=0.004 --scan.dt_s=8e-05 --scan.vbw_hz=2500
+cavsqueeze piezo --model.C=50 --scan.drive_Y=900 --scan.theta0=-1.5 --scan.theta_rate=112.5 --scan.duration_s=0.004 --scan.dt_s=8e-05 --scan.vbw_hz=2500
 cavsqueeze piezo --model.transverse=gaussian --model.gaussian_bins=64 --model.C=50 --scan.drive_Y=900 --scan.theta0=-1.7 --scan.theta_rate=112.5 --scan.duration_s=0.004 --scan.dt_s=8e-05 --scan.vbw_hz=2500
 cavsqueeze piezo --model.transverse=gaussian --model.gaussian_bins=8 --model.C=80 --scan.drive_Y=7500 --scan.theta0=-1.25 --scan.theta_rate=-112.5 --scan.duration_s=0.004 --scan.dt_s=8e-05 --scan.vbw_hz=2500

@@ -930,17 +930,19 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
     roots = (_distinct(_plane_roots(y_drive, p)) if isinstance(p.transverse, PlaneWave)
-             else _trace_roots([float(y_drive)], [p.c], [p.theta], p)[0])
+             else _trace_roots([float(y_drive)], [p.c], [p.theta], p)[0].tolist())
+    roots = [x for x in roots if x == x]
     return [_assemble_state(x, y_drive, p, lab)
             for x, lab in zip(roots, _branch_labels(len(roots)))]
 
 
-def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
+def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
     """The distinct roots at every step of a trace (lists ``y``, ``c`` and
     ``theta``; delta and the profile of ``p``) by ``_plane_roots_many`` or
-    ``_binned_roots``: 47-112 ms for the default 12,500-step Gaussian-64
-    release, against 0.49-0.84 s of a fold search per step (one BLAS
-    thread, shared 2-core box)."""
+    ``_binned_roots``, as (n, 3), each row ascending and padded with NaN:
+    47-112 ms for the default 12,500-step Gaussian-64 release, against
+    0.49-0.84 s of a fold search per step (one BLAS thread, shared 2-core
+    box).  A row of more than one root goes through ``_distinct``."""
     if isinstance(p.transverse, PlaneWave):
         rows = _plane_roots_many(y, c, p.delta, theta)
     else:
@@ -950,7 +952,12 @@ def _trace_roots(y, c, theta, p: ModelParams) -> list[list[float]]:
         driven = np.flatnonzero(y != 0.0)
         if driven.size:
             rows[driven] = _binned_roots(y[driven], c[driven], theta[driven], p)
-    return [_distinct([x for x in row if x == x]) for row in rows.tolist()]
+    rows = np.sort(rows, axis=1)  # NaN last
+    many = np.flatnonzero(rows[:, 1] == rows[:, 1])
+    for i, row in zip(many.tolist(), rows[many].tolist()):
+        xs = _distinct([x for x in row if x == x])
+        rows[i] = xs + [math.nan] * (len(row) - len(xs))
+    return rows[:, :3]
 
 
 # bins times states per block of a pass over a trace: the (6, states, M) bin

@@ -8,7 +8,8 @@ number.  Each turns its schedule into arrays of C and theta, one entry per
 time step, and the shared tracker works through the whole trace in passes,
 not step by step:
 
-1. roots: the distinct steady states of every step, all steps in lockstep.
+1. roots: the distinct steady states of every step, all steps in lockstep,
+   as an (n, 3) array, each row ascending and padded with NaN.
    A plane wave polishes the roots of its exact cubics
    (``bistability._plane_roots_many``).  A binned profile forms one root
    locus per trace on a cached grid, C(X) along a release and theta(X)
@@ -21,10 +22,14 @@ not step by step:
    every step, in array passes over blocks of roots
    (``bistability._trace_states``), so that memory stays flat in the trace
    length whatever the bin count.
-3. tracking: the only Python loop over steps follows the steady state
-   quasi-statically (branch continuity, hysteretic jumps when a branch ends)
-   among the stable roots (dY/dX > 0).  It gives the ``x``, ``theta_eff``
-   and ``branch`` columns.
+3. tracking: the steady state is followed quasi-statically (branch
+   continuity, hysteretic jumps when a branch ends) among the stable roots
+   (dY/dX > 0).  A step with one stable root takes it by an array pick; a
+   Python loop runs only over the steps with more than one (863 of the
+   12,500 steps of the default plane-wave release, 98 of the Gaussian-64
+   one).  It gives the ``x``, ``theta_eff`` and ``branch`` columns.  The
+   video filter of step 5 (``_video_filter``) is the one per-sample loop
+   left.
 4. spectra: the output noise at the analysis frequency for every step at
    once (``spectra._trace_noise``, the closed form of ``output_spectrum``),
    then the detection efficiency, the quadrature extrema (the ``s_min`` and
@@ -70,7 +75,7 @@ from .bistability import (
     _state_terms,
     _trace_roots,
     _trace_states,
-    turning_points,
+    critical_point,
 )
 from .cloud import CloudParams, cooperativity_decay
 from .spectra import _check_dephasing, _envelope, _trace_noise, efficiency_matrix
@@ -104,6 +109,9 @@ class ScanConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.duration_s / self.dt_s):
+            raise ValueError(f"duration_s / dt_s must be a finite step count, got "
+                             f"{self.duration_s} / {self.dt_s}")
         if not (math.isfinite(self.drive_y) and self.drive_y >= 0.0):
             raise ValueError(f"drive_y must be >= 0, got {self.drive_y}")
         if not (0.0 <= self.rel_noise < 1.0):
@@ -233,41 +241,31 @@ def calibrate_and_correct(raw, shot_raw, elec) -> np.ndarray:
     return (raw - elec) / denom
 
 
-def _pick_start(xs: list[float]) -> int:
-    """Index of the state a trace starts on: the least X."""
-    return min(range(len(xs)), key=xs.__getitem__)
+# _BRANCH_NAMES[k, j]: the branch of root j, ascending, of a step with k roots
+_BRANCH_NAMES = np.array([[b.name for b in _branch_labels(k)] + [""] * (3 - k)
+                          for k in range(4)])
 
 
-def _pick_continuous(xs: list[float], x_prev: float) -> int:
-    """Index of the state nearest in log X to the last step's ``x_prev``."""
-    floor = 1e-300
-    return min(range(len(xs)),
-               key=lambda k: abs(math.log(max(xs[k], floor) / max(x_prev, floor))))
+def _follow(x: np.ndarray, stable: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The column of ``x`` followed at every step, and its branch name.
 
-
-def _follow(roots: list[list[float]], stable: list[bool],
-            ts: np.ndarray) -> tuple[list[int], list[str]]:
-    """The state followed at every step, as an index into the flattened
-    ``roots``, and its branch name.
-
-    Only stable roots are candidates: the first step takes
-    ``_pick_start``'s, each later one ``_pick_continuous``'s.
+    ``x`` is ``_trace_roots``' (n, 3) array and ``stable`` marks its stable
+    roots, the only candidates.  Rows ascend, so the first step, and every
+    step with one stable root, takes its least stable X.  Only a step with
+    more than one runs in Python: it takes the root nearest in log X to the
+    last step's.
     """
-    picks: list[int] = []
-    names: list[str] = []
-    x_prev = None
-    j0 = 0
-    for i, xs in enumerate(roots):
-        cand = [j for j in range(len(xs)) if stable[j0 + j]]
-        if not cand:
-            raise RuntimeError(f"no stable steady state at t={ts[i]}")
-        xc = [xs[j] for j in cand]
-        j = cand[_pick_start(xc) if x_prev is None else _pick_continuous(xc, x_prev)]
-        x_prev = xs[j]
-        picks.append(j0 + j)
-        names.append(_branch_labels(len(xs))[j].name)
-        j0 += len(xs)
-    return picks, names
+    n_stable = np.count_nonzero(stable, axis=1)
+    if not n_stable.all():
+        raise RuntimeError(f"no stable steady state at t={ts[np.argmin(n_stable)]}")
+    col = np.argmax(stable, axis=1).tolist()
+    choice = np.flatnonzero(n_stable[1:] > 1) + 1
+    for i, xs, ok in zip(choice.tolist(), x[choice].tolist(), stable[choice].tolist()):
+        x_prev = max(float(x[i - 1, col[i - 1]]), 1e-300)
+        col[i] = min((j for j in range(3) if ok[j]),
+                     key=lambda j: abs(math.log(max(xs[j], 1e-300) / x_prev)))
+    return np.array(col), _BRANCH_NAMES[np.count_nonzero(x == x, axis=1), col].tolist()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -303,11 +301,15 @@ def _run_scan(
         replace(p, c=float(cs[i]), theta=float(thetas[i]))  # raises, naming the field
     _check_dephasing(p)
     roots = _trace_roots([sc.drive_y] * n, cs.tolist(), thetas.tolist(), p)
-    step = np.repeat(np.arange(n), [len(r) for r in roots])
-    x_roots = np.array([x for r in roots for x in r])
-    amp, slope, disperse = _trace_states(x_roots, sc.drive_y, cs[step], thetas[step], p)
-    picks, branches = _follow(roots, (slope > 0.0).tolist(), ts)
-    xs, x_amp, theta_eff = x_roots[picks], amp[picks], disperse[picks]
+    found = roots == roots
+    step = np.nonzero(found)[0]
+    amp, slope, disperse = _trace_states(roots[found], sc.drive_y, cs[step], thetas[step], p)
+    stable = np.zeros_like(found)
+    stable[found] = slope > 0.0
+    col, branches = _follow(roots, stable, ts)
+    # each row's roots fill it from column 0: the followed one is its first found + col
+    picks = np.searchsorted(step, np.arange(n)) + col
+    xs, x_amp, theta_eff = roots[np.arange(n), col], amp[picks], disperse[picks]
 
     notes: list[str] = []
     p_n = p
@@ -375,31 +377,19 @@ def piezo_scan(sc: ScanConfig, p: ModelParams) -> Trace:
     return _run_scan(sc, p, ts, np.full(ts.size, p.c), sc.theta0 + sc.theta_rate * ts)
 
 
-def release_threshold_drive(
-    p: ModelParams,
-    theta0: float,
-    c0: float,
-    n_grid: int = 400,
-) -> float:
+def release_threshold_drive(p: ModelParams, theta0: float, c0: float) -> float:
     """Lowest drive that switches branches during a release from c0.
 
-    Scans the cooperativity range the release passes through and returns the
-    smallest upper-fold ordinate found; a drive above this value jumps to the
-    upper branch at some point of the release, a drive below never switches.
-    Grid-resolution limited; intended for choosing scan drives, not as a
-    root-finder-grade boundary.  ``n_grid`` must be an integer >= 2.
+    Returns the ordinate of the cusp at theta0 (``critical_point``).  The
+    release passes every C between the cusp's and c0, and the upper fold
+    ordinate there never lies below the cusp's: a drive above it jumps to
+    the upper branch as C nears the cusp, a drive below never switches.  A
+    release from c0 at or below the cusp's C, or with no cusp, raises.
     """
-    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
-        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
-    if c0 <= 0.0:
-        raise ValueError(f"c0 must be positive, got {c0}")
-    best = math.inf
-    for c in np.geomspace(min(3.0, c0), c0, n_grid):
-        tp = turning_points(replace(p, c=float(c), theta=theta0))
-        if tp.bistable:
-            best = min(best, max(tp.ordinates))
-    if not math.isfinite(best):
-        raise ValueError(
-            "release path is never bistable; no switching threshold exists"
-        )
-    return best
+    try:
+        c_crit, _, y_crit = critical_point(replace(p, theta=theta0))
+    except RuntimeError:
+        c_crit = math.inf
+    if not c_crit < c0:
+        raise ValueError("release path is never bistable; no switching threshold exists")
+    return y_crit

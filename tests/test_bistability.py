@@ -664,7 +664,7 @@ def test_binned_roots_far_above_both_fold_ordinates(m):
             ref = [brentq(lambda x: state_equation(x, p) - y, grid[i], grid[i + 1],
                           xtol=1e-300, rtol=4 * np.finfo(float).eps) for i in idx]
             states = solve_steady_states(y, p)
-            assert row == [s.intensity for s in states]
+            assert row[row == row].tolist() == [s.intensity for s in states]
             assert len(states) == len(ref), (m, delta, y)
             for s, x in zip(states, ref):
                 assert abs(s.intensity - x) <= 1e-12 * x
@@ -706,9 +706,9 @@ def test_binned_roots_inside_a_knot_cell(m, name, fixed, y, knots):
         knot = _level_of_fold(p, y, name, lo, hi, pick)
         levels = [knot * (1.0 - 1e-10), knot * (1.0 + 1e-10)]
         # a release shares theta and sweeps C, a piezo sweep shares C
-        rows = bistability._trace_roots(
+        rows = [row[row == row].tolist() for row in bistability._trace_roots(
             [y] * 2, levels if name == "c" else [p.c] * 2,
-            levels if name == "theta" else [p.theta] * 2, p)
+            levels if name == "theta" else [p.theta] * 2, p)]
         assert sorted(len(r) for r in rows) == [1, 3], (name, knot)
         for v, row in zip(levels, rows):
             q = dataclasses.replace(p, **{name: v})

@@ -189,6 +189,13 @@ def test_plane_wave_coefficients_beyond_the_float_range_exit_one(args):
     assert "beyond the float range" in err and "Traceback" not in err
 
 
+def test_a_step_count_beyond_the_float_range_exits_one():
+    rc, out, err = run_cli(["release", "--scan.duration_s=1e300", "--scan.dt_s=1e-300"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "duration_s" in err and "dt_s" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, key", [("release", "scan.seed"), ("mc-cloud", "cloud.mc_seed")])
 def test_negative_seeds_are_rejected_before_any_work(tmp_path, command, key):
     out_path = tmp_path / "out.csv"

@@ -106,8 +106,9 @@ def test_lockstep_plane_roots_equal_the_scalar_solve_near_folds():
 
 def _assert_binned_lockstep_equals_scalar(ys, cs, delta, thetas, m):
     p = ModelParams(delta=delta, transverse=GaussianBins(m))
-    rows = bistability._trace_roots(ys, cs, thetas, p)
-    assert len(rows) == len(ys)
+    roots = bistability._trace_roots(ys, cs, thetas, p)
+    assert roots.shape == (len(ys), 3)
+    rows = [row[row == row].tolist() for row in roots]
     for y, c, theta, row in zip(ys, cs, thetas, rows):
         ref = [s.intensity for s in solve_steady_states(y, replace(p, c=c, theta=theta))]
         assert row == ref, (y, c, delta, theta, m)
@@ -291,7 +292,8 @@ def test_plane_wave_release_matches_the_step_by_step_reference():
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
-@pytest.mark.parametrize("theta0, rate", [(-1.7, 112.5), (-1.25, -112.5)])
+# (-1.5, 112.5) starts with three roots, so the start rule has a choice
+@pytest.mark.parametrize("theta0, rate", [(-1.7, 112.5), (-1.25, -112.5), (-1.5, 112.5)])
 def test_hysteretic_piezo_sweeps_match_the_step_by_step_reference(theta0, rate):
     p = ModelParams(c=50.0, delta=-20.0)
     sc = ScanConfig(drive_y=900.0, theta0=theta0, theta_rate=rate, duration_s=0.004,
@@ -322,9 +324,10 @@ def test_a_binned_trace_does_not_depend_on_the_block_size(monkeypatch, noise):
     sc = ScanConfig(duration_s=0.025, dt_s=2.5e-4, vbw_hz=1e3, noise_transverse=noise)
     p = ModelParams(c=220.0, delta=-20.0, transverse=GaussianBins(8))
     whole = vars(free_release_scan(sc, CLOUD, p))
-    n_roots = sum(len(r) for r in bistability._trace_roots(
+    roots = bistability._trace_roots(
         [sc.drive_y] * 100, cooperativity_decay(scans._scan_times(sc), CLOUD).tolist(),
-        [sc.theta0] * 100, p))
+        [sc.theta0] * 100, p)
+    n_roots = np.count_nonzero(roots == roots)
     assert 100 < n_roots < bistability._BLOCK_BINS // 8  # one block by default
     # blocks of 3 steps for the roots, and of 3 roots and of 3 states, ending
     # partway through a step's roots
@@ -350,12 +353,22 @@ def test_a_trace_without_drive_sits_at_zero():
 
 
 def test_follow_names_the_first_step_without_a_stable_state():
-    ts = np.array([0.0, 2e-5, 4e-5])
-    roots = [[1.0], [1.0, 2.0, 3.0], [0.5]]
+    ts = np.array([0.0, 2e-5, 4e-5, 6e-5])
+    nan = math.nan
+    roots = np.array([[1.0, nan, nan], [1.0, 2.0, 3.0], [0.5, nan, nan], [0.4, 2.0, nan]])
+    stable = np.array([[True, False, False], [True, False, True], [False, False, False],
+                       [True, True, False]])
     with pytest.raises(RuntimeError, match=r"no stable steady state at t=4e-05"):
-        scans._follow(roots, [True, True, False, True, False], ts)
-    picks, names = scans._follow(roots, [True, False, False, True, True], ts)
-    assert picks == [0, 3, 4] and names == ["MONOSTABLE", "UPPER", "MONOSTABLE"]
+        scans._follow(roots, stable, ts)
+    stable[1, 0], stable[2, 0] = False, True
+    cols, names = scans._follow(roots, stable, ts)
+    assert cols.tolist() == [0, 2, 0, 0]
+    assert names == ["MONOSTABLE", "UPPER", "MONOSTABLE", "LOWER"]
+    # a step with two stable roots takes the one nearest in log X to the last
+    roots[2, 0] = 1.5
+    cols, names = scans._follow(roots, stable, ts)
+    assert cols.tolist() == [0, 2, 0, 1]
+    assert names == ["MONOSTABLE", "UPPER", "MONOSTABLE", "UPPER"]
 
 
 def _unstable_from(c_cut, state_terms):

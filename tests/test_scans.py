@@ -16,11 +16,14 @@ from cavsqueeze import (
     TraceSample,
     analyzer_chain,
     calibrate_and_correct,
+    critical_point,
     free_release_scan,
     lo_phase,
     piezo_scan,
     release_threshold_drive,
+    turning_points,
 )
+from cavsqueeze import scans
 from cavsqueeze.scans import _video_filter
 
 CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
@@ -343,26 +346,48 @@ def test_release_threshold_drive_values():
     p = ModelParams(c=220.0, delta=-20.0)
     y75 = release_threshold_drive(p, theta0=-7.5, c0=220.0)
     y10 = release_threshold_drive(p, theta0=-10.0, c0=220.0)
-    assert abs(y75 - 245.84) < 0.5
-    assert abs(y10 - 242.69) < 0.5
+    # the cusp ordinates at each theta0
+    assert abs(y75 - 236.59357736413227) <= 1e-12 * y75
+    assert abs(y10 - 226.33958246315478) <= 1e-12 * y10
+    for theta0, y in ((-7.5, y75), (-10.0, y10)):
+        assert y == critical_point(replace(p, theta=theta0))[2]
     # the default release drive sits above both, so a mid-release jump occurs
     assert ScanConfig().drive_y > max(y75, y10)
 
 
-def test_release_threshold_drive_rejects_never_bistable_paths():
+def test_release_threshold_drive_rejects_never_bistable_paths(monkeypatch):
     with pytest.raises(ValueError):
         release_threshold_drive(ModelParams(c=3.0, delta=0.0), theta0=0.0, c0=3.0)
     with pytest.raises(ValueError):
         release_threshold_drive(ModelParams(c=220.0, delta=-20.0), theta0=-7.5, c0=0.0)
 
+    def no_cusp(p, x_max=None):
+        raise RuntimeError("no cusp of the fold curve")
 
-@pytest.mark.parametrize("n_grid", [0, 1, -5, 2.5, 400.0, True])
-def test_release_threshold_drive_rejects_a_bad_grid_size(n_grid):
-    with pytest.raises(ValueError, match="n_grid"):
-        release_threshold_drive(ModelParams(c=220.0, delta=-20.0), -7.5, 220.0, n_grid=n_grid)
+    monkeypatch.setattr(scans, "critical_point", no_cusp)
+    with pytest.raises(ValueError, match="never bistable"):
+        release_threshold_drive(ModelParams(c=220.0, delta=-20.0), theta0=-7.5, c0=220.0)
 
 
-def test_release_threshold_drive_takes_the_smallest_grid():
-    y = release_threshold_drive(ModelParams(c=220.0, delta=-20.0), -7.5, 220.0,
-                                n_grid=np.int64(2))
-    assert math.isfinite(y) and y > 0.0
+def test_a_release_switches_just_above_the_threshold_drive_and_not_below():
+    p = ModelParams(c=220.0, delta=-20.0)
+    y = release_threshold_drive(p, theta0=-10.0, c0=CLOUD.c0)
+    jumps = []
+    for factor in (1.02, 0.97):
+        trace = free_release_scan(ScanConfig(theta0=-10.0, drive_y=factor * y), CLOUD, p)
+        jumps.append(float(np.max(np.abs(np.diff(np.log(trace.x))))))
+    # 0.32 (X 62.2 -> 85.9 in one step) against 0.065 of a smooth passage
+    assert jumps[0] > 0.15 > jumps[1], jumps
+
+
+@pytest.mark.parametrize("profile", [PlaneWave(), GaussianBins(8)])
+@pytest.mark.parametrize("theta0", [-7.5, -10.0])
+def test_no_upper_fold_ordinate_above_the_cusp_lies_below_the_threshold(profile, theta0):
+    p = ModelParams(c=220.0, delta=-20.0, theta=theta0, transverse=profile)
+    y = release_threshold_drive(p, theta0, 220.0)
+    c_crit = critical_point(p)[0]
+    near = [c_crit * (1.0 + eps) for eps in (1e-12, 1e-9, 1e-6)]
+    for c in near + np.geomspace(c_crit, 220.0, 201)[1:].tolist():
+        tp = turning_points(replace(p, c=c))
+        assert tp.bistable, c
+        assert max(tp.ordinates) >= y, c
