@@ -29,6 +29,7 @@ t_s,c
 EOF
 cavsqueeze fitc "$decay"
 cavsqueeze oracle --model.n_atoms=1 --model.C=0.2 --scan.drive_Y=0.01 --scan.n_omega=3
+cavsqueeze release
 cavsqueeze release --scan.duration_s=0.018 --scan.dt_s=0.00018 --scan.vbw_hz=1000
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=64 --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=8 --scan.noise_transverse=plane --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250

@@ -447,9 +447,14 @@ def _plane_cubics(c: float, delta: float, theta: float, y_drive: float = 0.0):
         return ((f[0] / s6, f[1] / s6, f[2] / s6, f[3] / s6),
                 (h3 / s2, h2 / s4, h1 / s6, h0 / (s4 * s4)), distinct)
     except OverflowError:
-        raise ValueError(
-            "the plane-wave state equation at C={!r}, delta={!r}, theta={!r}, Y={!r} "
-            "has coefficients beyond the float range".format(*inputs)) from None
+        raise _beyond_float_range(PlaneWave(), *inputs) from None
+
+
+def _beyond_float_range(transverse: Transverse, c, delta, theta, y) -> ValueError:
+    """The input error of a state equation whose terms overflow floats."""
+    name = "plane-wave" if isinstance(transverse, PlaneWave) else f"{transverse!r}"
+    return ValueError(f"the {name} state equation at C={c!r}, delta={delta!r}, "
+                      f"theta={theta!r}, Y={y!r} has coefficients beyond the float range")
 
 
 def _cubic(coeffs, x):
@@ -472,10 +477,11 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
     ``fdf(x)`` returns (f(x), f'(x)); ``rising`` says f(lo) < 0.  Falls back
     to bisection whenever a Newton step leaves the bracket or fails to halve
     the step before it, ``dx`` at the first step (default hi - lo).  Stops
-    at round-off.
+    at round-off; RuntimeError naming the bracket if 200 steps do not reach it.
     """
     if dx is None:
         dx = hi - lo
+    bracket = lo, hi
     for _ in range(200):
         fx, dfx = fdf(x)
         if fx == 0.0:
@@ -494,7 +500,8 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
             if hi - lo <= 2.0 * sys.float_info.epsilon * abs(x_new):
                 return x_new
         x = x_new
-    return x
+    raise RuntimeError("Newton's method found no root to round-off in [{!r}, {!r}] in "
+                       "200 steps; the last bracket is [{!r}, {!r}]".format(*bracket, lo, hi))
 
 
 # Below this many brackets a lockstep iteration, numpy's fixed cost per call
@@ -508,8 +515,8 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
 
     ``params`` holds arrays with one entry per bracket, and
     ``make_fdf(params)`` gives the fdf of those brackets: on arrays for the
-    pass, on a tuple of floats for one bracket (the cubic's coefficients for
-    ``_cubic_fdf``, C, theta and Y for ``_root_fdf``).  Every bracket goes
+    pass, on a tuple of floats for one bracket (C, theta and Y for
+    ``_root_fdf``; C and theta for its ``slope`` form).  Every bracket goes
     through ``_newton``'s IEEE operations, bisection fallback and stopping
     rules, so where the fdf rounds an entry of an array as it rounds a
     float, its root equals the scalar one bit for bit.  Finished brackets
@@ -574,33 +581,6 @@ def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
             x = hi if fhi * chi > 0.0 else lo if flo * clo > 0.0 else 0.5 * (lo + hi)
             roots.append(_newton(fdf, lo, hi, x, flo < 0.0))
     return roots
-
-
-def _cubic_segment_roots_many(coeffs, edges: np.ndarray,
-                              valid: np.ndarray | None = None) -> np.ndarray:
-    """``_cubic_segment_roots`` for many cubics at once, in lockstep.
-
-    ``coeffs`` holds four (k,) arrays; ``edges`` is (k, E) and ascending
-    along each row.  An edge that is not ``valid`` repeats the next one, so
-    its segments are empty.  Returns (k, 2E - 1): the edges where the cubic
-    is 0, then one Newton root per segment (``_cubic_segment_roots``' start
-    points), NaN where there is none.
-    """
-    cols = tuple(a[:, None] for a in coeffs)
-    fvals, curvs = _cubic(cols, edges), 3.0 * cols[0] * edges + cols[1]
-    zero = fvals == 0.0 if valid is None else valid & (fvals == 0.0)
-    f_lo, f_hi = fvals[:, :-1], fvals[:, 1:]
-    row, col = np.divmod(np.flatnonzero(((f_lo < 0.0) & (0.0 < f_hi))
-                                        | ((f_hi < 0.0) & (0.0 < f_lo))),
-                         edges.shape[1] - 1)
-    lo, hi = edges[row, col], edges[row, col + 1]
-    flo, fhi = fvals[row, col], fvals[row, col + 1]
-    start = np.where(fhi * curvs[row, col + 1] > 0.0, hi,
-                     np.where(flo * curvs[row, col] > 0.0, lo, 0.5 * (lo + hi)))
-    roots = np.full(f_lo.shape, np.nan)
-    roots[row, col] = _newton_many(_cubic_fdf, tuple(a[row] for a in coeffs), lo, hi,
-                                   start, flo < 0.0)
-    return np.concatenate((np.where(zero, edges, np.nan), roots), axis=1)
 
 
 def _plane_folds(h, distinct: bool) -> tuple[float, ...]:
@@ -837,11 +817,18 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
     i, m, b = np.concatenate(hits, axis=1)
     w = np.where(b == 0, plus[m], minus[m]), np.where(b == 0, plus[m + 1], minus[m + 1])
     cells = [(i, x[m], x[m + 1], *w, b)] + [(*c[:5], np.full(c[0].size, c[5])) for c in refined]
-    # Newton starts where the chord crosses the level, or mid-cell
+    # Newton starts where the chord crosses the level, or mid-cell; in a root
+    # locus' first cell at X = 0, since a root far below the first vertex is out
+    # of reach from the chord point (x - f/f' cancels) and of 200 bisections
     i, lo, hi, w_lo, w_hi, b = (np.concatenate(col) for col in zip(*cells))
     with np.errstate(invalid="ignore", divide="ignore"):
         t = (levels[i] - w_lo) / (w_hi - w_lo)
     start = np.where((t > 0.0) & (t < 1.0), lo + t * (hi - lo), 0.5 * (lo + hi))
+    start = np.where(lo == 0.0, 0.0, start)
+    # a level equal to a vertex's value (a cusp's C, say) has its root there,
+    # where Y(X) - Y need not change sign across the cell: an empty cell
+    vertex = np.where(t == 0.0, lo, np.where(t == 1.0, hi, np.nan))
+    lo, hi, start = (np.where(vertex == vertex, vertex, a) for a in (lo, hi, start))
     rising = np.where(b == 0, levels[i] < w_lo, levels[i] > w_lo)
     return (i.astype(int), lo, hi, start, rising), knots
 
@@ -919,7 +906,7 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
     For a plane wave the roots are those of the exact root cubic F (see
     ``_plane_cubics``), bracketed between the folds below Y and polished by
     safeguarded Newton on F.  A binned profile solves a one-step trace: its
-    C crosses the root locus C(X) at Y (``_binned_roots``).  Within about
+    C crosses the root locus C(X) at Y (``_locus_roots``).  Within about
     2e-10 (relative) of ``critical_point``'s C, where a root triple spans
     about 1e-5 of X and F is at round-off there, round-off decides whether
     it finds one root or three.  Three roots are labeled lower/middle/upper
@@ -938,20 +925,19 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
 
 def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
     """The distinct roots at every step of a trace (lists ``y``, ``c`` and
-    ``theta``; delta and the profile of ``p``) by ``_plane_roots_many`` or
-    ``_binned_roots``, as (n, 3), each row ascending and padded with NaN:
-    47-112 ms for the default 12,500-step Gaussian-64 release, against
-    0.49-0.84 s of a fold search per step (one BLAS thread, shared 2-core
-    box).  A row of more than one root goes through ``_distinct``."""
-    if isinstance(p.transverse, PlaneWave):
-        rows = _plane_roots_many(y, c, p.delta, theta)
-    else:
-        y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
-        rows = np.full((y.size, 3), np.nan)
-        rows[y == 0.0, 0] = 0.0
-        driven = np.flatnonzero(y != 0.0)
-        if driven.size:
-            rows[driven] = _binned_roots(y[driven], c[driven], theta[driven], p)
+    ``theta``; delta and the profile of ``p``) by ``_locus_roots``, for
+    every profile, the plane wave's one bin included, as (n, 3), each row
+    ascending and padded with NaN: 47-112 ms for the default 12,500-step
+    Gaussian-64 release, against 0.49-0.84 s of a fold search per step, and
+    about 11 ms for the plane-wave one, against 134-161 ms of per-step exact
+    cubics (one BLAS thread, shared 2-core box).  A row of more than one
+    root goes through ``_distinct``."""
+    y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
+    rows = np.full((y.size, 3), np.nan)
+    rows[y == 0.0, 0] = 0.0
+    driven = np.flatnonzero(y != 0.0)
+    if driven.size:
+        rows[driven] = _locus_roots(y[driven], c[driven], theta[driven], p)
     rows = np.sort(rows, axis=1)  # NaN last
     many = np.flatnonzero(rows[:, 1] == rows[:, 1])
     for i, row in zip(many.tolist(), rows[many].tolist()):
@@ -991,8 +977,9 @@ def _trace_states(x_int: np.ndarray, y_drive: float, c: np.ndarray, theta: np.nd
 
 def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     # A single solve stays scalar, as do _plane_folds and _cubic_segment_roots:
-    # through _plane_roots_many one step costs about six times as much, numpy's
-    # fixed cost per call on arrays of one.
+    # about 21 us against 280-300 us for a one-step trace through _locus_roots
+    # (400 random queries, one BLAS thread), numpy's fixed cost per call on
+    # arrays of one.
     # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
     # monotone between the folds.  F(Y) can round below zero only when the
     # root sits at X = Y (no atoms), hence the widened top edge.
@@ -1002,55 +989,25 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     return _cubic_segment_roots(f, edges)
 
 
-def _plane_roots_many(y, c, delta: float, theta) -> np.ndarray:
-    """``_plane_roots`` at every step of a trace, in lockstep.
-
-    ``y``, ``c`` and ``theta`` hold one value per step.  The exact cubics
-    come from ``_plane_cubics`` step by step; the fold pair, the segment
-    edges and the Newton polish then run over every (step, segment) bracket
-    at once with the scalar path's IEEE operations, so row i holds exactly
-    the roots ``_plane_roots`` finds at step i.  Returns (n, 7): the zero
-    edges, then the segment roots, NaN where there is none.
-    """
-    cubics = [_plane_cubics(ci, delta, ti, yi) for yi, ci, ti in zip(y, c, theta)]
-    f = tuple(np.array(col) for col in zip(*(cb[0] for cb in cubics)))
-    h = tuple(np.array(col) for col in zip(*(cb[1] for cb in cubics)))
-    distinct = np.array([cb[2] for cb in cubics], dtype=bool)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-
-    # the fold pair, as in _plane_folds; inf where there is none
-    folds = np.full((n, 2), math.inf)
-    k = np.flatnonzero(distinct & (h[2] < 0.0))
-    h3, h2, h1, h0 = hk = tuple(a[k] for a in h)
-    x_min = -h1 / (h2 + np.sqrt(h2 * h2 - 3.0 * h3 * h1))
-    has = _cubic(hk, x_min) < 0.0
-    k, x_min = k[has], x_min[has]
-    h3, h2, h1, h0 = hk = tuple(a[has] for a in hk)
-    # Python's float power, so that every bracket is the scalar one
-    root3 = np.array([v ** (1.0 / 3.0) for v in (0.5 * h0 / h3).tolist()])
-    x_top = 2.0 * np.maximum(np.maximum(h2 / h3, np.sqrt(-h1 / h3)), root3)
-    edges = np.stack((np.zeros_like(x_min), x_min, x_top), axis=1)
-    folds[k] = _cubic_segment_roots_many(hk, edges)[:, 3:]
-
-    # F(0) < 0 <= F(top), as in _plane_roots; folds at or above top drop out
-    top = np.where(_cubic(f, y) >= 0.0, y, 2.0 * y)
-    inside = folds < top[:, None]
-    edges = np.column_stack((np.zeros(n), np.where(inside, folds, top[:, None]), top))
-    valid = np.column_stack((np.ones(n, dtype=bool), inside, np.ones(n, dtype=bool)))
-    return _cubic_segment_roots_many(f, edges, valid)
-
-
-def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
-                  p: ModelParams) -> np.ndarray:
+def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
+                 p: ModelParams) -> np.ndarray:
     """The roots at drives Y > 0, C and theta, (n,) arrays: (n, 3), each row
     ascending, NaN where there is none.  A trace that shares Y and C crosses
     one root locus theta(X); otherwise steps that share Y and theta cross one
-    root locus C(X) (``_level_crossings``), as a single solve does.  Each cell
-    is polished by lockstep Newton; more than three crossings raise.
+    root locus C(X) (``_level_crossings``), as a binned single solve does.
+    Each cell is polished by lockstep Newton; more than three crossings
+    raise RuntimeError.  A step whose terms of Y(X)/X overflow raises the
+    input error ``_beyond_float_range``, naming the step.
     """
     a_sat = 1.0 + p.delta * p.delta
     g0 = float(np.sum(_layout(p.transverse)[3])) / a_sat
+    # Y(X)/X is at most this bound on its terms at G(0) >= G(X): no root lies below Y/bound
+    with np.errstate(over="ignore"):
+        bound = (1.0 + 2.0 * c * g0) ** 2 + (np.abs(theta) + 2.0 * c * abs(p.delta) * g0) ** 2
+    if not np.isfinite(bound).all():
+        i = int(np.argmin(np.isfinite(bound)))
+        raise _beyond_float_range(p.transverse, float(c[i]), p.delta, float(theta[i]),
+                                  float(y[i]))
     sweep_theta = (c == c[0]).all() and (y == y[0]).all() and not (theta == theta[0]).all()
     groups, cells = [np.arange(y.size)], []
     if y.size > 1 and not sweep_theta:
@@ -1058,12 +1015,9 @@ def _binned_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
         groups = np.split(o, np.flatnonzero(np.diff(np.stack((y, theta))[:, o]).any(0)) + 1)
     for k in groups:
         yk, ck, tk = float(y[k[0]]), float(c[k[0]]), float(theta[k[0]])
-        # Y(X) <= X times the factor at G(0) >= G(X): no root lies below Y/factor
-        top, detune = np.max(c[k]), np.max(np.abs(theta[k]))
-        factor = (1.0 + 2.0 * top * g0) ** 2 + (detune + 2.0 * top * abs(p.delta) * g0) ** 2
         j, *cell = _level_crossings(
             _Locus(p, False, ck, None, yk) if sweep_theta else _Locus(p, False, None, tk, yk),
-            *_locus_grid(p, _fold_window(yk / a_sat), yk, 0.5 * yk / factor),
+            *_locus_grid(p, _fold_window(yk / a_sat), yk, 0.5 * yk / np.max(bound[k])),
             theta[k] if sweep_theta else c[k])[0]
         cells.append((k[j], *cell))
     step, lo, hi, start, rising = (np.concatenate(col) for col in zip(*cells))

@@ -9,15 +9,14 @@ time step, and the shared tracker works through the whole trace in passes,
 not step by step:
 
 1. roots: the distinct steady states of every step, all steps in lockstep,
-   as an (n, 3) array, each row ascending and padded with NaN.
-   A plane wave polishes the roots of its exact cubics
-   (``bistability._plane_roots_many``).  A binned profile forms one root
-   locus per trace on a cached grid, C(X) along a release and theta(X)
-   along a piezo sweep; each step's roots lie in the cells where its C or
-   theta crosses it, and one Newton polishes them all
-   (``bistability._binned_roots``).  A plane wave's or a release's rows are
-   bit for bit the roots of a single solve; a piezo sweep's agree to
-   round-off.
+   as an (n, 3) array, each row ascending and padded with NaN.  Every
+   profile, the plane wave's one bin included, forms one root locus per
+   trace on a cached grid, C(X) along a release and theta(X) along a piezo
+   sweep; each step's roots lie in the cells where its C or theta crosses
+   it, and one Newton polishes them all (``bistability._locus_roots``).  A
+   binned release's rows are bit for bit the roots of a single solve, which
+   crosses the same C(X); a piezo sweep's, and a plane wave's, whose single
+   solve takes the exact cubic, agree to round-off.
 2. states: slope dY/dX, effective detuning and amplitude x of every root of
    every step, in array passes over blocks of roots
    (``bistability._trace_states``), so that memory stays flat in the trace

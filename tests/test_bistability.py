@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from cavsqueeze import (
     Branch,
+    CloudParams,
     GaussianBins,
     ModelParams,
     PlaneWave,
@@ -20,6 +21,7 @@ from cavsqueeze import (
     bin_layout,
     cooperativity_from_amplitudes,
     critical_point,
+    free_release_scan,
     gaussian_susceptibility_limit,
     peak_transmission,
     piezo_scan,
@@ -28,7 +30,7 @@ from cavsqueeze import (
     state_equation_slope,
     turning_points,
 )
-from cavsqueeze import bistability
+from cavsqueeze import bistability, scans
 from cavsqueeze.bistability import (
     _bin_sums,
     _curvature_fdf,
@@ -40,6 +42,7 @@ from cavsqueeze.bistability import (
     _reduce_bins,
     _response,
 )
+from cavsqueeze.cloud import cooperativity_decay
 from cavsqueeze.spectra import _bin_columns
 
 
@@ -193,6 +196,32 @@ def test_plane_wave_coefficients_beyond_the_float_range_raise_a_value_error(call
     with pytest.raises(ValueError, match=r"at C=.*, delta=.*, theta=.*, Y=.* "
                                          "has coefficients beyond the float range"):
         call()
+
+
+_PIEZO_1E200 = ScanConfig(theta_rate=112.5, duration_s=4e-4, dt_s=8e-5, vbw_hz=2500.0)
+_RELEASE_1E200 = ScanConfig(duration_s=4e-4, dt_s=8e-5, vbw_hz=2500.0)
+
+
+@pytest.mark.parametrize("transverse", [PlaneWave(), GaussianBins(8)], ids=["plane", "gauss8"])
+@pytest.mark.parametrize("scan", ["piezo", "release"])
+def test_a_trace_beyond_the_float_range_raises_the_input_error_naming_its_step(
+        transverse, scan):
+    # the root locus of every profile: dY/dX at X = 0 overflows at C = 1e200
+    p = ModelParams(c=1e200, transverse=transverse)
+    name = "plane-wave" if isinstance(transverse, PlaneWave) else "GaussianBins\\(m=8\\)"
+    with pytest.raises(ValueError, match=rf"^the {name} state equation at C=1e\+200, "
+                                         r"delta=-20.0, theta=-7.5, Y=800.0 "
+                                         "has coefficients beyond the float range$"):
+        if scan == "piezo":
+            piezo_scan(_PIEZO_1E200, p)
+        else:
+            free_release_scan(_RELEASE_1E200, CloudParams(sigma_r_m=4e-3, temp_k=5e-3,
+                                                          c0=1e200), p)
+    # a step past the first is named by its own C, theta and Y
+    with pytest.raises(ValueError, match=rf"^the {name} state equation at C=1e\+200, "
+                                         r"delta=-20.0, theta=-7.2, Y=700.0 "):
+        bistability._trace_roots([800.0] * 3 + [700.0] * 2, [220.0, 220.0, 220.0, 1e200, 5.0],
+                                 [-7.5, -7.4, -7.3, -7.2, -7.1], p)
 
 
 def test_a_steady_state_beyond_the_float_range_warns():
@@ -743,6 +772,81 @@ def test_binned_root_in_the_tip_cell(m, c, x_ref):
     assert len(states) == 1
     assert x_tip * (1.0 - math.log(1e11) / 4095) < states[0].intensity <= x_tip
     assert abs(states[0].intensity - x_ref) <= 1e-14 * x_ref
+
+
+def _assert_trace_counts_follow_the_discriminant(ys, cs, delta, thetas):
+    rows = bistability._trace_roots(ys, cs, thetas, ModelParams(delta=delta))
+    for y, c, theta, row in zip(ys, cs, thetas, rows):
+        disc = _discriminant(_exact_cubics(c, delta, theta, y)[0])
+        assert disc != 0
+        assert np.count_nonzero(row == row) == (3 if disc > 0 else 1), (y, c, theta)
+
+
+def test_plane_wave_trace_root_counts_follow_the_exact_discriminant():
+    # the 500-step release of the step-by-step reference test in test_scan_engine
+    sc = ScanConfig(duration_s=0.025, dt_s=5e-5, vbw_hz=1e3)
+    ts = scans._scan_times(sc)
+    cs = cooperativity_decay(ts, CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0))
+    _assert_trace_counts_follow_the_discriminant([sc.drive_y] * ts.size, cs.tolist(), -20.0,
+                                                 [sc.theta0] * ts.size)
+    # criterion 09's two C = 50 sweeps through the bistable window, 1,500 steps each
+    for theta0, rate in ((-1.6, 50.0), (-1.35, -50.0)):
+        sc = ScanConfig(duration_s=6e-3, dt_s=4e-6, drive_y=900.0, theta0=theta0,
+                        theta_rate=rate)
+        ts = scans._scan_times(sc)
+        _assert_trace_counts_follow_the_discriminant([sc.drive_y] * ts.size, [50.0] * ts.size,
+                                                     -20.0, (theta0 + rate * ts).tolist())
+
+
+def test_a_root_far_below_the_first_locus_vertex_is_found():
+    # the root, near 8.02e-96 at C = 1e50, lies far below the locus grid's
+    # first vertex (A 1e-9): Newton starts from X = 0 in the first cell
+    p = ModelParams(c=1e50, transverse=GaussianBins(8))
+    (state,) = solve_steady_states(800.0, p)
+    assert abs(state_equation(state.intensity, p) / 800.0 - 1.0) <= 1e-15
+    for c in (1e40, 1e100, 1e150):
+        p = ModelParams(c=c, delta=-20.0, theta=-7.5)
+        row = bistability._trace_roots([800.0], [c], [-7.5], p)[0]
+        assert np.count_nonzero(row == row) == 1
+        assert abs(state_equation(row[0], p) / 800.0 - 1.0) <= 1e-15, c
+
+
+@pytest.mark.parametrize("transverse, delta, theta", [
+    (GaussianBins(8), -20.0, -10.0),
+    (GaussianBins(8), -20.0, -7.5),
+    (GaussianBins(64), -20.0, -7.5),
+    (GaussianBins(64), 0.0, 0.0),
+    (PlaneWave(), 0.0, 0.0),
+    (PlaneWave(), 3.0, -2.0),
+])
+def test_a_drive_at_the_cusp_takes_the_cusp_vertex_as_its_root(transverse, delta, theta):
+    # the root locus at critical_point's Y carries its C exactly at the cusp
+    # vertex, and Y(X) - Y need not change sign across the cells beside it
+    p = ModelParams(delta=delta, theta=theta, transverse=transverse)
+    c, _, y = critical_point(p)
+    p = dataclasses.replace(p, c=c)
+    row = bistability._trace_roots([y], [c], [theta], p)[0]
+    for xs in ([s.intensity for s in solve_steady_states(y, p)], row[row == row].tolist()):
+        assert xs
+        for x in xs:
+            assert abs(state_equation(x, p) / y - 1.0) <= 1e-13, x
+    # the absorptive cusp itself, C = 4 and Y = 27
+    p = ModelParams(c=4.0, delta=0.0, theta=0.0)
+    row = bistability._trace_roots([27.0], [4.0], [0.0], p)[0]
+    assert row[0] == row[0]
+    for x in row[row == row].tolist():
+        assert abs(state_equation(x, p) / 27.0 - 1.0) <= 1e-13, x
+
+
+def test_newton_raises_at_its_cap_naming_the_bracket():
+    # every Newton step leaves the bracket: 200 bisections stop 6e-61 short
+    with pytest.raises(RuntimeError, match=r"no root to round-off in \[0.0, 1.0\] in 200 "
+                                           r"steps; the last bracket is \[0.0, "):
+        bistability._newton(lambda x: (x - 1e-300, x - 1e-300), 0.0, 1.0, 1.0, True)
+    # the plane-wave root cubic at C = 1e32, Y = 800: its root, near 8.02e-60,
+    # lies below the bracket [0, 401] / 2^200, where x - f/f' cancels
+    with pytest.raises(RuntimeError, match="no root to round-off"):
+        solve_steady_states(800.0, ModelParams(c=1e32))
 
 
 def test_plane_wave_roots_against_exact_discriminant():

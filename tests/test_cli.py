@@ -189,6 +189,25 @@ def test_plane_wave_coefficients_beyond_the_float_range_exit_one(args):
     assert "beyond the float range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["piezo", "--model.C=1e200", "--scan.theta_rate=112.5"],
+    ["release", "--cloud.c0=1e200"],
+])
+def test_a_gaussian_trace_beyond_the_float_range_exits_one(args):
+    rc, out, err = run_cli(args + ["--model.transverse=gaussian", "--model.gaussian_bins=8",
+                                   "--scan.duration_s=4e-4", "--scan.dt_s=8e-5",
+                                   "--scan.vbw_hz=2500"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: the GaussianBins(m=8) state equation at C=1e+200, ")
+    assert "beyond the float range" in err and "Traceback" not in err
+
+
+def test_a_root_out_of_newtons_reach_exits_two():
+    rc, out, err = run_cli(["steady", "--model.C=1e32", "--scan.drive_Y=800"])
+    assert rc == 2 and out == ""
+    assert err.startswith("runtime error:") and "no root to round-off" in err
+
+
 def test_a_step_count_beyond_the_float_range_exits_one():
     rc, out, err = run_cli(["release", "--scan.duration_s=1e300", "--scan.dt_s=1e-300"])
     assert rc == 1 and out == ""

@@ -1,6 +1,7 @@
 """Tests for the array passes of the scan engine against the scalar API.
 
-The lockstep plane-wave roots must equal the single-step solve exactly; the
+A plane-wave trace's roots must agree with the single-step exact cubics to
+round-off, and a binned trace's must equal the single-step solve exactly; the
 stacked spectrum kernel must match ``output_spectrum``; and a whole trace
 must match a step-by-step reference loop built from the public functions.
 """
@@ -31,10 +32,11 @@ from cavsqueeze import (
     quadrature_extrema,
     solve_steady_states,
     state_equation,
+    state_equation_slope,
     turning_points,
 )
 from cavsqueeze import bistability, scans
-from cavsqueeze.bistability import _plane_roots, _plane_roots_many
+from cavsqueeze.bistability import _distinct, _plane_roots
 from cavsqueeze.cli import main
 from cavsqueeze.cloud import cooperativity_decay
 from cavsqueeze.spectra import _kappa_in, _output_noise, _system_sums
@@ -42,19 +44,43 @@ from cavsqueeze.spectra import _kappa_in, _output_noise, _system_sums
 CLOUD = CloudParams(sigma_r_m=4e-3, temp_k=5e-3, c0=220.0)
 
 
-# === lockstep plane-wave roots ===
+# === plane-wave trace roots against the exact cubics ===
 
 
-def _assert_lockstep_equals_scalar(ys, cs, delta, thetas):
-    rows = _plane_roots_many(ys, cs, delta, thetas)
-    assert rows.shape == (len(ys), 7)
+def _plane_trace_rows(ys, cs, delta, thetas):
+    """Each step's roots from the root locus of a plane-wave trace, beside
+    those of the single-step exact cubic ``_plane_roots``."""
+    rows = bistability._trace_roots(ys, cs, thetas, ModelParams(delta=delta))
+    assert rows.shape == (len(ys), 3)
     for y, c, theta, row in zip(ys, cs, thetas, rows.tolist()):
-        got = sorted(x for x in row if x == x)
-        ref = sorted(_plane_roots(y, ModelParams(c=c, delta=delta, theta=theta)))
-        assert got == ref, (y, c, delta, theta)
+        p = ModelParams(c=c, delta=delta, theta=theta)
+        ref = _distinct(_plane_roots(y, p)) if y > 0.0 else [0.0]
+        yield y, p, [x for x in row if x == x], ref
 
 
-def test_lockstep_plane_roots_equal_the_scalar_solve_on_random_steps():
+def _assert_near(x, r, y, p):
+    # a root near a fold is as ill-conditioned as dY/dX is small there
+    assert abs(x - r) <= 1e-12 * r + 1e-13 * y / abs(state_equation_slope(r, p)), (x, r, y, p)
+
+
+def _assert_on_fold(y, p, got, ref):
+    """At a drive exactly on a fold ordinate, round-off decides how many roots
+    the double root at the fold gives: the simple root must be there, and
+    every other root within 1e-7 (relative) of a fold."""
+    folds = turning_points(p, x_max=y).points
+
+    def at_fold(x):
+        return any(abs(x - f) <= 1e-7 * f for f in folds)
+
+    simple = [r for r in ref if not at_fold(r)]
+    assert simple, (y, p, ref)
+    rest = [x for x in got if not at_fold(x)]
+    assert len(rest) == len(simple), (y, p, got, ref)
+    for x, r in zip(rest, simple):
+        _assert_near(x, r, y, p)
+
+
+def test_plane_wave_trace_roots_match_the_exact_cubics_on_random_steps():
     # the operating-point ranges of the benchmark's queries, 10,000 steps
     rng = np.random.default_rng(20140)
     for delta in np.linspace(-30.0, 30.0, 20).tolist():
@@ -62,10 +88,13 @@ def test_lockstep_plane_roots_equal_the_scalar_solve_on_random_steps():
         cs = np.exp(rng.uniform(0.0, math.log(500.0), n)).tolist()
         thetas = rng.uniform(-10.0, 10.0, n).tolist()
         ys = np.exp(rng.uniform(math.log(1e-2), math.log(1e4), n)).tolist()
-        _assert_lockstep_equals_scalar(ys, cs, delta, thetas)
+        for y, p, got, ref in _plane_trace_rows(ys, cs, delta, thetas):
+            assert len(got) == len(ref), (y, p)
+            for x, r in zip(got, ref):
+                assert abs(x - r) <= 1e-13 * r, (y, p)
 
 
-def test_lockstep_plane_roots_equal_the_scalar_solve_near_folds():
+def test_plane_wave_trace_roots_match_the_exact_cubics_near_folds():
     cs, thetas, ys = [], [], []
     # near-critical absorptive inputs, C = 4 (1 + eps), inside the fold window
     for eps in (10.0 ** (-8.0 + k / 8.0) for k in range(8)):
@@ -77,28 +106,39 @@ def test_lockstep_plane_roots_equal_the_scalar_solve_near_folds():
             cs.append(p.c)
             thetas.append(0.0)
             ys.append(lo + at * (hi - lo))
-    # fold pairs tangent to round-off, and the onset itself
+    # fold pairs tangent to round-off, the onset itself, and no drive at all
     for eps in (0.0, 1e-16, 1e-15, 1e-14, 1e-13):
         for y in (20.0, 27.0, 30.0):
             cs.append(4.0 * (1.0 + eps))
             thetas.append(0.0)
             ys.append(y)
-    # drives exactly on a fold ordinate, and no drive at all
-    for c, theta in ((8.0, 0.0), (50.0, 0.0), (4.5, 0.0), (20.0, 0.0)):
-        for y in turning_points(ModelParams(c=c, delta=0.0, theta=theta)).ordinates:
-            cs.append(c)
-            thetas.append(theta)
-            ys.append(y)
     cs.append(50.0)
     thetas.append(0.0)
     ys.append(0.0)
-    _assert_lockstep_equals_scalar(ys, cs, 0.0, thetas)
+    for y, p, got, ref in _plane_trace_rows(ys, cs, 0.0, thetas):
+        assert len(got) == len(ref), (y, p, got, ref)
+        for x, r in zip(got, ref):
+            if r == 0.0:
+                assert x == 0.0
+            else:
+                _assert_near(x, r, y, p)
+
+    # drives exactly on a fold ordinate
+    for c in (8.0, 50.0, 4.5, 20.0):
+        ys = list(turning_points(ModelParams(c=c, delta=0.0, theta=0.0)).ordinates)
+        for y, p, got, ref in _plane_trace_rows(ys, [c] * len(ys), 0.0, [0.0] * len(ys)):
+            _assert_on_fold(y, p, got, ref)
 
     # the same at the release detuning, along a fold-crossing release path
     p = ModelParams(c=220.0, delta=-20.0, theta=-7.5)
     cs = cooperativity_decay(np.linspace(0.0, 0.025, 300), CLOUD).tolist()
     ys = [max(turning_points(replace(p, c=c)).ordinates, default=800.0) for c in cs]
-    _assert_lockstep_equals_scalar(ys, cs, -20.0, [-7.5] * len(cs))
+    for y, q, got, ref in _plane_trace_rows(ys, cs, -20.0, [-7.5] * len(cs)):
+        if y == 800.0:
+            assert len(got) == len(ref) == 1
+            _assert_near(got[0], ref[0], y, q)
+        else:
+            _assert_on_fold(y, q, got, ref)
 
 
 # === lockstep binned roots ===
@@ -261,14 +301,25 @@ def _reference_scan(sc, p, ts, cs, thetas):
     signal_f = analyzer_chain(s_phase + sc.elec_floor, sc, rng)
     shot_f = analyzer_chain(np.full(n, 1.0 + sc.elec_floor), sc, rng)
     elec_f = analyzer_chain(np.full(n, sc.elec_floor), sc, rng)
-    return dict(x=xs, branch=branches, theta_eff=theta_eff, s_min=s_min, s_max=s_max,
-                s_meas=calibrate_and_correct(signal_f, shot_f, elec_f),
+    return dict(x=xs, branch=branches, theta=thetas, theta_eff=theta_eff, s_min=s_min,
+                s_max=s_max, s_meas=calibrate_and_correct(signal_f, shot_f, elec_f),
                 shot_ref=calibrate_and_correct(shot_f, shot_f, elec_f))
 
 
-def _assert_trace_matches(trace, ref):
-    for key in ("x", "theta_eff", "shot_ref"):
-        assert np.array_equal(getattr(trace, key), ref[key]), key
+def _assert_trace_matches(trace, ref, exact=True):
+    """A trace against its step-by-step reference: x and theta_eff equal for
+    a binned profile, whose single solve crosses the same root locus; to
+    round-off for a plane wave (not ``exact``), whose single solve takes the
+    exact cubics."""
+    if exact:
+        assert np.array_equal(trace.x, ref["x"])
+        assert np.array_equal(trace.theta_eff, ref["theta_eff"])
+    else:
+        assert np.all(np.abs(trace.x - ref["x"]) <= 1e-13 * ref["x"])
+        # theta_eff = theta - 2 C delta G: to round-off in its larger term
+        scale = np.abs(ref["theta"]) + np.abs(ref["theta_eff"] - ref["theta"])
+        assert np.all(np.abs(trace.theta_eff - ref["theta_eff"]) <= 1e-13 * scale)
+    assert np.array_equal(trace.shot_ref, ref["shot_ref"])
     assert list(trace.branch) == list(ref["branch"])
     for key in ("s_min", "s_max", "s_meas"):
         got = getattr(trace, key)
@@ -288,7 +339,7 @@ def test_plane_wave_release_matches_the_step_by_step_reference():
     trace, ref = _release_case(p)
     assert "LOWER" in ref["branch"]  # it runs through the bistable window
     assert np.max(np.abs(np.diff(np.log(ref["x"])))) > 0.5  # and jumps off its end
-    _assert_trace_matches(trace, ref)
+    _assert_trace_matches(trace, ref, exact=False)
 
 
 @pytest.mark.filterwarnings("ignore:scan never crosses")
@@ -302,7 +353,7 @@ def test_hysteretic_piezo_sweeps_match_the_step_by_step_reference(theta0, rate):
     thetas = sc.theta0 + sc.theta_rate * ts
     ref = _reference_scan(sc, p, ts, np.full(ts.size, p.c), thetas)
     assert len(set(ref["branch"])) == 2  # one jump between the branches
-    _assert_trace_matches(piezo_scan(sc, p), ref)
+    _assert_trace_matches(piezo_scan(sc, p), ref, exact=False)
 
 
 def test_binned_release_matches_the_step_by_step_reference():
