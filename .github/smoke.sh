@@ -4,11 +4,13 @@
 set -e
 export PYTHONWARNINGS=error::RuntimeWarning
 cavsqueeze steady --model.C=50 --scan.drive_Y=900
+cavsqueeze steady --model.C=1e32 --scan.drive_Y=800
 cavsqueeze spectrum --scan.n_omega=3
 cavsqueeze spectrum --scan.n_omega=64
 cavsqueeze turning --model.C=60
 cavsqueeze spectrum --model.transverse=gaussian --model.gaussian_bins=64 --scan.n_omega=64
 cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --model.C=150 --model.delta=-3 --model.theta=2
+cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=8 --model.C=529.5354878865377 --model.delta=0.5956342029358481 --model.theta=1.7785120603119164
 cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=64 --model.C=400 --model.delta=-1 --model.theta=3 --scan.drive_Y=100000
 cavsqueeze mc-cloud --cloud.mc_samples=20000 --cloud.n_times=3
 decay=$(mktemp)

@@ -568,17 +568,23 @@ def _cubic_segment_roots(coeffs, edges: list[float]) -> list[float]:
     each of which it is monotone: every edge where it is 0, then one
     ``_newton`` root in each segment over which it changes sign.  Newton
     starts from the end where f and f'' share a sign, so that it closes in
-    from one side when no inflection lies between, else from the midpoint.
-    Edge values stay Python floats: numpy scalars would double the cost.
+    from one side when no inflection lies between, else from the midpoint;
+    from X = 0 when its Newton step -f(0)/f'(0) lands below 1e-8 of the
+    segment's top, as a root far below it is out of reach from the top
+    (x - f/f' cancels) and of 200 bisections.  Edge values stay Python
+    floats: numpy scalars would double the cost.
     """
-    c3, c2, _, _ = coeffs
+    c3, c2, c1, c0 = coeffs
     fdf, fvals = _cubic_fdf(coeffs), [_cubic(coeffs, x) for x in edges]
     curvs = [3.0 * c3 * x + c2 for x in edges]
     roots = [x for x, fx in zip(edges, fvals) if fx == 0.0]
     for lo, hi, flo, fhi, clo, chi in zip(edges, edges[1:], fvals, fvals[1:],
                                           curvs, curvs[1:]):
         if (flo < 0.0 < fhi) or (fhi < 0.0 < flo):
-            x = hi if fhi * chi > 0.0 else lo if flo * clo > 0.0 else 0.5 * (lo + hi)
+            if lo == 0.0 and c1 != 0.0 and 0.0 < -c0 / c1 < 1e-8 * hi:
+                x = 0.0
+            else:
+                x = hi if fhi * chi > 0.0 else lo if flo * clo > 0.0 else 0.5 * (lo + hi)
             roots.append(_newton(fdf, lo, hi, x, flo < 0.0))
     return roots
 
@@ -611,7 +617,7 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     coefficients are formed exactly; a fold pair tangent to round-off, as at
     the onset of bistability, counts as no fold.  A binned profile's folds
     are where its C crosses the fold locus C_fold(X) and its partner root
-    (``_level_crossings``) on the cached grid, each refined by Newton on
+    (``_level_crossings``, in sigma = -1/C) on the cached grid, each refined by Newton on
     dY/dX; a narrow pair's knot is ``critical_point``'s cusp, so the fold
     count flips exactly at its C.  Returns 0, 1 or 2 points; exactly 2 means
     the response is bistable within the window (``x_max`` finite and > 0).
@@ -678,10 +684,13 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
     The state equation is u0 (1 + theta^2) + C (1 - delta theta) u1 + C^2 u2
     = u3 with u = (X, 4 G X, 4 A G^2 X, Y), the fold dY/dX = 0 has u = (1, P,
     Q, 0), and their X-derivatives v = (1, P, Q), (0, R, S): a p^2 + b p + c0
-    = 0 in the swept p.  Returns (plus, minus) = (-b +- sqrt(disc))/(2a) free
-    of cancellation, the slope at each, sqrt(disc) (a closed form but for the
-    fold locus in theta; NaN where disc < 0) and a.  The p-derivative of the
-    left side is +sqrt(disc) on plus, -sqrt(disc) on minus.
+    = 0 in the swept p.  The fold locus in C, whose a = Q changes sign, is
+    formed in sigma = -1/C instead: a and c0 swap and b changes sign, so a =
+    1 + theta^2 never vanishes and no branch passes infinity.  Returns (plus,
+    minus) = (-b +- sqrt(disc))/(2a) free of cancellation, the slope at each
+    and sqrt(disc) (a closed form but for the fold locus in theta; NaN where
+    disc < 0).  The p-derivative of the left side is +sqrt(disc) on plus,
+    -sqrt(disc) on minus.
     """
     delta = loc.p.delta
     a_sat, gx = 1.0 + delta * delta, 4.0 * g * x
@@ -692,6 +701,9 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
             theta, k = loc.theta, 1.0 - delta * loc.theta
             a, b, c0 = u2, k * u1, u0 * (1.0 + theta * theta) - u3
             offset, lin, quad, falling = v0 * (1.0 + theta * theta), k * v1, v2, k < 0.0
+            if loc.fold:  # the left side times sigma^2, in sigma = -1/C
+                a, b, c0, offset, lin, quad = c0, -b, a, quad, -lin, offset
+                falling = not falling
             # b^2 - 4 a c0, as k^2 + (delta + theta)^2 = A (1 + theta^2) has it
             s = (delta + theta) * (delta + theta)
             disc = (k * k * (tp - 4.0 * g) ** 2 - 4.0 * s * tq / a_sat if loc.fold
@@ -707,28 +719,33 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
         q = 0.5 * (root - b) if falling else -0.5 * (b + root)
         branches = (q / a, c0 / q) if falling else (c0 / q, q / a)
         slopes = [offset + v * (lin + v * quad) for v in branches]
-    return (*branches, *slopes, root, a)
+    return (*branches, *slopes, root)
 
 
 def _knot(loc: _Locus, sign: float, lo: float, hi: float, rising: bool,
           x: float | None = None) -> tuple[float, float]:
     """The extremum (X, p) of branch ``sign`` of ``loc`` in [lo, hi]: Newton on
     its slope from ``x`` (default mid-cell), exact where dp/dX = 0; without
-    ``x``, ``critical_point``'s cusp if it lies there."""
-    if x is None and loc.fold and loc.c is None:
+    ``x``, ``critical_point``'s cusp if it lies there.  p is sigma = -1/C on
+    the fold locus in C (see ``_locus_terms``)."""
+    in_sigma = loc.fold and loc.c is None
+    if x is None and in_sigma:
         try:
             c, x_crit, _ = critical_point(replace(loc.p, theta=loc.theta))
         except RuntimeError:
             c, x_crit = None, math.nan
         if lo <= x_crit <= hi:
-            return x_crit, c
+            return x_crit, -1.0 / c
     make = _curvature_fdf(loc.p) if loc.fold else _root_fdf(loc.p, True)
 
     def at(t):
         return float(_locus_terms(loc, t, *loc.sums(t))[0 if sign > 0.0 else 1])
 
-    x = _newton(lambda t: make((at(t), loc.theta) if loc.c is None else (loc.c, at(t)))(t),
-                lo, hi, 0.5 * (lo + hi) if x is None else float(x), rising)
+    def fdf(t):
+        v = at(t)
+        return make((-1.0 / v if in_sigma else v, loc.theta) if loc.c is None else (loc.c, v))(t)
+
+    x = _newton(fdf, lo, hi, 0.5 * (lo + hi) if x is None else float(x), rising)
     return float(x), at(x)
 
 
@@ -738,24 +755,29 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
     Between knots, cells over which its slope changes sign, a branch is
     monotone, and ``searchsorted`` finds each level on each such run.  The
     branches meet in tip cells, where disc changes sign.  A root locus starts
-    at X = 0 (F = -Y < 0) at p = +inf and -inf; where a (the fold locus' Q)
-    changes sign a branch passes infinity.  For the levels in its range (its
-    ends' padded by its width times the larger |dp/dX|) a knot cell is split
-    at its polished knot (``_knot``).  Two knots of one cell bracket a cusp,
-    where |slope| has a small local minimum that keeps its sign; that cell
-    takes the cusp, a fold locus knot, as a vertex too.  A crossing is a sign
-    change of p - level >= 0, so what a level finds depends on it alone.
-    Returns (i, lo, hi, start, rising): index of the level, cell, start, and
-    whether the left side minus the right is negative at lo; and the knots.
+    at X = 0 (F = -Y < 0) at p = +inf and -inf; the fold locus in C runs in
+    sigma = -1/C (``_locus_terms``), where its levels C cross as -1/C, and
+    the level ranges of its knots return in C.  For the levels in its range
+    (its ends' padded by its width times the larger |dp/dX|) a knot cell is
+    split at its polished knot (``_knot``).  Two knots of one cell bracket a
+    cusp, where |slope| has a small local minimum that keeps its sign; that
+    cell takes the cusp, a fold locus knot, as a vertex too.  A crossing is
+    a sign change of p - level >= 0, so what a level finds depends on it
+    alone.  Returns (i, lo, hi, start, rising): index of the level, cell,
+    start, and whether the left side minus the right is negative at lo; and
+    the knots.
     """
-    plus, minus, s_plus, s_minus, root, lead = _locus_terms(loc, x, *sums)
+    in_sigma = loc.fold and loc.c is None
+    if in_sigma:
+        with np.errstate(divide="ignore"):  # C = 0 is sigma = -inf
+            levels = -1.0 / levels
+    plus, minus, s_plus, s_minus, root = _locus_terms(loc, x, *sums)
     if x[0] == 0.0 and not loc.fold:
         plus[0], minus[0], s_plus[0], s_minus[0] = math.inf, -math.inf, 1.0, 1.0
     real = root >= 0.0
     tips = np.flatnonzero(real[:-1] != real[1:]).tolist()
     runs = list(zip([0] * bool(real[0]) + [j + 1 for j in tips if not real[j]],
                     [j for j in tips if real[j]] + [x.size - 1] * bool(real[-1])))
-    poles = set(np.flatnonzero(lead[:-1] * lead[1:] < 0.0).tolist() if loc.fold else ())
     l_min, l_max = float(levels.min()), float(levels.max())
     # crossings as (level, cell, branch) on the vertices, or the cells refined
     cusps, knots, hits, refined = [], [], [np.empty((3, 0), dtype=int)], []
@@ -769,14 +791,14 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
     for j in tips + [x.size - 1] * (not loc.fold and bool(real[-1])):
         # a tip: branch 0 (1) if the locus is real at its lower (upper) end
         v = j + (j + 1 < x.size and bool(real[j + 1]))
-        i = np.flatnonzero(((plus[v] >= levels) != (minus[v] >= levels)) & (j not in poles))
+        i = np.flatnonzero((plus[v] >= levels) != (minus[v] >= levels))
         refined.append((i, *np.full((4, i.size), [[x[j]], [x[min(j + 1, x.size - 1)]],
                                                   [plus[v]], [math.nan]]), v - j))
     for b, (w, s) in enumerate(((plus, s_plus), (minus, s_minus))):
         special = {}  # knot and cusp cells: the range of levels they refine
         for j in np.flatnonzero((s[:-1] < 0.0) != (s[1:] < 0.0)).tolist():
             if (real[j] and real[j + 1] and root[j] > 0.0 and root[j + 1] > 0.0
-                    and j not in poles and (j > 0 or x[0] > 0.0 or loc.fold)):
+                    and (j > 0 or x[0] > 0.0 or loc.fold)):
                 pad = max(abs(s[j] / root[j]), abs(s[j + 1] / root[j + 1])) * (x[j + 1] - x[j])
                 special[j] = [min(w[j], w[j + 1]) - pad, max(w[j], w[j + 1]) + pad]
         for xc, c_lo, c_hi in cusps:
@@ -784,7 +806,7 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
             if 0 <= j < x.size - 1 and x[j] < xc and real[j] and real[j + 1]:
                 r = special.setdefault(j, [min(w[j], w[j + 1]), max(w[j], w[j + 1])])
                 r[:] = min(r[0], c_lo), max(r[1], c_hi)
-        cut = sorted(set(special) | {j for j in poles if w[j] * w[j + 1] < 0.0})
+        cut = sorted(special)
         for first, last in runs:
             for j in [j for j in cut if first <= j < last] + [last]:
                 v, ends = w[first:j + 1], sorted((float(w[first]), float(w[j])))
@@ -808,7 +830,8 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
                 if (ss[m] < 0.0) != (ss[m + 1] < 0.0):
                     xk, vk = _knot(loc, 1.0 - 2.0 * b, xs[m], xs[m + 1], ss[m] < 0.0)
                     xs[m + 1:m + 1], vs[m + 1:m + 1] = [xk], [vk]
-                    knots.append((xk, lo, hi))
+                    knots.append((xk, -1.0 / lo, -1.0 / hi if hi < 0.0 else math.inf)
+                                 if in_sigma else (xk, lo, hi))
             xs, vs = np.array(xs), np.array(vs)
             row, m = np.nonzero(np.diff(vs >= levels[mine, None], axis=1))
             refined.append((mine[row], xs[m], xs[m + 1], vs[m], vs[m + 1], b))
@@ -928,10 +951,9 @@ def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
     ``theta``; delta and the profile of ``p``) by ``_locus_roots``, for
     every profile, the plane wave's one bin included, as (n, 3), each row
     ascending and padded with NaN: 47-112 ms for the default 12,500-step
-    Gaussian-64 release, against 0.49-0.84 s of a fold search per step, and
-    about 11 ms for the plane-wave one, against 134-161 ms of per-step exact
-    cubics (one BLAS thread, shared 2-core box).  A row of more than one
-    root goes through ``_distinct``."""
+    Gaussian-64 release and about 11 ms for the plane-wave one (one BLAS
+    thread, shared 2-core box).  A row of more than one root goes through
+    ``_distinct``."""
     y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
     rows = np.full((y.size, 3), np.nan)
     rows[y == 0.0, 0] = 0.0
@@ -1103,14 +1125,16 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
     together with that point's coordinates, as floats.  ``p.c`` is ignored.
 
     The cusp is the minimum over X of the fold curve C_fold(X), the least
-    positive C at which X is a fold (branch ``minus`` of the fold locus in
-    C), below ``x_max`` (default 1e4 (1 + delta^2)): one pass over the cached
-    grid takes the argmin, and d2Y/dX2 at C_fold must change sign from - to
-    + across its neighbours.  One safeguarded Newton (``_knot``) solves
-    d2Y/dX2(X, C_fold(X)) = 0 between them, with d3Y/dX3 as the derivative,
-    exact where dC_fold/dX = 0: an error e in X moves C by O(e^2).  Both
-    profiles take this path.  A window with no cusp raises RuntimeError
-    naming ``x_max`` and ``p``.  A binned ``turning_points`` takes this cusp
+    positive C at which X is a fold, below ``x_max`` (default 1e4 (1 +
+    delta^2)): one pass over the cached grid takes the argmin of -1/C_fold
+    (branch ``minus`` of the fold locus in sigma = -1/C), and d2Y/dX2 at
+    C_fold must change sign from - to + across its neighbours.  One
+    safeguarded Newton (``_knot``) solves d2Y/dX2(X, C_fold(X)) = 0 between
+    them, with d3Y/dX3 as the derivative, exact where dC_fold/dX = 0: an
+    error e in X moves C by O(e^2).  Both profiles take this path.  The
+    returned C is the largest float with its -1/C, as -1/C can round
+    neighbouring floats to one value.  A window with no cusp raises
+    RuntimeError naming ``x_max`` and ``p``.  A binned ``turning_points`` takes this cusp
     as its knot, so its fold count flips exactly at the returned C.
     """
     a_sat = 1.0 + p.delta * p.delta
@@ -1121,12 +1145,16 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
         xi_max = x_max / a_sat
     loc = _Locus(p, True, None, p.theta)
     x, sums = _locus_grid(p, xi_max)
-    c_fold, curv = _locus_terms(loc, x, *sums)[1::2][:2]
-    j = int(np.argmin(np.where(c_fold > 0.0, c_fold, math.inf)))
+    sigma, curv = _locus_terms(loc, x, *sums)[1::2][:2]
+    j = int(np.argmin(np.where(sigma < 0.0, sigma, math.inf)))
     # d2Y/dX2 at the argmin's neighbours; at the grid's ends, twice at it
     k = [j - 1, j + 1] if 0 < j < x.size - 1 else [j, j]
     curv_lo, curv_hi = curv[k].tolist()
-    if not (c_fold[j] > 0.0 and -math.inf < curv_lo < 0.0 < curv_hi < math.inf):
+    if not (sigma[j] < 0.0 and -math.inf < curv_lo < 0.0 < curv_hi < math.inf):
         raise RuntimeError(f"no cusp of the fold curve below x_max={x_max!r} at {p!r}")
-    x_crit, c_crit = _knot(loc, -1.0, x[j - 1], x[j + 1], True, x[j])
+    x_crit, sigma_crit = _knot(loc, -1.0, x[j - 1], x[j + 1], True, x[j])
+    c_crit = -1.0 / sigma_crit
+    # the next float up must have a larger -1/C, or turning_points could not tell them apart
+    while -1.0 / math.nextafter(c_crit, math.inf) == -1.0 / c_crit:
+        c_crit = math.nextafter(c_crit, math.inf)
     return c_crit, x_crit, float(_response_at(x_crit, c_crit, p.theta, p).y)

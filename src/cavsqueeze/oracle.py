@@ -21,9 +21,7 @@ blocks of 2 n_h: the two columns of rho with photon number m.  In these
 blocks L is block-tridiagonal along m, the photon ladder of Risken's matrix
 continued fractions.  ``_photon_blocks`` assembles the diagonal blocks and
 their neighbours, each 2 n_h x 2 n_h, straight from the operators' 2 x 2
-photon sub-blocks, so the N x N matrix is never formed; ``liouvillian``
-stays as the dense reference, and a dense L given to ``steady_density`` or
-``homodyne_spectrum`` is cut at its half-bandwidth instead.  Steady state and
+photon sub-blocks, so the N x N matrix is never formed.  Steady state and
 regression solves eliminate these blocks from the highest photon numbers
 down, for every analysis frequency in one stacked sweep, at O(N n_h^2) per
 frequency instead of the O(N^3) of a dense solve.  The steady state is the
@@ -44,7 +42,6 @@ from .bistability import ModelParams, PlaneWave
 from .spectra import QuadratureSpectrum, _check_dephasing, quadrature_extrema
 
 __all__ = [
-    "liouvillian",
     "steady_density",
     "homodyne_spectrum",
     "me_oracle_spectrum",
@@ -72,40 +69,6 @@ def _effective_hamiltonian(h: np.ndarray, collapse_ops) -> np.ndarray:
     for c in collapse_ops:
         k = k - 0.5 * (c.conj().T @ c)
     return k
-
-
-def liouvillian(h: np.ndarray, collapse_ops: list[np.ndarray]) -> np.ndarray:
-    """Matrix of rho -> -i[h, rho] + sum_c (c rho c+ - {c+c, rho}/2).
-
-    Assembled in effective-Hamiltonian form, I(x)K + conj(K)(x)I +
-    sum_c conj(c)(x)c with K = -i h - sum_c c+c/2, since
-    vec(A rho B) = (B^T (x) A) vec(rho).
-    """
-    eye = np.eye(h.shape[0])
-    k = _effective_hamiltonian(h, collapse_ops)
-    lv = np.kron(eye, k)
-    lv += np.kron(k.conj(), eye)
-    for c in collapse_ops:
-        lv += np.kron(c.conj(), c)
-    return lv
-
-
-def _blocks(lv: np.ndarray) -> list[slice]:
-    """Contiguous index blocks as wide as lv's half-bandwidth w.
-
-    Entries lie within w of the diagonal, so only neighbouring blocks couple
-    and lv is block-tridiagonal; with no band to speak of (2w >= N) it is one
-    block.
-    """
-    n = lv.shape[0]
-    k = np.arange(n)
-    nz = lv != 0
-    nz[k, k] = True  # an empty row then reads as width 0
-    first = nz.argmax(axis=1)
-    last = n - 1 - nz[:, ::-1].argmax(axis=1)
-    w = int(max(np.max(k - first), np.max(last - k)))
-    size = n if 2 * w >= n else max(w, 1)
-    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _photon_blocks(h: np.ndarray, collapse_ops):
@@ -144,16 +107,6 @@ def _photon_blocks(h: np.ndarray, collapse_ops):
     out = (coef.reshape(t, -1).T @ ops.reshape(t, -1)).reshape(rows.size, 2, 2, n, n)
     out = out.transpose(0, 1, 3, 2, 4).reshape(rows.size, 2 * n, 2 * n)
     return out[:nb - 1], out[nb - 1:2 * nb - 1], out[2 * nb - 1:]
-
-
-def _as_blocks(lv):
-    """Block triple of a dense lv, cut at ``_blocks(lv)``; a triple passes through."""
-    if not isinstance(lv, np.ndarray):
-        return lv
-    cuts = _blocks(lv)
-    pairs = list(zip(cuts, cuts[1:]))
-    return ([lv[here, below] for below, here in pairs], [lv[sl, sl] for sl in cuts],
-            [lv[below, here] for below, here in pairs])
 
 
 def _solve(s: np.ndarray, rhs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -215,15 +168,16 @@ def _block_solve(blocks, omegas: np.ndarray, rhs: np.ndarray,
 def steady_density(lv, n: int) -> np.ndarray:
     """Stationary density matrix: null vector of L with unit trace.
 
-    ``lv`` is L as a dense (n^2, n^2) matrix or as a block triple from
-    ``_photon_blocks``.  The null vector of the first block's Schur
-    complement, back-substituted through the block elimination.
+    ``lv`` is L's block triple ``(lower, diag, upper)`` from
+    ``_photon_blocks``; a dense L is the one-block triple ``([], [L], [])``.
+    The null vector of the first block's Schur complement, back-substituted
+    through the block elimination.
     """
     def null_vector(s, c):
         _, _, vh = np.linalg.svd(s[0])
         return vh[-1].conj()[None, :, None]
 
-    v = _block_solve(_as_blocks(lv), np.zeros(1), np.zeros((n * n, 1)), null_vector)
+    v = _block_solve(lv, np.zeros(1), np.zeros((n * n, 1)), null_vector)
     rho = _unvec(v[0, :, 0], n)
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
@@ -239,8 +193,7 @@ def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
     with vacuum input; two-time correlations of the intracavity fluctuation
     operator da = a - <a> are resolved in frequency through
     R(Ω) = -(L + iΩ)^(-1), the one-sided Laplace transform of the regression
-    propagator.  ``lv`` is L, dense or as a block triple (see
-    ``steady_density``).
+    propagator.  ``lv`` is L's block triple (see ``steady_density``).
     """
     omega = np.asarray(omega_hz, dtype=float)
     omegas = omega.ravel()
@@ -260,7 +213,7 @@ def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
         return x
 
     rhs = np.column_stack([_vec(da @ rho), _vec(rho @ dad)])
-    sol = -_block_solve(_as_blocks(lv), omegas, rhs, first_block)
+    sol = -_block_solve(lv, omegas, rhs, first_block)
 
     # one-sided transforms of the time-and-normal-ordered correlations:
     # the detected spectrum is S_phi = 1 + 4k*Re[p1 + q2 + e^{-2i phi}(p3 + q4*)],
@@ -314,12 +267,6 @@ def _cavity_operators(p: ModelParams, drive_amp_hz: float, fock_cutoff: int):
     return h, collapse, a
 
 
-def _driven_cavity(p: ModelParams, drive_amp_hz: float, fock_cutoff: int):
-    """Liouvillian block triple and cavity field of one atom in the driven cavity."""
-    h, collapse, a = _cavity_operators(p, drive_amp_hz, fock_cutoff)
-    return _photon_blocks(h, collapse), a
-
-
 def me_oracle_spectrum(p: ModelParams, omega_grid, drive_y: float | None = None,
                        drive_amp_hz: float | None = None,
                        fock_cutoff: int = 15) -> list[QuadratureSpectrum]:
@@ -358,7 +305,8 @@ def me_oracle_spectrum(p: ModelParams, omega_grid, drive_y: float | None = None,
         drive_amp_hz = kappa * alpha * math.sqrt(drive_y)
 
     dim_c = fock_cutoff + 1
-    lv, a = _driven_cavity(p, drive_amp_hz, fock_cutoff)
+    h, collapse, a = _cavity_operators(p, drive_amp_hz, fock_cutoff)
+    lv = _photon_blocks(h, collapse)
     rho = steady_density(lv, 2 * dim_c)
 
     pops = np.real(np.diag(rho))

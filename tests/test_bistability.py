@@ -413,6 +413,47 @@ def test_binned_fold_count_flips_exactly_at_the_critical_point(transverse, delta
     assert turning_points(dataclasses.replace(p, c=float(np.nextafter(c, math.inf)))).bistable
 
 
+@pytest.mark.parametrize("m, delta, theta", [
+    (8, 2.0, -1.0), (8, 10.0, 1.0), (64, -20.0, -2.0), (64, 3.0, 0.5), (64, 2.0, 4.0),
+])
+def test_fold_count_flips_exactly_where_minus_one_over_c_joins_two_floats(m, delta, theta):
+    # the fold locus runs in sigma = -1/C, and here -1/C rounds the polished
+    # cusp's C and its next float up to one value: critical_point returns the
+    # largest C of that value, so that the next float up still folds
+    p = ModelParams(c=1.0, delta=delta, theta=theta, transverse=GaussianBins(m))
+    c, _, _ = critical_point(p)
+    assert turning_points(dataclasses.replace(p, c=c)).points == ()
+    assert turning_points(dataclasses.replace(p, c=math.nextafter(c, math.inf))).bistable
+
+
+@pytest.mark.parametrize("m, c, delta, theta", [
+    (8, 529.5354878865377, 0.5956342029358481, 1.7785120603119164),
+    (64, 1080.463482862866, -11.872230532531141, -0.044850395760997586),
+])
+def test_a_fold_where_the_fold_locus_in_c_passes_infinity_is_found(m, c, delta, theta):
+    # the fold lies in the grid cell where Q, the C^2 term of the fold locus,
+    # changes sign (X / A near 3.92): there the locus in C passes infinity
+    p = ModelParams(c=c, delta=delta, theta=theta, transverse=GaussianBins(m))
+    (x,) = turning_points(p).points
+    assert 3.9 < x / (1.0 + delta * delta) < 3.95
+    below, above = state_equation_slope(np.array([x * (1 - 1e-6), x * (1 + 1e-6)]), p)
+    assert below > 0.0 > above
+
+
+def test_binned_fold_counts_match_the_slope_sign_changes_at_large_c():
+    # a large C pushes a fold toward the pole of the fold locus in C
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        p = ModelParams(c=float(np.exp(rng.uniform(np.log(100.0), np.log(5000.0)))),
+                        delta=float(rng.uniform(-30.0, 30.0)),
+                        theta=float(rng.uniform(-10.0, 10.0)),
+                        transverse=GaussianBins(8))
+        a_sat = 1.0 + p.delta * p.delta
+        slope = state_equation_slope(np.geomspace(1e-4 * a_sat, 100.0 * a_sat, 20001), p)
+        flips = int(np.count_nonzero(np.diff(np.sign(slope))))
+        assert len(turning_points(p).points) == flips, p
+
+
 @pytest.mark.parametrize("x_max", [0.5, 2.0])
 def test_critical_point_window_without_cusp_raises(x_max):
     # the absorptive cusp sits at X = 3: below X = 1 no C folds the response,
@@ -843,10 +884,16 @@ def test_newton_raises_at_its_cap_naming_the_bracket():
     with pytest.raises(RuntimeError, match=r"no root to round-off in \[0.0, 1.0\] in 200 "
                                            r"steps; the last bracket is \[0.0, "):
         bistability._newton(lambda x: (x - 1e-300, x - 1e-300), 0.0, 1.0, 1.0, True)
-    # the plane-wave root cubic at C = 1e32, Y = 800: its root, near 8.02e-60,
-    # lies below the bracket [0, 401] / 2^200, where x - f/f' cancels
-    with pytest.raises(RuntimeError, match="no root to round-off"):
-        solve_steady_states(800.0, ModelParams(c=1e32))
+
+
+@pytest.mark.parametrize("c", [1e32, 1e40, 1e100, 1e140, 1e150])
+def test_a_plane_wave_root_far_below_its_segment_is_found(c):
+    # the root cubic's root, near 8.02e-60 at C = 1e32, lies below the
+    # segment [0, 401] / 2^200, where Newton from the top cancels in x - f/f'
+    p = ModelParams(c=c)
+    (state,) = solve_steady_states(800.0, p)
+    assert 0.0 < state.intensity < 1e-50 and state.stable
+    assert abs(state_equation(state.intensity, p) / 800.0 - 1.0) <= 1e-15
 
 
 def test_plane_wave_roots_against_exact_discriminant():

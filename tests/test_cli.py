@@ -177,6 +177,14 @@ def test_validation_failures_exit_one():
     assert rc == 1 and "config" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "oracle"])
+def test_an_inverted_frequency_window_exits_one(command):
+    rc, out, err = run_cli([command, "--scan.omega_min_hz=2e7", "--scan.omega_max_hz=1e7"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: scan.omega_max_hz=10000000.0 is below "
+                          "scan.omega_min_hz=20000000.0")
+
+
 @pytest.mark.parametrize("args", [
     ["steady", "--model.C=1e200"],
     ["turning", "--model.C=1e300"],
@@ -202,10 +210,18 @@ def test_a_gaussian_trace_beyond_the_float_range_exits_one(args):
     assert "beyond the float range" in err and "Traceback" not in err
 
 
-def test_a_root_out_of_newtons_reach_exits_two():
-    rc, out, err = run_cli(["steady", "--model.C=1e32", "--scan.drive_Y=800"])
-    assert rc == 2 and out == ""
-    assert err.startswith("runtime error:") and "no root to round-off" in err
+def test_a_root_far_below_its_bracket_exits_zero():
+    # the root near 8.02e-60 C^-2 lies far below the bracket [0, 401], where
+    # Newton from the top cancels in x - f/f'
+    for c in (1e32, 1e100, 1e150):
+        rc, out, err = run_cli(["steady", f"--model.C={c!r}", "--scan.drive_Y=800"])
+        assert rc == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        x = float(rows[0]["X"])
+        assert 0.0 < x < 1e-50
+        assert abs(cavsqueeze.state_equation(x, cavsqueeze.ModelParams(c=c)) / 800.0
+                   - 1.0) <= 1e-15
 
 
 def test_a_step_count_beyond_the_float_range_exits_one():

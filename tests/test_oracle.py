@@ -24,19 +24,29 @@ from cavsqueeze import (
 )
 from cavsqueeze import oracle
 from cavsqueeze.oracle import (
-    _blocks,
     _cavity_operators,
-    _driven_cavity,
+    _effective_hamiltonian,
     _fock_destroy,
     _photon_blocks,
     homodyne_spectrum,
-    liouvillian,
     me_oracle_spectrum,
     steady_density,
 )
 
 KAPPA = 2.5e6
 FIVE_POINT_GRID = np.array([0.0, 1.0, 2.0, 3.0, 4.0]) * KAPPA
+
+
+def liouvillian(h, collapse_ops):
+    """Dense matrix of rho -> -i[h, rho] + sum_c (c rho c+ - {c+c, rho}/2).
+
+    I(x)K + conj(K)(x)I + sum_c conj(c)(x)c with K = -i h - sum_c c+c/2,
+    since vec(A rho B) = (B^T (x) A) vec(rho).
+    """
+    eye = np.eye(h.shape[0])
+    k = _effective_hamiltonian(h, collapse_ops)
+    return (np.kron(eye, k) + np.kron(k.conj(), eye)
+            + sum(np.kron(c.conj(), c) for c in collapse_ops))
 
 
 def _linearized_v(p, drive_y, x_target, omega_hz):
@@ -63,10 +73,10 @@ def test_parametric_amplifier_matches_closed_form():
     """A quadratic cavity-only Hamiltonian has closed-form output spectra;
     this pins the shot normalization and the 4-kappa output prefactor."""
     eps = 0.6 * KAPPA
-    dim = 25
+    dim = 26  # even, so that photon pairs fill the blocks
     a = _fock_destroy(dim)
     h = 0.5j * eps * (a.conj().T @ a.conj().T - a @ a)
-    lv = liouvillian(h, [math.sqrt(2.0 * KAPPA) * a])
+    lv = _photon_blocks(h, [math.sqrt(2.0 * KAPPA) * a])
     rho = steady_density(lv, dim)
     for omega in (0.0, 0.5 * KAPPA, KAPPA, 3.0 * KAPPA):
         v = homodyne_spectrum(lv, a, rho, KAPPA, omega)
@@ -80,10 +90,10 @@ def test_parametric_amplifier_matches_closed_form():
 
 def test_steady_density_is_a_state():
     eps = 0.4 * KAPPA
-    dim = 15
+    dim = 16
     a = _fock_destroy(dim)
     h = 0.5j * eps * (a.conj().T @ a.conj().T - a @ a)
-    lv = liouvillian(h, [math.sqrt(2.0 * KAPPA) * a])
+    lv = _photon_blocks(h, [math.sqrt(2.0 * KAPPA) * a])
     rho = steady_density(lv, dim)
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -185,7 +195,7 @@ def test_singular_regression_solve_names_frequency_and_cutoff(monkeypatch):
     # with no dissipation L is diagonal, and L + iΩ is exactly singular where Ω
     # matches a level spacing of h
     h = np.diag([0.0, 1.0, 3.0]) * KAPPA
-    lv = liouvillian(h, [])
+    lv = ([], [liouvillian(h, [])], [])
     rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(RuntimeError, match="omega_hz=2500000.0"):
         homodyne_spectrum(lv, _fock_destroy(3), rho, KAPPA, [0.5 * KAPPA, KAPPA])
@@ -232,7 +242,8 @@ def test_liouvillian_matches_textbook_superoperator():
 
 def test_batched_frequencies_match_single_calls():
     p = ModelParams(c=0.3, delta=0.5, theta=0.2, gamma_par_ratio=1.2, n_atoms=1)
-    lv, a = _driven_cavity(p, 0.3 * KAPPA, 8)
+    h, collapse, a = _cavity_operators(p, 0.3 * KAPPA, 8)
+    lv = _photon_blocks(h, collapse)
     rho = steady_density(lv, a.shape[0])
     vs = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
     assert vs.shape == (5, 2, 2)
@@ -291,19 +302,17 @@ def test_banded_elimination_matches_dense_reference(case):
     omegas = np.array([0.5, 1.0, 3.0]) * KAPPA
     if case == "dense":
         lv, a = _random_dense_system()
-        assert len(_blocks(lv)) == 1
+        blocks = ([], [lv], [])
     else:
         p, amp, cutoff = CAVITY_CASES[case]
         h, collapse, a = _cavity_operators(p, amp, cutoff)
         lv = liouvillian(h, collapse)
-        # photon-outer ordering: half-bandwidth 2 n_h + 2
-        n_h = 2 * (cutoff + 1)
-        assert _blocks(lv)[0] == slice(0, 2 * n_h + 2)
+        blocks = _photon_blocks(h, collapse)
     n = a.shape[0]
     rho_ref, v_ref = _dense_reference(lv, a, omegas)
-    rho = steady_density(lv, n)
+    rho = steady_density(blocks, n)
     assert np.max(np.abs(rho - rho_ref)) <= 1e-10 * np.max(np.abs(rho_ref))
-    v = homodyne_spectrum(lv, a, rho, KAPPA, omegas)
+    v = homodyne_spectrum(blocks, a, rho, KAPPA, omegas)
     assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
 
 
@@ -313,7 +322,7 @@ def test_banded_elimination_matches_dense_reference(case):
 @pytest.mark.parametrize("case", list(CAVITY_CASES))
 def test_photon_blocks_match_dense_liouvillian(case):
     p, amp, cutoff = CAVITY_CASES[case]
-    h, collapse, a = _cavity_operators(p, amp, cutoff)
+    h, collapse, _ = _cavity_operators(p, amp, cutoff)
     lv = liouvillian(h, collapse)
     lower, diag, upper = _photon_blocks(h, collapse)
     b = 4 * (cutoff + 1)  # two columns of rho, each n_h = 2 (cutoff + 1) long
@@ -332,23 +341,3 @@ def test_photon_blocks_match_dense_liouvillian(case):
         rebuilt[above, here], rebuilt[here, above] = lo, up
     # nothing of lv lies outside the three block diagonals
     assert np.max(np.abs(lv - rebuilt)) <= tol
-
-    # the solves read the triple exactly as they read the dense matrix cut up
-    n = a.shape[0]
-    rho = steady_density(lv, n)
-    rho_blocks = steady_density((lower, diag, upper), n)
-    assert np.max(np.abs(rho_blocks - rho)) <= 1e-12 * np.max(np.abs(rho))
-    v = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
-    v_blocks = homodyne_spectrum((lower, diag, upper), a, rho_blocks, KAPPA, FIVE_POINT_GRID)
-    assert np.max(np.abs(v_blocks - v)) <= 1e-12 * np.max(np.abs(v))
-
-
-def test_oracle_never_forms_the_dense_liouvillian(monkeypatch):
-    def dense(*args):
-        raise AssertionError("the oracle assembled the dense Liouvillian")
-
-    monkeypatch.setattr(oracle, "liouvillian", dense)
-    p = ModelParams(c=0.3, delta=0.5, theta=0.2, gamma_par_ratio=1.2, n_atoms=1)
-    spectra = me_oracle_spectrum(p, FIVE_POINT_GRID, drive_y=0.05, fock_cutoff=10)
-    assert len(spectra) == 5
-    assert all(np.all(np.isfinite(q.v)) for q in spectra)

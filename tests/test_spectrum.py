@@ -396,6 +396,11 @@ def test_quadrature_extrema_pinned_values():
     assert abs(theta - 0.75 * np.pi) < 1e-12
 
 
+def test_quadrature_extrema_rejects_a_matrix_that_is_not_2x2():
+    with pytest.raises(ValueError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+        quadrature_extrema(np.eye(3))
+
+
 def test_quadrature_extrema_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         quadrature_extrema(np.array([[1.0, 0.2], [0.1, 1.0]]))
