@@ -12,6 +12,17 @@ cavsqueeze spectrum --model.transverse=gaussian --model.gaussian_bins=64 --scan.
 cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --model.C=150 --model.delta=-3 --model.theta=2
 cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=8 --model.C=529.5354878865377 --model.delta=0.5956342029358481 --model.theta=1.7785120603119164
 cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=64 --model.C=400 --model.delta=-1 --model.theta=3 --scan.drive_Y=100000
+# binned single solves in the locus' tip cell (X = 424.19566847402547) and at
+# the cusp drive, whose root is the cusp vertex (X = 156.55889943004186)
+cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=64 --model.C=109.15523448392895 --model.delta=-20 --model.theta=-7.5 --scan.drive_Y=800
+cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=8 --model.C=129.75515923598005 --model.delta=-20 --model.theta=-10 --scan.drive_Y=508.91465125616236
+# a binned fold beyond the float range is the input error: exit 1 with its
+# one-line message, not a fold at Y = inf (exit 0) or a RuntimeWarning traceback
+rc=0
+err=$(cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --model.C=1e200 2>&1) || rc=$?
+printf '%s\n' "$err" >&2
+test "$rc" -eq 1
+case "$err" in "error: the GaussianBins(m=64) state equation at C=1e+200, "*"beyond the float range") ;; *) exit 1 ;; esac
 cavsqueeze mc-cloud --cloud.mc_samples=20000 --cloud.n_times=3
 decay=$(mktemp)
 trap 'rm -f "$decay"' EXIT

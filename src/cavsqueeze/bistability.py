@@ -224,8 +224,9 @@ def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
     With the bin reciprocals r_j = 1/(A + s_j X), formed once, the k-th
     derivative is (-1)^k k! sum_j w_j s_j^(k+1) r_j^(k+1) (``_reduce_bins``).
     A plane wave's one bin (s = w = 1) gives G = r = 1/(X + A) in closed
-    form, with the reduction's products bit for bit, and in Python floats
-    for a float X: a single state's calls then pay no numpy call.
+    form, with the reduction's products bit for bit.  A float X gives Python
+    floats for every profile: a single state's response then pays no numpy
+    call beyond the bin reduction.
     """
     if isinstance(transverse, PlaneWave):
         r = 1.0 / (x + a_sat)
@@ -237,9 +238,9 @@ def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
 
 def _reduce_bins(x, transverse: Transverse, a_sat: float, n: int) -> list:
     """``_bin_sums`` as sums over the bins of ``transverse``: numpy arrays
-    shaped like X.  Each sum is numpy's reduction along the bin axis, which
-    rounds a single X and every row of a stack alike; a matrix product does
-    not."""
+    shaped like X, Python floats for a float X.  Each sum is numpy's
+    reduction along the bin axis, which rounds a single X and every row of a
+    stack alike; a matrix product does not."""
     _, _, s, ws = _layout(transverse)
     r = np.multiply.outer(x, s)
     r += a_sat
@@ -250,7 +251,7 @@ def _reduce_bins(x, transverse: Transverse, a_sat: float, n: int) -> list:
     for factor in (-1.0, 2.0, -6.0)[:n - 1]:
         t *= sr
         sums.append(factor * np.add.reduce(t, -1))
-    return sums
+    return [float(v) for v in sums] if isinstance(x, float) else sums
 
 
 def _fold_tables(x, transverse: Transverse, a_sat: float):
@@ -504,6 +505,13 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
                        "200 steps; the last bracket is [{!r}, {!r}]".format(*bracket, lo, hi))
 
 
+def _newton_cells(fdf, lo: np.ndarray, hi: np.ndarray, start: np.ndarray,
+                  rising: np.ndarray) -> list[float]:
+    """``_newton`` in each of a few cells of one fdf, as Python floats."""
+    return [float(_newton(fdf, *cell)) for cell in zip(lo.tolist(), hi.tolist(),
+                                                        start.tolist(), rising.tolist())]
+
+
 # Below this many brackets a lockstep iteration, numpy's fixed cost per call
 # times some forty calls, costs more than scalar iterations of every bracket.
 _LOCKSTEP_MIN = 16
@@ -619,8 +627,12 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     are where its C crosses the fold locus C_fold(X) and its partner root
     (``_level_crossings``, in sigma = -1/C) on the cached grid, each refined by Newton on
     dY/dX; a narrow pair's knot is ``critical_point``'s cusp, so the fold
-    count flips exactly at its C.  Returns 0, 1 or 2 points; exactly 2 means
-    the response is bistable within the window (``x_max`` finite and > 0).
+    count flips exactly at its C.  Where Y(X) or the 8 C^2 X of d2Y/dX2
+    could pass the float range up to the top of its fold cells
+    (``_root_bound``), a binned profile raises the input error, as a plane
+    wave does where its fold cubic would.  Returns 0, 1 or 2 points; exactly
+    2 means the response is bistable within the window (``x_max`` finite
+    and > 0).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -635,13 +647,17 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
         # dY/dX >= |z| (|z| - 4 C xi sum w s^2 / sqrt(A)) with |z|^2 = Y/X > 1: no fold below
         _, _, s, ws = _layout(p.transverse)
         bottom = 0.5 * a_sat * math.sqrt(a_sat) / (4.0 * p.c * (ws @ s)) if p.c else math.inf
+        c, theta = float(p.c), float(p.theta)
         (_, lo, hi, start, rising), _ = _level_crossings(_Locus(p, True, None, p.theta),
                                                          *_locus_grid(p, xi_max, None, bottom),
-                                                         np.array([p.c]))
+                                                         np.array([c]))
         if lo.size > 2:
             raise RuntimeError(f"found {lo.size} folds at {p!r}, more than two")
-        folds = sorted(_newton_many(_root_fdf(p, True), (np.full(lo.size, p.c),
-                                    np.full(lo.size, p.theta)), lo, hi, start, rising).tolist())
+        # Newton on dY/dX forms Y <= X bound and, in d2Y/dX2, 8 C^2 X
+        top = float(hi.max()) if hi.size else 1.0
+        if not math.isfinite(top * (_root_bound(c, theta, p) + 8.0 * c * c)):
+            raise _beyond_float_range(p.transverse, p.c, p.delta, p.theta, 0.0)
+        folds = sorted(_newton_cells(_root_fdf(p, True)((c, theta)), lo, hi, start, rising))
     points = tuple(x for x in folds if x < x_max)
     ys = tuple(float(_response(x, p).y) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
@@ -668,14 +684,20 @@ def _locus_grid(p: ModelParams, xi_max: float, top: float | None = None,
     a_sat = 1.0 + p.delta * p.delta
     xi, table = _grid_sums(p.transverse, min(1e-9, 1e-6 * xi_max), xi_max)
     x = a_sat * xi
-    i = min(int(np.searchsorted(x, bottom, "right")), x.size - 2)
-    j = x.size if top is None else int(np.searchsorted(x, top)) + 1
-    x, sums = x[i:j], table[:, i:j] / np.array([[a_sat]] * 3 + [[a_sat * a_sat]] * 2)
-    if top is None:
-        return x, sums
-    if x[-1] < top:  # the window's top rounded below Y
-        x, sums = np.append(x, top), np.c_[sums, _fold_tables(top, p.transverse, a_sat)]
-    return np.concatenate(([0.0], x)), np.concatenate((sums[:, :1], sums), axis=1)
+    i = min(int(x.searchsorted(bottom, "right")), x.size - 2)
+    j = x.size if top is None else min(int(x.searchsorted(top)) + 1, x.size)
+    # with ``top``: X = 0 first and, if the window's top rounded below Y, Y last
+    first, last = int(top is not None), int(top is not None and x[j - 1] < top)
+    out = np.empty((6, first + j - i + last))  # X, then G, P, Q, R and S
+    grid = out[:, first:first + j - i]
+    grid[0] = x[i:j]
+    np.divide(table[:3, i:j], a_sat, out=grid[1:4])
+    np.divide(table[3:, i:j], a_sat * a_sat, out=grid[4:])
+    if last:
+        out[0, -1], out[1:, -1] = top, _fold_tables(top, p.transverse, a_sat)
+    if first:
+        out[0, 0], out[1:, 0] = 0.0, out[1:, 1]
+    return out[0], out[1:]
 
 
 def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
@@ -686,16 +708,21 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
     Q, 0), and their X-derivatives v = (1, P, Q), (0, R, S): a p^2 + b p + c0
     = 0 in the swept p.  The fold locus in C, whose a = Q changes sign, is
     formed in sigma = -1/C instead: a and c0 swap and b changes sign, so a =
-    1 + theta^2 never vanishes and no branch passes infinity.  Returns (plus,
-    minus) = (-b +- sqrt(disc))/(2a) free of cancellation, the slope at each
-    and sqrt(disc) (a closed form but for the fold locus in theta; NaN where
+    1 + theta^2 never vanishes and no branch passes infinity.  Returns the
+    branches (plus, minus) = (-b +- sqrt(disc))/(2a) free of cancellation,
+    stacked on a leading axis of two, the slope at each, stacked alike, and
+    sqrt(disc) (a closed form but for the fold locus in theta; NaN where
     disc < 0).  The p-derivative of the left side is +sqrt(disc) on plus,
     -sqrt(disc) on minus.
     """
     delta = loc.p.delta
-    a_sat, gx = 1.0 + delta * delta, 4.0 * g * x
-    u0, u1, u2, u3 = (1.0, tp, tq, 0.0) if loc.fold else (x, gx, a_sat * g * gx, loc.y)
-    v0, v1, v2 = (0.0, tr, ts) if loc.fold else (1.0, tp, tq)
+    a_sat = 1.0 + delta * delta
+    if loc.fold:
+        u0, u1, u2, u3, v0, v1, v2 = 1.0, tp, tq, 0.0, 0.0, tr, ts
+    else:
+        g4 = 4.0 * g
+        gx = g4 * x
+        u0, u1, u2, u3, v0, v1, v2 = x, gx, a_sat * g * gx, loc.y, 1.0, tp, tq
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if loc.c is None:
             theta, k = loc.theta, 1.0 - delta * loc.theta
@@ -707,7 +734,7 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
             # b^2 - 4 a c0, as k^2 + (delta + theta)^2 = A (1 + theta^2) has it
             s = (delta + theta) * (delta + theta)
             disc = (k * k * (tp - 4.0 * g) ** 2 - 4.0 * s * tq / a_sat if loc.fold
-                    else 4.0 * g * gx * (a_sat * loc.y - x * s))
+                    else g4 * gx * (a_sat * loc.y - x * s))
         else:
             c = loc.c
             a, b, c0 = u0 + 0.0 * u1, -c * delta * u1, u0 + c * u1 + c * c * u2 - u3
@@ -717,9 +744,11 @@ def _locus_terms(loc: _Locus, x, g, tp, tq, tr, ts):
                     else 4.0 * x * (loc.y - x * (1.0 + 2.0 * c * g) ** 2))
         root = np.sqrt(disc)
         q = 0.5 * (root - b) if falling else -0.5 * (b + root)
-        branches = (q / a, c0 / q) if falling else (c0 / q, q / a)
-        slopes = [offset + v * (lin + v * quad) for v in branches]
-    return (*branches, *slopes, root)
+        w = np.empty((2, *np.shape(q)))
+        np.divide(q, a, out=w[1 - falling, ...])
+        np.divide(c0, q, out=w[int(falling), ...])
+        slopes = offset + w * (lin + w * quad)
+    return w, slopes, root
 
 
 def _knot(loc: _Locus, sign: float, lo: float, hi: float, rising: bool,
@@ -739,7 +768,7 @@ def _knot(loc: _Locus, sign: float, lo: float, hi: float, rising: bool,
     make = _curvature_fdf(loc.p) if loc.fold else _root_fdf(loc.p, True)
 
     def at(t):
-        return float(_locus_terms(loc, t, *loc.sums(t))[0 if sign > 0.0 else 1])
+        return float(_locus_terms(loc, t, *loc.sums(t))[0][0 if sign > 0.0 else 1])
 
     def fdf(t):
         v = at(t)
@@ -763,69 +792,80 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
     cusp, where |slope| has a small local minimum that keeps its sign; that
     cell takes the cusp, a fold locus knot, as a vertex too.  A crossing is
     a sign change of p - level >= 0, so what a level finds depends on it
-    alone.  Returns (i, lo, hi, start, rising): index of the level, cell,
-    start, and whether the left side minus the right is negative at lo; and
-    the knots.
+    alone.  Work on the vertices is whole-array; per cell, run and knot it
+    is skipped unless a level lies in that piece's range, so a single level
+    pays for the few cells it can reach.  Returns (i, lo, hi, start,
+    rising): index of the level, cell, start, and whether the left side
+    minus the right is negative at lo; and the knots.
     """
     in_sigma = loc.fold and loc.c is None
     if in_sigma:
         with np.errstate(divide="ignore"):  # C = 0 is sigma = -inf
             levels = -1.0 / levels
-    plus, minus, s_plus, s_minus, root = _locus_terms(loc, x, *sums)
+    branches, slopes, root = _locus_terms(loc, x, *sums)
     if x[0] == 0.0 and not loc.fold:
-        plus[0], minus[0], s_plus[0], s_minus[0] = math.inf, -math.inf, 1.0, 1.0
+        branches[:, 0], slopes[:, 0] = (math.inf, -math.inf), 1.0
+    plus, minus = branches
+    n = x.size
     real = root >= 0.0
-    tips = np.flatnonzero(real[:-1] != real[1:]).tolist()
+    tips = (real[:-1] != real[1:]).nonzero()[0].tolist()
     runs = list(zip([0] * bool(real[0]) + [j + 1 for j in tips if not real[j]],
-                    [j for j in tips if real[j]] + [x.size - 1] * bool(real[-1])))
+                    [j for j in tips if real[j]] + [n - 1] * bool(real[-1])))
     l_min, l_max = float(levels.min()), float(levels.max())
-    # crossings as (level, cell, branch) on the vertices, or the cells refined
-    cusps, knots, hits, refined = [], [], [np.empty((3, 0), dtype=int)], []
-    for s in () if loc.fold else (s_plus, s_minus):
-        m = np.abs(s)
-        v = np.flatnonzero(m[2:-1] * x[2:-1] < 0.1 * loc.y) + 2
-        for v in v[(m[v] < m[v - 1]) & (m[v] <= m[v + 1]) & real[v - 1] & real[v + 1]
-                   & ((s[v - 1] < 0.0) == (s[v + 1] < 0.0))].tolist():
-            cusps += _level_crossings(loc._replace(fold=True), x[v - 1:v + 3],
-                                      sums[:, v - 1:v + 3], levels)[1]
-    for j in tips + [x.size - 1] * (not loc.fold and bool(real[-1])):
+    # crossings as (level, cell lo, cell hi, p there, p at hi, branch): the hits
+    # on the vertices, then the refined ones (tips, knots and cusps)
+    cusps, knots, hits, refined = [], [], [], []
+    if not loc.fold:
+        # cusp candidates on either branch: |slope| X < Y/10 first, the rest on those alone
+        b, v = (np.abs(slopes[:, 2:-1]) * x[2:-1] < 0.1 * loc.y).nonzero()
+        if v.size:
+            m, s, v = np.abs(slopes), slopes, v + 2
+            for v in v[(m[b, v] < m[b, v - 1]) & (m[b, v] <= m[b, v + 1]) & real[v - 1]
+                       & real[v + 1] & ((s[b, v - 1] < 0.0) == (s[b, v + 1] < 0.0))].tolist():
+                cusps += _level_crossings(loc._replace(fold=True), x[v - 1:v + 3],
+                                          sums[:, v - 1:v + 3], levels)[1]
+    for j in tips + [n - 1] * (not loc.fold and bool(real[-1])):
         # a tip: branch 0 (1) if the locus is real at its lower (upper) end
-        v = j + (j + 1 < x.size and bool(real[j + 1]))
-        i = np.flatnonzero((plus[v] >= levels) != (minus[v] >= levels))
-        refined.append((i, *np.full((4, i.size), [[x[j]], [x[min(j + 1, x.size - 1)]],
-                                                  [plus[v]], [math.nan]]), v - j))
-    for b, (w, s) in enumerate(((plus, s_plus), (minus, s_minus))):
+        v = j + (j + 1 < n and bool(real[j + 1]))
+        i = ((plus[v] >= levels) != (minus[v] >= levels)).nonzero()[0]
+        if i.size:
+            refined.append((i, *np.full((4, i.size), [[x[j]], [x[min(j + 1, n - 1)]],
+                                                    [plus[v]], [math.nan]]), v - j))
+    neg = slopes < 0.0
+    flips = neg[:, :-1] != neg[:, 1:]
+    for b, (w, s) in enumerate(zip(branches, slopes)):
         special = {}  # knot and cusp cells: the range of levels they refine
-        for j in np.flatnonzero((s[:-1] < 0.0) != (s[1:] < 0.0)).tolist():
+        for j in flips[b].nonzero()[0].tolist():
             if (real[j] and real[j + 1] and root[j] > 0.0 and root[j + 1] > 0.0
                     and (j > 0 or x[0] > 0.0 or loc.fold)):
                 pad = max(abs(s[j] / root[j]), abs(s[j + 1] / root[j + 1])) * (x[j + 1] - x[j])
                 special[j] = [min(w[j], w[j + 1]) - pad, max(w[j], w[j + 1]) + pad]
         for xc, c_lo, c_hi in cusps:
             j = int(np.searchsorted(x, xc)) - 1
-            if 0 <= j < x.size - 1 and x[j] < xc and real[j] and real[j + 1]:
+            if 0 <= j < n - 1 and x[j] < xc and real[j] and real[j + 1]:
                 r = special.setdefault(j, [min(w[j], w[j + 1]), max(w[j], w[j + 1])])
                 r[:] = min(r[0], c_lo), max(r[1], c_hi)
         cut = sorted(special)
         for first, last in runs:
             for j in [j for j in cut if first <= j < last] + [last]:
-                v, ends = w[first:j + 1], sorted((float(w[first]), float(w[j])))
-                if j == first or ends[1] < l_min or ends[0] > l_max:
-                    first = j + 1
-                    continue  # a monotone piece that no level reaches
-                k = (np.searchsorted(v, levels, "left") if v[-1] >= v[0]
-                     else v.size - np.searchsorted(v[::-1], levels, "left"))
-                i = np.flatnonzero((k > 0) & (k < v.size))
-                hits.append(np.stack((i, first + k[i] - 1, np.full(i.size, b))))
+                ends = sorted((float(w[first]), float(w[j])))
+                if not (j == first or ends[1] < l_min or ends[0] > l_max):
+                    v = w[first:j + 1]  # a monotone piece that some level reaches
+                    k = (v.searchsorted(levels, "left") if v[-1] >= v[0]
+                         else v.size - v[::-1].searchsorted(levels, "left"))
+                    i = ((k > 0) & (k < v.size)).nonzero()[0]
+                    if i.size:
+                        c = first + k[i] - 1
+                        hits.append((i, x[c], x[c + 1], w[c], w[c + 1], b))
                 first = j + 1
         for j, (lo, hi) in special.items():
             if hi < l_min or lo > l_max or not (
-                    mine := np.flatnonzero((levels >= lo) & (levels <= hi))).size:
+                    mine := ((levels >= lo) & (levels <= hi)).nonzero()[0]).size:
                 continue
             xs, vs, ss = [x[j], x[j + 1]], [w[j], w[j + 1]], [s[j], s[j + 1]]
             for xc in sorted(cp[0] for cp in cusps if x[j] < cp[0] < x[j + 1]):
                 terms = _locus_terms(loc, xc, *loc.sums(xc))
-                xs[-1:-1], vs[-1:-1], ss[-1:-1] = [xc], [float(terms[b])], [float(terms[2 + b])]
+                xs[-1:-1], vs[-1:-1], ss[-1:-1] = [xc], [float(terms[0][b])], [float(terms[1][b])]
             for m in reversed(range(len(xs) - 1)):
                 if (ss[m] < 0.0) != (ss[m + 1] < 0.0):
                     xk, vk = _knot(loc, 1.0 - 2.0 * b, xs[m], xs[m + 1], ss[m] < 0.0)
@@ -834,26 +874,31 @@ def _level_crossings(loc: _Locus, x: np.ndarray, sums, levels: np.ndarray):
                                  if in_sigma else (xk, lo, hi))
             xs, vs = np.array(xs), np.array(vs)
             row, m = np.nonzero(np.diff(vs >= levels[mine, None], axis=1))
-            refined.append((mine[row], xs[m], xs[m + 1], vs[m], vs[m + 1], b))
-    if len(hits) == 1 and not refined:
-        return (hits[0][0], *np.empty((3, 0)), np.empty(0, dtype=bool)), knots
-    i, m, b = np.concatenate(hits, axis=1)
-    w = np.where(b == 0, plus[m], minus[m]), np.where(b == 0, plus[m + 1], minus[m + 1])
-    cells = [(i, x[m], x[m + 1], *w, b)] + [(*c[:5], np.full(c[0].size, c[5])) for c in refined]
+            if row.size:
+                refined.append((mine[row], xs[m], xs[m + 1], vs[m], vs[m + 1], b))
+    cells = hits + refined
+    if not cells:
+        return (np.empty(0, dtype=int), *np.empty((3, 0)), np.empty(0, dtype=bool)), knots
+    if len(cells) == 1:
+        i, lo, hi, w_lo, w_hi, b = cells[0]
+    else:
+        i, lo, hi, w_lo, w_hi = (np.concatenate(col) for col in list(zip(*cells))[:5])
+        b = np.repeat([c[5] for c in cells], [c[0].size for c in cells])
     # Newton starts where the chord crosses the level, or mid-cell; in a root
     # locus' first cell at X = 0, since a root far below the first vertex is out
     # of reach from the chord point (x - f/f' cancels) and of 200 bisections
-    i, lo, hi, w_lo, w_hi, b = (np.concatenate(col) for col in zip(*cells))
+    level = levels[i]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = (levels[i] - w_lo) / (w_hi - w_lo)
+        t = (level - w_lo) / (w_hi - w_lo)
     start = np.where((t > 0.0) & (t < 1.0), lo + t * (hi - lo), 0.5 * (lo + hi))
-    start = np.where(lo == 0.0, 0.0, start)
+    start[lo == 0.0] = 0.0
     # a level equal to a vertex's value (a cusp's C, say) has its root there,
     # where Y(X) - Y need not change sign across the cell: an empty cell
-    vertex = np.where(t == 0.0, lo, np.where(t == 1.0, hi, np.nan))
-    lo, hi, start = (np.where(vertex == vertex, vertex, a) for a in (lo, hi, start))
-    rising = np.where(b == 0, levels[i] < w_lo, levels[i] > w_lo)
-    return (i.astype(int), lo, hi, start, rising), knots
+    at_lo, at_hi = t == 0.0, t == 1.0
+    start = np.where(at_lo, lo, np.where(at_hi, hi, start))
+    lo, hi = np.where(at_hi, hi, lo), np.where(at_lo, lo, hi)
+    rising = np.where(b == 0, level < w_lo, level > w_lo)
+    return (i, lo, hi, start, rising), knots
 
 
 def _fold_window(xi: float) -> float:
@@ -928,8 +973,8 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
 
     For a plane wave the roots are those of the exact root cubic F (see
     ``_plane_cubics``), bracketed between the folds below Y and polished by
-    safeguarded Newton on F.  A binned profile solves a one-step trace: its
-    C crosses the root locus C(X) at Y (``_locus_roots``).  Within about
+    safeguarded Newton on F.  A binned profile's C crosses the root locus
+    C(X) at Y, as a trace's steps do (``_binned_roots``).  Within about
     2e-10 (relative) of ``critical_point``'s C, where a root triple spans
     about 1e-5 of X and F is at round-off there, round-off decides whether
     it finds one root or three.  Three roots are labeled lower/middle/upper
@@ -940,8 +985,7 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
         return [_assemble_state(0.0, 0.0, p, Branch.MONOSTABLE)]
 
     roots = (_distinct(_plane_roots(y_drive, p)) if isinstance(p.transverse, PlaneWave)
-             else _trace_roots([float(y_drive)], [p.c], [p.theta], p)[0].tolist())
-    roots = [x for x in roots if x == x]
+             else _binned_roots(float(y_drive), p))
     return [_assemble_state(x, y_drive, p, lab)
             for x, lab in zip(roots, _branch_labels(len(roots)))]
 
@@ -950,10 +994,11 @@ def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
     """The distinct roots at every step of a trace (lists ``y``, ``c`` and
     ``theta``; delta and the profile of ``p``) by ``_locus_roots``, for
     every profile, the plane wave's one bin included, as (n, 3), each row
-    ascending and padded with NaN: 47-112 ms for the default 12,500-step
-    Gaussian-64 release and about 11 ms for the plane-wave one (one BLAS
-    thread, shared 2-core box).  A row of more than one root goes through
-    ``_distinct``."""
+    ascending and padded with NaN: 31-46 ms for the default 12,500-step
+    Gaussian-64 release, the upper end where glibc's mmap threshold leaves
+    the lockstep's 512 KiB temporaries to fresh pages, and about 11 ms for
+    the plane-wave one (one BLAS thread, shared 2-core box).  A row of more
+    than one root goes through ``_distinct``."""
     y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
     rows = np.full((y.size, 3), np.nan)
     rows[y == 0.0, 0] = 0.0
@@ -999,9 +1044,9 @@ def _trace_states(x_int: np.ndarray, y_drive: float, c: np.ndarray, theta: np.nd
 
 def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     # A single solve stays scalar, as do _plane_folds and _cubic_segment_roots:
-    # about 21 us against 280-300 us for a one-step trace through _locus_roots
-    # (400 random queries, one BLAS thread), numpy's fixed cost per call on
-    # arrays of one.
+    # about 20 us at p50 against 140-150 us through the root locus, and 9-10
+    # us a fold search against about 90 us (600 random queries, one BLAS
+    # thread), numpy's fixed cost per call on the locus' whole-grid passes.
     # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
     # monotone between the folds.  F(Y) can round below zero only when the
     # root sits at X = Y (no atoms), hence the widened top edge.
@@ -1009,6 +1054,48 @@ def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     top = y_drive if _cubic(f, y_drive) >= 0.0 else 2.0 * y_drive
     edges = [0.0, *(x for x in _plane_folds(h, distinct) if x < top), top]
     return _cubic_segment_roots(f, edges)
+
+
+def _root_bound(c, theta, p: ModelParams):
+    """The largest Y(X)/X at C and theta, floats or arrays alike: its terms at
+    G(0) >= G(X), so that no root at drive Y lies below Y/bound.  Squares are
+    products (see ``_response_from_sums``); a float overflows to inf."""
+    g0 = float(_layout(p.transverse)[3].sum()) / (1.0 + p.delta * p.delta)
+    absorb = 1.0 + 2.0 * c * g0
+    disperse = abs(theta) + 2.0 * c * abs(p.delta) * g0
+    return absorb * absorb + disperse * disperse
+
+
+def _root_locus(p: ModelParams, y: float, c: float | None, theta: float | None,
+                bound: float):
+    """The root locus at drive Y > 0, C or theta fixed (the swept one None),
+    and its vertices from X = 0 to Y in the smallest fold window at or above
+    Y (``_fold_window``), none below Y/(2 ``bound``) (``_root_bound``)."""
+    a_sat = 1.0 + p.delta * p.delta
+    return (_Locus(p, False, c, theta, y),
+            *_locus_grid(p, _fold_window(y / a_sat), y, 0.5 * y / bound))
+
+
+def _too_many_crossings(count: int, y: float, c: float, theta: float,
+                        p: ModelParams) -> RuntimeError:
+    return RuntimeError(f"found {count} crossings of the root locus, more than three, "
+                        f"at Y={y!r}, {replace(p, c=c, theta=theta)!r}")
+
+
+def _binned_roots(y: float, p: ModelParams) -> list[float]:
+    """The distinct roots at drive Y > 0 of a binned profile, ascending: a
+    one-step ``_locus_roots``, where C crosses the root locus C(X) at Y, with
+    each crossing polished by ``_newton`` and none of a trace's grouping,
+    lockstep or padding."""
+    c, theta = float(p.c), float(p.theta)
+    bound = _root_bound(c, theta, p)
+    if not math.isfinite(bound):
+        raise _beyond_float_range(p.transverse, c, p.delta, theta, y)
+    (_, lo, hi, start, rising), _ = _level_crossings(*_root_locus(p, y, None, theta, bound),
+                                                     np.array([c]))
+    if lo.size > 3:
+        raise _too_many_crossings(lo.size, y, c, theta, p)
+    return _distinct(_newton_cells(_root_fdf(p)((c, theta, y)), lo, hi, start, rising))
 
 
 def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
@@ -1021,11 +1108,8 @@ def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
     raise RuntimeError.  A step whose terms of Y(X)/X overflow raises the
     input error ``_beyond_float_range``, naming the step.
     """
-    a_sat = 1.0 + p.delta * p.delta
-    g0 = float(np.sum(_layout(p.transverse)[3])) / a_sat
-    # Y(X)/X is at most this bound on its terms at G(0) >= G(X): no root lies below Y/bound
     with np.errstate(over="ignore"):
-        bound = (1.0 + 2.0 * c * g0) ** 2 + (np.abs(theta) + 2.0 * c * abs(p.delta) * g0) ** 2
+        bound = _root_bound(c, theta, p)
     if not np.isfinite(bound).all():
         i = int(np.argmin(np.isfinite(bound)))
         raise _beyond_float_range(p.transverse, float(c[i]), p.delta, float(theta[i]),
@@ -1038,17 +1122,15 @@ def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
     for k in groups:
         yk, ck, tk = float(y[k[0]]), float(c[k[0]]), float(theta[k[0]])
         j, *cell = _level_crossings(
-            _Locus(p, False, ck, None, yk) if sweep_theta else _Locus(p, False, None, tk, yk),
-            *_locus_grid(p, _fold_window(yk / a_sat), yk, 0.5 * yk / np.max(bound[k])),
+            *_root_locus(p, yk, ck if sweep_theta else None, None if sweep_theta else tk,
+                         float(np.max(bound[k]))),
             theta[k] if sweep_theta else c[k])[0]
         cells.append((k[j], *cell))
     step, lo, hi, start, rising = (np.concatenate(col) for col in zip(*cells))
     count = np.bincount(step, minlength=y.size)
     if count.max() > 3:
         i = int(np.argmax(count))
-        q = replace(p, c=float(c[i]), theta=float(theta[i]))
-        raise RuntimeError(f"found {count[i]} crossings of the root locus, more than three, "
-                           f"at Y={float(y[i])!r}, {q!r}")
+        raise _too_many_crossings(int(count[i]), float(y[i]), float(c[i]), float(theta[i]), p)
     roots = np.empty(step.size)
     for b in _trace_blocks(step.size, p.transverse):
         s = step[b]
@@ -1145,7 +1227,8 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
         xi_max = x_max / a_sat
     loc = _Locus(p, True, None, p.theta)
     x, sums = _locus_grid(p, xi_max)
-    sigma, curv = _locus_terms(loc, x, *sums)[1::2][:2]
+    w, s, _ = _locus_terms(loc, x, *sums)
+    sigma, curv = w[1], s[1]
     j = int(np.argmin(np.where(sigma < 0.0, sigma, math.inf)))
     # d2Y/dX2 at the argmin's neighbours; at the grid's ends, twice at it
     k = [j - 1, j + 1] if 0 < j < x.size - 1 else [j, j]

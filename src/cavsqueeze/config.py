@@ -64,6 +64,13 @@ def _at_least(n: float) -> Callable[[float], str | None]:
     return check
 
 
+def _between(lo: int, hi: int) -> Callable[[int], str | None]:
+    def check(v: int) -> str | None:
+        return None if lo <= v <= hi else f"must lie in [{lo}, {hi}]"
+
+    return check
+
+
 def _choice(*allowed: str) -> Callable[[str], str | None]:
     def check(v: str) -> str | None:
         return None if v in allowed else f"must be one of {', '.join(allowed)}"
@@ -86,7 +93,9 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "model.n_atoms": (1e6, _at_least(1.0)),
     "model.loss_fraction": (0.0, _unit_interval_open_top),
     "model.transverse": ("plane", _choice("plane", "gaussian")),
-    "model.gaussian_bins": (64, _at_least(1)),
+    # at most four times the 256 bins of acceptance criterion 04: Gauss-Legendre
+    # nodes solve an m x m eigenproblem, 74.5 GiB at 100,000 bins
+    "model.gaussian_bins": (64, _between(1, 1024)),
     "model.fock_cutoff": (15, _at_least(2)),
     "cloud.sigma_r_m": (4e-3, _positive),
     "cloud.temp_k": (5e-3, _positive),

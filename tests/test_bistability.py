@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_a_trace_beyond_the_float_range_raises_the_input_error_naming_its_step(
                                          r"delta=-20.0, theta=-7.2, Y=700.0 "):
         bistability._trace_roots([800.0] * 3 + [700.0] * 2, [220.0, 220.0, 220.0, 1e200, 5.0],
                                  [-7.5, -7.4, -7.3, -7.2, -7.1], p)
+
+
+@pytest.mark.parametrize("m, c", [(64, 1e200), (8, 1e308), (8, 1e153)])
+def test_binned_folds_beyond_the_float_range_raise_the_input_error(m, c):
+    # Y at the fold overflowed to inf (C = 1e200, 1e308), or 8 C^2 X in
+    # d2Y/dX2 did and Newton stopped 1.2 off the fold (C = 1e153)
+    p = ModelParams(c=c, transverse=GaussianBins(m))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"the GaussianBins(m={m}) state equation at C={c!r}, delta=-20.0, theta=0.0, "
+            "Y=0.0 has coefficients beyond the float range") + "$"):
+        turning_points(p)
+    # a C whose folds fit still finds them: dY/dX changes sign across each
+    p = dataclasses.replace(p, c=1e152)
+    tp = turning_points(p)
+    assert len(tp.points) == 1 and all(map(math.isfinite, tp.ordinates))
+    lo, hi = state_equation_slope(np.array(tp.points) * [[1.0 - 1e-9], [1.0 + 1e-9]], p)
+    assert ((lo < 0.0) != (hi < 0.0)).all()
 
 
 def test_a_steady_state_beyond_the_float_range_warns():
@@ -813,6 +831,22 @@ def test_binned_root_in_the_tip_cell(m, c, x_ref):
     assert len(states) == 1
     assert x_tip * (1.0 - math.log(1e11) / 4095) < states[0].intensity <= x_tip
     assert abs(states[0].intensity - x_ref) <= 1e-14 * x_ref
+
+
+def test_a_binned_solve_is_row_zero_of_a_trace_through_the_same_window():
+    # one set of cell rules for one level and for many: a six-step trace that
+    # shares Y and theta, with every C at most the solve's, forms the same
+    # locus on the same grid, and its lockstep Newton polishes the same cells
+    rng = np.random.default_rng(20261020)
+    for m in (8, 64):
+        for _ in range(300):
+            c = float(np.exp(rng.uniform(0.0, math.log(500.0))))
+            delta, theta = float(rng.uniform(-30.0, 30.0)), float(rng.uniform(-10.0, 10.0))
+            y = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e4))))
+            p = ModelParams(c=c, delta=delta, theta=theta, transverse=GaussianBins(m))
+            cs = [c, *(c * rng.uniform(0.0, 1.0, 5)).tolist()]
+            row = bistability._trace_roots([y] * 6, cs, [theta] * 6, p)[0]
+            assert row[row == row].tolist() == [s.intensity for s in solve_steady_states(y, p)]
 
 
 def _assert_trace_counts_follow_the_discriminant(ys, cs, delta, thetas):

@@ -210,6 +210,24 @@ def test_a_gaussian_trace_beyond_the_float_range_exits_one(args):
     assert "beyond the float range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bins, c", [("64", "1e200"), ("8", "1e308")])
+def test_a_binned_fold_beyond_the_float_range_exits_one(bins, c):
+    rc, out, err = run_cli(["turning", "--model.transverse=gaussian",
+                            f"--model.gaussian_bins={bins}", f"--model.C={c}"])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: the GaussianBins(m={bins}) state equation at C=")
+    assert "beyond the float range" in err and "Traceback" not in err
+
+
+def test_a_bin_count_past_its_bound_stops_in_validation(monkeypatch):
+    # rejected before any quadrature is built: 100,000 bins asked leggauss for 74.5 GiB
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+    rc, out, err = run_cli(["steady", "--model.transverse=gaussian",
+                            "--model.gaussian_bins=1025"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: --model.gaussian_bins: must lie in [1, 1024], got '1025'")
+
+
 def test_a_root_far_below_its_bracket_exits_zero():
     # the root near 8.02e-60 C^-2 lies far below the bracket [0, 401], where
     # Newton from the top cancels in x - f/f'
