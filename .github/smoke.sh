@@ -23,9 +23,23 @@ err=$(cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --
 printf '%s\n' "$err" >&2
 test "$rc" -eq 1
 case "$err" in "error: the GaussianBins(m=64) state equation at C=1e+200, "*"beyond the float range") ;; *) exit 1 ;; esac
+# a count past its bound stops in validation: exit 1 with the key's one-line
+# message, not a numpy traceback for a 745 GiB grid
+rc=0
+err=$(cavsqueeze spectrum --scan.n_omega=1e11 2>&1) || rc=$?
+printf '%s\n' "$err" >&2
+test "$rc" -eq 1
+case "$err" in "error: --scan.n_omega: must lie in [1, 1000], got '1e11'") ;; *) exit 1 ;; esac
 cavsqueeze mc-cloud --cloud.mc_samples=20000 --cloud.n_times=3
 decay=$(mktemp)
-trap 'rm -f "$decay"' EXIT
+mc_a=$(mktemp)
+mc_b=$(mktemp)
+trap 'rm -f "$decay" "$mc_a" "$mc_b"' EXIT
+# two Monte Carlo runs at one seed write the same bytes (criterion 10);
+# 70,000 samples are a full chunk and a tail
+cavsqueeze mc-cloud --cloud.mc_samples=70000 --cloud.n_times=5 --output.path="$mc_a"
+cavsqueeze mc-cloud --cloud.mc_samples=70000 --cloud.n_times=5 --output.path="$mc_b"
+cmp "$mc_a" "$mc_b"
 # noiseless decay samples of the default cloud (C0 = 220, sigma_r = 4 mm, T = 5 mK)
 cat > "$decay" <<'EOF'
 t_s,c

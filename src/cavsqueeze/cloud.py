@@ -33,7 +33,8 @@ CS_MASS_KG = 2.20695e-25
 STANDARD_GRAVITY = 9.80665
 
 _MC_CHUNK = 65536
-_MC_TIME_BLOCK = 2  # times per in-place pass: two 1 MiB buffers at a full chunk
+_MC_TILE = 131072  # elements of the (times x atoms) kernel tile: 1 MiB
+_MC_TILE_TIMES = 8  # times per tile; fewer times widen the tile up to a chunk
 
 
 def _require_positive(name: str, value) -> float:
@@ -170,35 +171,49 @@ def mc_cooperativity(
     sigma_v = cp.sigma_v_m_s
     # kernel convolved with the initial Gaussian cloud: width picks up 4 sigma_r^2
     w_eff2 = waist_m**2 + 4.0 * cp.sigma_r_m**2
+    # The kernel's exponent -2 ((t vy)^2 + (t vz - drop)^2) / w_eff2 over an
+    # atom's ballistic displacement is linear in three features of the atom,
+    # vy^2 + vz^2, vz and 1: it is a r^2 + b vz + g with a = -2 t^2 / w_eff2,
+    # b = 4 t drop / w_eff2 and g = -2 drop^2 / w_eff2.  So a tile of
+    # (time, atom) exponents is one (times x 3) @ (3 x atoms) product.  g
+    # stays inside the product, as the feature row of ones: once drop >> w
+    # the factor exp(g) underflows to 0 while exp(a r^2 + b vz) overflows,
+    # and their product would be NaN.  At t = 0 every coefficient is 0, so
+    # each kernel is exp(0) = 1 and C_hat(0) = c0 exactly.
     drop = 0.5 * cp.g_grav * t * t
+    coef = np.empty((t.size, 3))
+    coef[:, 0] = -2.0 * t * t / w_eff2
+    coef[:, 1] = 4.0 * t * drop / w_eff2
+    coef[:, 2] = -2.0 * drop * drop / w_eff2
     kernel_sum = np.zeros(t.size)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     remaining = int(n_samples)
-    my_buf = np.empty((_MC_TIME_BLOCK, min(_MC_CHUNK, remaining)))
-    mz_buf = np.empty_like(my_buf)
+    cols = min(_MC_CHUNK, remaining)
+    feat_buf = np.empty(3 * cols)
+    n_times = min(t.size, _MC_TILE_TIMES)
+    width = min(cols, _MC_TILE // n_times)
+    tile = np.empty(n_times * width)
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
-        draws = rng.standard_normal((2, m))
-        draws *= sigma_v
-        vy, vz = draws
-        # exp(-2 (my^2 + mz^2) / w_eff2) over the ballistic displacements
-        # my = t vy, mz = t vz - drop of each atom's position distribution,
-        # in place, a block of times at a time; the operations and their
-        # order are those of one (times x samples) pass, so the sums match it
-        for lo in range(0, t.size, _MC_TIME_BLOCK):
-            hi = min(lo + _MC_TIME_BLOCK, t.size)
-            my, mz = my_buf[:hi - lo, :m], mz_buf[:hi - lo, :m]
-            np.multiply(t[lo:hi, None], vy, out=my)
-            my *= my
-            np.multiply(t[lo:hi, None], vz, out=mz)
-            mz -= drop[lo:hi, None]
-            mz *= mz
-            my += mz
-            my *= -2.0
-            my /= w_eff2
-            np.exp(my, out=my)
-            kernel_sum[lo:hi] += my.sum(axis=1)
+        # rows vy -> r^2, vz, 1 of this chunk's atoms; the draws go straight
+        # into the first two rows, so a chunk samples as one (2, m) draw does
+        feat = feat_buf[:3 * m].reshape(3, m)
+        rng.standard_normal(out=feat[:2])
+        feat[:2] *= sigma_v
+        vz2 = tile[:m]  # the tile holds at least a chunk's m atoms
+        np.multiply(feat[1], feat[1], out=vz2)
+        feat[0] *= feat[0]
+        feat[0] += vz2
+        feat[2] = 1.0
+        for lo in range(0, m, width):
+            f = feat[:, lo:lo + width]
+            for tlo in range(0, t.size, n_times):
+                c = coef[tlo:tlo + n_times]
+                expo = tile[:c.shape[0] * f.shape[1]].reshape(c.shape[0], f.shape[1])
+                np.matmul(c, f, out=expo)
+                np.exp(expo, out=expo)
+                kernel_sum[tlo:tlo + n_times] += expo.sum(axis=1)
     c_hat = cp.c0 * kernel_sum / n_samples
     return [(float(ti), float(ci)) for ti, ci in zip(t, c_hat)]
 

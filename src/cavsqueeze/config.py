@@ -96,7 +96,10 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     # at most four times the 256 bins of acceptance criterion 04: Gauss-Legendre
     # nodes solve an m x m eigenproblem, 74.5 GiB at 100,000 bins
     "model.gaussian_bins": (64, _between(1, 1024)),
-    "model.fock_cutoff": (15, _at_least(2)),
+    # the top of the README's oracle table: the block elimination's Schur gains
+    # grow as cutoff^3 per frequency, 0.25 GiB for 9 frequencies at 40; a
+    # cutoff of 100,000 asked for a 74.5 GiB photon operator
+    "model.fock_cutoff": (15, _between(2, 40)),
     "cloud.sigma_r_m": (4e-3, _positive),
     "cloud.temp_k": (5e-3, _positive),
     "cloud.c0": (220.0, _positive),
@@ -104,7 +107,9 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "cloud.mc_samples": (1_000_000, _at_least(10_000)),
     "cloud.mc_seed": (12345, _at_least(0)),
     "cloud.t_max_s": (0.030, _positive),
-    "cloud.n_times": (16, _at_least(2)),
+    # each time costs one kernel evaluation per sample: 1e10, about 15 s on one
+    # core, at 10,000 times and the default 1e6 samples
+    "cloud.n_times": (16, _between(2, 10_000)),
     "scan.duration_s": (0.025, _positive),
     "scan.dt_s": (2e-6, _positive),
     "scan.drive_Y": (800.0, _nonnegative),
@@ -115,7 +120,9 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "scan.omega_hz": (5e6, _nonnegative),
     "scan.omega_min_hz": (0.0, _nonnegative),
     "scan.omega_max_hz": (2.5e7, _nonnegative),
-    "scan.n_omega": (101, _at_least(1)),
+    # the oracle keeps about 1.1 MiB of Schur gains per frequency at its
+    # default cutoff 15, so 1,000 frequencies take about 1.1 GiB there
+    "scan.n_omega": (101, _between(1, 1000)),
     "scan.rel_noise": (0.10, _unit_interval_open_top),
     "scan.vbw_hz": (1e5, _positive),
     "scan.elec_floor": (0.10, _nonnegative),

@@ -79,6 +79,11 @@ from .bistability import (
 from .cloud import CloudParams, cooperativity_decay
 from .spectra import _check_dephasing, _envelope, _trace_noise, efficiency_matrix
 
+# a trace keeps about 1 KiB a step (95 MiB at 1e5 steps), so 1e6 steps, 80
+# times the default 12,500, take about 1 GiB; a step count of 2.5e10 asked numpy
+# for 186 GiB of times alone
+_MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -111,6 +116,9 @@ class ScanConfig:
         if not math.isfinite(self.duration_s / self.dt_s):
             raise ValueError(f"duration_s / dt_s must be a finite step count, got "
                              f"{self.duration_s} / {self.dt_s}")
+        if round(self.duration_s / self.dt_s) > _MAX_STEPS:
+            raise ValueError(f"duration_s / dt_s must be at most {_MAX_STEPS:,} steps, "
+                             f"got {self.duration_s} / {self.dt_s}")
         if not (math.isfinite(self.drive_y) and self.drive_y >= 0.0):
             raise ValueError(f"drive_y must be >= 0, got {self.drive_y}")
         if not (0.0 <= self.rel_noise < 1.0):

@@ -228,6 +228,28 @@ def test_a_bin_count_past_its_bound_stops_in_validation(monkeypatch):
     assert err.startswith("error: --model.gaussian_bins: must lie in [1, 1024], got '1025'")
 
 
+@pytest.mark.parametrize("args, allocator, message", [
+    (["mc-cloud", "--cloud.n_times=1e11", "--cloud.mc_samples=10000"], "numpy.linspace",
+     "error: --cloud.n_times: must lie in [2, 10000], got '1e11'"),
+    (["spectrum", "--scan.n_omega=1e11"], "numpy.linspace",
+     "error: --scan.n_omega: must lie in [1, 1000], got '1e11'"),
+    (["oracle", "--model.n_atoms=1", "--model.fock_cutoff=100000", "--model.C=0.2",
+      "--scan.drive_Y=0.05", "--scan.n_omega=2"], "cavsqueeze.oracle._cavity_operators",
+     "error: --model.fock_cutoff: must lie in [2, 40], got '100000'"),
+    (["release", "--scan.dt_s=1e-12"], "cavsqueeze.scans._scan_times",
+     "error: duration_s / dt_s must be at most 1,000,000 steps, got 0.025 / 1e-12"),
+    (["piezo", "--scan.theta_rate=112.5", "--scan.dt_s=1e-12"], "cavsqueeze.scans._scan_times",
+     "error: duration_s / dt_s must be at most 1,000,000 steps, got 0.025 / 1e-12"),
+], ids=["n_times", "n_omega", "fock_cutoff", "release-steps", "piezo-steps"])
+def test_a_count_past_its_bound_stops_in_validation(monkeypatch, args, allocator, message):
+    # each of these asked numpy for tens of GiB or more and died with a
+    # traceback; the allocator is patched out, so nothing that big is built
+    monkeypatch.setattr(allocator, None)
+    rc, out, err = run_cli(args)
+    assert rc == 1 and out == ""
+    assert err == message + "\n"
+
+
 def test_a_root_far_below_its_bracket_exits_zero():
     # the root near 8.02e-60 C^-2 lies far below the bracket [0, 401], where
     # Newton from the top cancels in x - f/f'

@@ -1,5 +1,6 @@
 """Tests for released-cloud cooperativity decay, Monte Carlo, and fitting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,17 +120,72 @@ def test_mc_is_deterministic_per_seed():
 
 
 def test_mc_output_is_pinned_at_a_fixed_seed():
-    # frozen values: ten times fill five blocks of two, and 140,000 samples
-    # are two full chunks plus a tail, so a change to the draws, the
-    # chunking or the order of the sums shows here
+    # frozen values: ten times fill a tile and a part of one, and 140,000
+    # samples are two full chunks plus a tail, so a change to the draws, the
+    # chunking, the tiling or the order of the sums shows here
     times = [0.0, 0.002, 0.004, 0.007, 0.01, 0.013, 0.017, 0.021, 0.025, 0.03]
     est = mc_cooperativity(CLOUD, CLOUD.sigma_r_m / 15.0, times,
                            n_samples=140_000, seed=2024)
     assert est == list(zip(times, [
+        220.0, 204.04388117553384, 167.53123625141131, 112.12817315030917,
+        74.05578204142309, 50.62297738440479, 32.52055920535158,
+        22.277929157981337, 16.057384598989536, 11.266807263391621,
+    ]))
+    # the values of the direct form, exponent by exponent, which the feature
+    # product moves at round-off only: a change to the draws or the chunking
+    # moves them by far more
+    np.testing.assert_allclose([c for _, c in est], [
         220.0, 204.0438811755338, 167.5312362514113, 112.12817315030914,
         74.05578204142309, 50.6229773844048, 32.52055920535158,
         22.277929157981333, 16.05738459898954, 11.266807263391623,
-    ]))
+    ], rtol=1e-14, atol=0.0)
+
+
+def _mc_direct(cp, waist_m, times, n_samples, seed):
+    """The Monte Carlo with each exponent formed from the atom's displacement."""
+    t = np.asarray(times, dtype=float)
+    w_eff2 = waist_m**2 + 4.0 * cp.sigma_r_m**2
+    drop = 0.5 * cp.g_grav * t * t
+    rng = np.random.Generator(np.random.Philox(seed))
+    kernel_sum = np.zeros(t.size)
+    for lo in range(0, n_samples, 65536):
+        vy, vz = rng.standard_normal((2, min(65536, n_samples - lo))) * cp.sigma_v_m_s
+        my, mz = t[:, None] * vy, t[:, None] * vz - drop[:, None]
+        kernel_sum += np.exp(-2.0 * (my * my + mz * mz) / w_eff2).sum(axis=1)
+    return cp.c0 * kernel_sum / n_samples
+
+
+@pytest.mark.parametrize("temp_k", [5e-3, 0.2])
+def test_mc_feature_form_matches_the_direct_form_far_below_the_beam(temp_k):
+    # at g = 100 m/s^2 the cloud centre falls 62 effective waists in 0.1 s, so
+    # the exponent's three terms reach 2 (drop / w_eff)^2 ~ 7800 and cancel to
+    # the kernel of an atom that still meets the beam (0.2 K) or underflow (5 mK)
+    cp = CloudParams(sigma_r_m=4e-3, temp_k=temp_k, c0=220.0, g_grav=100.0)
+    w = cp.sigma_r_m / 15.0
+    times = np.linspace(0.0, 0.1, 11)
+    assert 0.5 * cp.g_grav * times[-1] ** 2 / np.sqrt(w * w + 4.0 * cp.sigma_r_m**2) > 50.0
+    got = np.array([c for _, c in mc_cooperativity(cp, w, times, n_samples=70_000, seed=31)])
+    ref = _mc_direct(cp, w, times, 70_000, 31)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    nonzero = ref != 0.0
+    assert np.all(np.abs(got[nonzero] / ref[nonzero] - 1.0) <= 1e-10)
+
+
+def test_mc_memory_stays_bounded():
+    # a full chunk's features (1.5 MiB) and one 1 MiB kernel tile, whatever the
+    # number of times; the nine-pass kernel the feature product replaced (fresh
+    # draws each chunk, two time-block buffers) peaked at 4.0 MiB at 31 times
+    w = CLOUD.sigma_r_m / 15.0
+    for n_times, n_samples in ((31, 1_000_000), (2000, 200_000)):
+        times = np.linspace(0.0, 0.03, n_times)
+        tracemalloc.start()
+        try:
+            mc_cooperativity(CLOUD, w, times, n_samples=n_samples, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, (n_times, peak)
 
 
 def test_mc_error_scales_like_inverse_root_n():

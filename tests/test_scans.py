@@ -157,6 +157,14 @@ def test_config_rejects_bad_values():
         ScanConfig(seed=-1)
 
 
+def test_config_bounds_the_step_count():
+    # a million steps (about 1 GiB of trace) pass; one more stops before any
+    # time grid is built
+    assert round(ScanConfig(duration_s=1.0, dt_s=1e-6).duration_s / 1e-6) == 1_000_000
+    with pytest.raises(ValueError, match="at most 1,000,000 steps"):
+        ScanConfig(duration_s=1.0, dt_s=1.0 / 1_000_001)
+
+
 @pytest.mark.parametrize("seed", [1.5, 7.0, True, False, -1, "3", None])
 def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed"):
