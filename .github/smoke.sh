@@ -56,6 +56,8 @@ t_s,c
 EOF
 cavsqueeze fitc "$decay"
 cavsqueeze oracle --model.n_atoms=1 --model.C=0.2 --scan.drive_Y=0.01 --scan.n_omega=3
+# 100 frequencies at cutoff 20 are twelve tiles of the oracle's regression solve
+cavsqueeze oracle --model.n_atoms=1 --model.C=0.2 --scan.drive_Y=0.01 --model.fock_cutoff=20 --scan.n_omega=100
 cavsqueeze release
 cavsqueeze release --scan.duration_s=0.018 --scan.dt_s=0.00018 --scan.vbw_hz=1000
 cavsqueeze release --model.transverse=gaussian --model.gaussian_bins=64 --scan.duration_s=0.018 --scan.dt_s=0.0009 --scan.vbw_hz=250

@@ -239,14 +239,15 @@ class FitResult:
 _EPS = float(np.finfo(float).eps)
 
 
-def _fit_model_and_jacobian(t: np.ndarray, log_params: np.ndarray):
-    c0, tau_r, tau_g = np.exp(log_params)
-    m, denom, expo = _decay_terms(t, c0, tau_r, tau_g)
+def _fit_jacobian(t: np.ndarray, log_params: np.ndarray, terms) -> np.ndarray:
+    """The Jacobian in log-space at ``log_params``, whose ``_decay_terms`` are ``terms``."""
+    _, tau_r, tau_g = np.exp(log_params)
+    m, denom, expo = terms
     jac = np.empty((t.size, 3))
     jac[:, 0] = m
     jac[:, 1] = m * (2.0 * t * t / denom + 2.0 * tau_r**2 * t**4 / (tau_g**2 * denom**2))
     jac[:, 2] = m * 2.0 * expo
-    return m, jac
+    return jac
 
 
 def _seed_log_params(t: np.ndarray, c: np.ndarray, wts: np.ndarray,
@@ -319,9 +320,11 @@ def fit_cooperativity(
     if lp is None:
         return failure("weighted residuals overflow at every seed of the coarse grid")
 
-    def cost(lp: np.ndarray) -> float:
-        m, _, _ = _decay_terms(t, *np.exp(lp))
-        r = (m - c) * wts
+    def terms_at(lp: np.ndarray):
+        return _decay_terms(t, *np.exp(lp))
+
+    def cost(terms) -> float:
+        r = (terms[0] - c) * wts
         return float(r @ r)
 
     converged = False
@@ -331,8 +334,12 @@ def fit_cooperativity(
     # a line-search trial, or a point whose tau_g overflows to the tau_g -> inf
     # limit, may overflow; its non-finite cost is rejected, unwarned, below
     with np.errstate(all="ignore"):
+        # the decay terms at lp: each accepted trial's are reused, so every
+        # point is evaluated once
+        terms = terms_at(lp)
         for n_iter in range(1, 201):
-            m, jac = _fit_model_and_jacobian(t, lp)
+            m = terms[0]
+            jac = _fit_jacobian(t, lp, terms)
             if n_free == 3 and np.all(jac[:, 2] < _EPS * m):
                 # the fall term is below round-off at every sample, so the data
                 # no longer see tau_g: fit (C0, tau_r) in the tau_g -> inf limit
@@ -349,7 +356,8 @@ def fit_cooperativity(
             scale = 1.0
             for _ in range(25):
                 trial = lp - scale * step
-                if cost(trial) < base:
+                trial_terms = terms_at(trial)
+                if cost(trial_terms) < base:
                     break
                 scale *= 0.5
             else:
@@ -357,7 +365,7 @@ def fit_cooperativity(
                 converged = bool(np.max(np.abs(step)) < 1e-6)
                 message = "converged" if converged else "line search failed"
                 break
-            lp = lp - scale * step
+            lp, terms = trial, trial_terms
             if np.max(np.abs(scale * step)) < 1e-13:
                 converged, message = True, "converged"
                 break
@@ -369,7 +377,8 @@ def fit_cooperativity(
                          nan, n_iter, False,
                          "fall time tau_g unresolved: the fall term is below "
                          "round-off at every sample; C0 and tau_r fitted at tau_g -> inf")
-    m, jac = _fit_model_and_jacobian(t, lp)
+    m = terms[0]
+    jac = _fit_jacobian(t, lp, terms)
     r = (m - c) * wts
     rss = float(r @ r)
     dof = max(t.size - 3, 1)

@@ -96,8 +96,8 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     # at most four times the 256 bins of acceptance criterion 04: Gauss-Legendre
     # nodes solve an m x m eigenproblem, 74.5 GiB at 100,000 bins
     "model.gaussian_bins": (64, _between(1, 1024)),
-    # the top of the README's oracle table: the block elimination's Schur gains
-    # grow as cutoff^3 per frequency, 0.25 GiB for 9 frequencies at 40; a
+    # the top of the README's oracle table: the Liouvillian's block triple
+    # grows as cutoff^3, 50 MiB at 40, where a call peaks near 0.1 GiB; a
     # cutoff of 100,000 asked for a 74.5 GiB photon operator
     "model.fock_cutoff": (15, _between(2, 40)),
     "cloud.sigma_r_m": (4e-3, _positive),
@@ -120,8 +120,9 @@ DEFAULTS: dict[str, tuple[Any, Callable[[Any], str | None]]] = {
     "scan.omega_hz": (5e6, _nonnegative),
     "scan.omega_min_hz": (0.0, _nonnegative),
     "scan.omega_max_hz": (2.5e7, _nonnegative),
-    # the oracle keeps about 1.1 MiB of Schur gains per frequency at its
-    # default cutoff 15, so 1,000 frequencies take about 1.1 GiB there
+    # the oracle solves the grid in tiles, so its memory does not grow with
+    # the frequency count but its time does: 1,000 frequencies at cutoff 40
+    # take about 110 s on one core (and 0.1 GiB)
     "scan.n_omega": (101, _between(1, 1000)),
     "scan.rel_noise": (0.10, _unit_interval_open_top),
     "scan.vbw_hz": (1e5, _positive),

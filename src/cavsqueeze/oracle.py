@@ -26,10 +26,17 @@ regression solves eliminate these blocks from the highest photon numbers
 down, for every analysis frequency in one stacked sweep, at O(N n_h^2) per
 frequency instead of the O(N^3) of a dense solve.  The steady state is the
 null vector of the Schur complement left on the lowest block,
-back-substituted.  What grows fastest with the cutoff is the per-frequency
-Schur gains the back-substitution keeps, (fock_cutoff + 1) (2 n_h)^2
-complex numbers each: a 9-frequency call at fock_cutoff 40 peaks near
-0.25 GiB.
+back-substituted.
+
+Memory.  The spectra read only four trace functionals of the regression
+solutions, so these are carried up the elimination and no step's Schur gain
+outlives its step; the frequencies go in tiles of at most
+``_OMEGA_TILE_BYTES`` per stacked elimination array.  A call then holds the
+block triple, 3 (fock_cutoff + 1) (2 n_h)^2 complex numbers, plus a few
+tile-sized arrays, whatever the number of frequencies.  Only the steady
+state, at one frequency, back-substitutes and keeps its gains, about a
+third of the triple again.  A 9-frequency call at fock_cutoff 40 peaks near
+68 MiB (tracemalloc), 50 MiB of it the triple.
 """
 
 from __future__ import annotations
@@ -81,10 +88,11 @@ def _photon_blocks(h: np.ndarray, collapse_ops):
 
         conj(K)[J_m, J_m'] (x) I + delta_mm' I_2 (x) K + sum_c conj(c)[J_m, J_m'] (x) c
 
-    with K = -i h - sum_c c+c/2, so it is block-tridiagonal in m.  Every
-    block of the three diagonals comes out of one matrix product of the 2 x 2
-    coefficients with the stacked operators (I, K, c...), and the N x N
-    matrix is never formed.  Returns ``(lower, diag, upper)`` with
+    with K = -i h - sum_c c+c/2, so it is block-tridiagonal in m.  Quarter
+    (s, s') of every block of the three diagonals comes out of one matrix
+    product of the coefficients with the stacked operators (I, K, c...) and
+    goes straight into its place, so neither the N x N matrix nor a second
+    copy of the triple is formed.  Returns ``(lower, diag, upper)`` with
     diag[m] = block (m, m), lower[m] = (m+1, m) and upper[m] = (m, m+1),
     each a stack of 2n x 2n blocks.
     """
@@ -102,11 +110,21 @@ def _photon_blocks(h: np.ndarray, collapse_ops):
     coef = np.stack([coefficients(k), eye_on_diagonal]
                     + [coefficients(c) for c in collapse_ops])
     ops = np.stack([np.eye(n), k] + list(collapse_ops))
-    t = len(ops)
-    # out[b, s, i, s', j] = sum_t coef[t, b, s, s'] ops[t, i, j]: a stacked kron
-    out = (coef.reshape(t, -1).T @ ops.reshape(t, -1)).reshape(rows.size, 2, 2, n, n)
-    out = out.transpose(0, 1, 3, 2, 4).reshape(rows.size, 2 * n, 2 * n)
+    flat = ops.reshape(len(ops), -1)
+    out = np.empty((rows.size, 2 * n, 2 * n), dtype=complex)
+    # out[b, s, i, s', j] = sum_t coef[t, b, s, s'] ops[t, i, j]: a stacked
+    # kron, one (s, s') quarter at a time, so the temporary is a quarter's size
+    quarters = out.reshape(rows.size, 2, n, 2, n)
+    for s in range(2):
+        for s2 in range(2):
+            quarters[:, s, :, s2, :] = (coef[:, :, s, s2].T @ flat).reshape(rows.size, n, n)
     return out[:nb - 1], out[nb - 1:2 * nb - 1], out[2 * nb - 1:]
+
+
+# bytes of one stacked (n_Ω, b, b + 2) complex elimination array: the
+# frequencies of a regression solve go in tiles of this size, 15 Ω at the
+# default cutoff 15
+_OMEGA_TILE_BYTES = 1 << 20
 
 
 def _solve(s: np.ndarray, rhs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -121,45 +139,69 @@ def _solve(s: np.ndarray, rhs: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _block_solve(blocks, omegas: np.ndarray, rhs: np.ndarray,
-                 first_block) -> np.ndarray:
+def _block_solve(blocks, omegas: np.ndarray, rhs: np.ndarray, first_block,
+                 functionals: np.ndarray | None = None) -> np.ndarray:
     """x[i] with (L + i omegas[i]) x[i] = rhs, for every Ω in one sweep.
 
     ``blocks`` is L's block triple ``(lower, diag, upper)`` (see
-    ``_photon_blocks``).  Block elimination from the last block to the
-    first: each step solves the trailing Schur complement S_k against the
-    coupling to the block below and the carried right-hand side, all Ω
-    stacked.  The first block's S_0 and right-hand side c_0 go to
-    ``first_block(S_0, c_0)``, which returns x_0 with shape (n_Ω, b_0, r);
-    the other blocks follow by back-substitution.  Cost O(N b^2) per Ω for
-    blocks of size b.
+    ``_photon_blocks``), every block b x b.  Block elimination from the last
+    block to the first: each step solves the trailing Schur complement S_k
+    against the coupling to the block below and the carried right-hand side,
+    all Ω stacked.  The first block's S_0 and right-hand side c_0 go to
+    ``first_block(S_0, c_0, omegas)``, which returns x_0 with shape
+    (n_Ω, b, r).  Cost O(N b^2) per Ω.
+
+    Without ``functionals`` the other blocks follow by back-substitution,
+    which keeps every step's gain, and x comes back whole, (n_Ω, N, r).  With
+    functional rows T, a (q, N) array, only T x comes back, (n_Ω, q, r), and
+    each gain is dropped once used: the blocks above k enter as an affine map
+    f + W x_k of the unknowns x_k, and since each step leaves
+    x_k+1 = part - gain x_k, it folds in f += (W + T_k+1) part and
+    W <- -(W + T_k+1) gain.
     """
     lower, diag, upper = blocks
-    edges = np.cumsum([0] + [d.shape[0] for d in diag])
-    rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     n_om = omegas.size
+    b = diag[0].shape[0]
+    r = rhs.shape[1]
     shift = 1j * omegas[:, None]
-
-    def shifted(k: int) -> np.ndarray:
-        s = np.empty((n_om,) + diag[k].shape, dtype=complex)
-        s[...] = diag[k]
-        i = np.arange(s.shape[1])
-        s[:, i, i] += shift
-        return s
-
+    i = np.arange(b)
     last = len(diag) - 1
-    s = shifted(last)
-    c = np.broadcast_to(rhs[rows[last]], (n_om,) + rhs[rows[last]].shape)
+
+    def rows(k: int) -> slice:
+        return slice(k * b, (k + 1) * b)
+
+    s = np.empty((n_om, b, b), dtype=complex)
+    s[...] = diag[last]
+    s[:, i, i] += shift
+    c = np.broadcast_to(rhs[rows(last)], (n_om, b, r))
+    if functionals is not None:
+        f = np.zeros((n_om, functionals.shape[0], r), dtype=complex)
+        w = np.zeros((n_om, functionals.shape[0], b), dtype=complex)
     steps = []
+    stack = np.empty((n_om, b, b + r), dtype=complex) if last else None
     for k in range(last - 1, -1, -1):
-        low = lower[k]
-        m = _solve(s, np.concatenate(
-            [np.broadcast_to(low, (n_om,) + low.shape), c], axis=2), omegas)
-        gain, part = m[..., :low.shape[1]], m[..., low.shape[1]:]
-        steps.append((gain, part))
-        s = shifted(k) - upper[k] @ gain
-        c = rhs[rows[k]] - upper[k] @ part
-    x = [first_block(s, c)]
+        stack[..., :b] = lower[k]
+        stack[..., b:] = c
+        m = _solve(s, stack, omegas)
+        gain, part = m[..., :b], m[..., b:]
+        # S_k = D_k + iΩ - U_k gain, written over S_k+1
+        np.matmul(upper[k], gain, out=s)
+        np.subtract(diag[k], s, out=s)
+        s[:, i, i] += shift
+        c = rhs[rows(k)] - upper[k] @ part
+        if functionals is None:
+            steps.append((gain, part))
+        else:
+            w += functionals[:, rows(k + 1)]
+            f += w @ part
+            w = -(w @ gain)
+            stack = m  # the spent gain's storage holds the next step's stack
+    del stack  # spent: not held through first_block
+    x0 = first_block(s, c, omegas)
+    if functionals is not None:
+        w += functionals[:, rows(0)]
+        return f + w @ x0
+    x = [x0]
     for gain, part in reversed(steps):
         x.append(part - gain @ x[-1])
     return np.concatenate(x, axis=1)
@@ -173,7 +215,7 @@ def steady_density(lv, n: int) -> np.ndarray:
     The null vector of the first block's Schur complement, back-substituted
     through the block elimination.
     """
-    def null_vector(s, c):
+    def null_vector(s, c, omegas):
         _, _, vh = np.linalg.svd(s[0])
         return vh[-1].conj()[None, :, None]
 
@@ -182,6 +224,17 @@ def steady_density(lv, n: int) -> np.ndarray:
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def _regression_first_block(s, c, omegas):
+    # L itself is singular at Ω = 0 (stationary mode); least squares there
+    # is exact because every observable below has zero stationary mean
+    still = omegas == 0.0
+    x = np.empty(c.shape, dtype=complex)
+    x[~still] = _solve(s[~still], c[~still], omegas[~still])
+    for i in np.flatnonzero(still):
+        x[i] = np.linalg.lstsq(s[i], c[i], rcond=None)[0]
+    return x
 
 
 def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
@@ -193,7 +246,9 @@ def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
     with vacuum input; two-time correlations of the intracavity fluctuation
     operator da = a - <a> are resolved in frequency through
     R(Ω) = -(L + iΩ)^(-1), the one-sided Laplace transform of the regression
-    propagator.  ``lv`` is L's block triple (see ``steady_density``).
+    propagator.  ``lv`` is L's block triple (see ``steady_density``).  The
+    frequencies are solved in tiles of at most ``_OMEGA_TILE_BYTES`` per
+    stacked elimination array, so memory does not grow with their number.
     """
     omega = np.asarray(omega_hz, dtype=float)
     omegas = omega.ravel()
@@ -202,29 +257,25 @@ def homodyne_spectrum(lv, a_op: np.ndarray, rho: np.ndarray,
     da = a_op - mean_a * np.eye(n)
     dad = da.conj().T
 
-    def first_block(s, c):
-        # L itself is singular at Ω = 0 (stationary mode); least squares there
-        # is exact because every observable below has zero stationary mean
-        still = omegas == 0.0
-        x = np.empty(c.shape, dtype=complex)
-        x[~still] = _solve(s[~still], c[~still], omegas[~still])
-        for i in np.flatnonzero(still):
-            x[i] = np.linalg.lstsq(s[i], c[i], rcond=None)[0]
-        return x
-
+    # one-sided transforms of the time-and-normal-ordered correlations, as
+    # functionals of the regression solutions sol = -R(Ω) rhs:
+    # f[:, j, l] = Tr(op_j sol_l) with op = (da+, da)
     rhs = np.column_stack([_vec(da @ rho), _vec(rho @ dad)])
-    sol = -_block_solve(lv, omegas, rhs, first_block)
+    functionals = np.stack([_trace_vector(dad), _trace_vector(da)])
+    b = lv[1][0].shape[0]
+    per_tile = max(1, _OMEGA_TILE_BYTES // (16 * b * (b + rhs.shape[1])))
+    f = np.empty((omegas.size, 2, 2), dtype=complex)
+    for lo in range(0, omegas.size, per_tile):
+        tile = slice(lo, lo + per_tile)
+        f[tile] = -_block_solve(lv, omegas[tile], rhs, _regression_first_block,
+                                functionals)
+    p1 = f[:, 0, 0]   # <da+(tau) da(0)>
+    q2 = f[:, 1, 1]   # <da+(0) da(tau)>
+    p3 = f[:, 1, 0]   # <da(tau) da(0)>
+    q4 = f[:, 0, 1]   # <da+(0) da+(tau)>
 
-    # one-sided transforms of the time-and-normal-ordered correlations:
     # the detected spectrum is S_phi = 1 + 4k*Re[p1 + q2 + e^{-2i phi}(p3 + q4*)],
     # the prefactor pinned by the analytic parametric-oscillator spectra
-    t_da = _trace_vector(da)
-    t_dad = _trace_vector(dad)
-    p1 = sol[:, :, 0] @ t_dad   # <da+(tau) da(0)>
-    q2 = sol[:, :, 1] @ t_da    # <da+(0) da(tau)>
-    p3 = sol[:, :, 0] @ t_da    # <da(tau) da(0)>
-    q4 = sol[:, :, 1] @ t_dad   # <da+(0) da+(tau)>
-
     four_k = 4.0 * kappa_hz
     m = 1.0 + four_k * (p1 + q2).real
     z = p3 + np.conj(q4)

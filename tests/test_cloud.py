@@ -14,6 +14,7 @@ from cavsqueeze import (
     mc_cooperativity,
     read_samples,
 )
+from cavsqueeze import cloud
 from cavsqueeze.cloud import _decay_terms, _seed_log_params
 
 # a 4 mm cloud at 5 mK: expansion and fall timescales a few ms and ~160 ms
@@ -317,6 +318,32 @@ def test_fit_with_a_failed_line_search_is_not_converged():
     fr = fit_cooperativity(_samples_from(CLOUD, t, noisy))
     assert not fr.converged
     assert fr.message == "line search failed"
+
+
+def test_fit_evaluates_the_decay_law_once_per_trial(monkeypatch):
+    # one evaluation at the seed, then one per line-search trial: the accepted
+    # trial is the next iterate, and its decay terms serve that iterate's
+    # Jacobian and the final covariance.  Evaluating them again there cost
+    # 43, 29 and 41 calls on these converged, line-search-failed and
+    # tau_g -> inf fits.
+    calls = []
+
+    def counted(t, c0, tau_r, tau_g):
+        if np.ndim(c0) == 0:  # not the seed grid's one broadcast pass
+            calls.append(c0)
+        return _decay_terms(t, c0, tau_r, tau_g)
+
+    monkeypatch.setattr(cloud, "_decay_terms", counted)
+
+    t = np.linspace(0.0, 0.030, 16)
+    truth = cooperativity_decay(t, CLOUD)
+    for seed, message, n_calls in ((0, "converged", 34), (68, "line search failed", 27),
+                                   (3, "fall time", 35)):
+        noisy = truth * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(t.size))
+        calls.clear()
+        fr = fit_cooperativity(_samples_from(CLOUD, t, noisy))
+        assert fr.message.startswith(message)
+        assert len(calls) == n_calls, seed
 
 
 def test_fit_trials_that_overflow_raise_no_warning():

@@ -9,6 +9,7 @@ measured deviations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,17 @@ def test_singular_regression_solve_names_frequency_and_cutoff(monkeypatch):
         me_oracle_spectrum(p, [1.0], drive_y=0.01, fock_cutoff=6)
 
 
+def test_singular_solve_in_a_later_tile_names_its_own_frequency(monkeypatch):
+    # one frequency per tile: the third tile is singular, the first two are not
+    monkeypatch.setattr(oracle, "_OMEGA_TILE_BYTES", 1)
+    h = np.diag([0.0, 1.0, 3.0]) * KAPPA
+    lv = ([], [liouvillian(h, [])], [])
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(RuntimeError, match=r"omega_hz=2500000\.0$"):
+        homodyne_spectrum(lv, _fock_destroy(3), rho, KAPPA,
+                          [0.5 * KAPPA, 1.5 * KAPPA, KAPPA])
+
+
 # === the banded solver against dense references ===
 
 
@@ -251,6 +263,17 @@ def test_batched_frequencies_match_single_calls():
         single = homodyne_spectrum(lv, a, rho, KAPPA, omega)
         assert single.shape == (2, 2)
         assert np.max(np.abs(single - v)) < 1e-12
+
+
+def test_one_frequency_tiles_match_one_tile(monkeypatch):
+    p = ModelParams(c=0.3, delta=0.5, theta=0.2, gamma_par_ratio=1.2, n_atoms=1)
+    h, collapse, a = _cavity_operators(p, 0.3 * KAPPA, 8)
+    lv = _photon_blocks(h, collapse)
+    rho = steady_density(lv, a.shape[0])
+    one_tile = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
+    monkeypatch.setattr(oracle, "_OMEGA_TILE_BYTES", 1)
+    tiled = homodyne_spectrum(lv, a, rho, KAPPA, FIVE_POINT_GRID)
+    assert np.max(np.abs(tiled - one_tile)) < 1e-12
 
 
 def _dense_reference(lv, a_op, omegas):
@@ -341,3 +364,32 @@ def test_photon_blocks_match_dense_liouvillian(case):
         rebuilt[above, here], rebuilt[here, above] = lo, up
     # nothing of lv lies outside the three block diagonals
     assert np.max(np.abs(lv - rebuilt)) <= tol
+
+
+# === memory: no Schur gain is kept, and the frequencies go in tiles ===
+
+
+def _traced_oracle_peak(cutoff, n_omega):
+    """tracemalloc peak of the benchmark's o15 call shape, in bytes."""
+    p = ModelParams(c=0.2, delta=0.0, theta=0.0, n_atoms=1)
+    y = state_equation(0.05, p)
+    omegas = np.linspace(0.0, 4.0 * KAPPA, n_omega)
+    tracemalloc.start()
+    try:
+        me_oracle_spectrum(p, omegas, drive_y=y, fock_cutoff=cutoff)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_call_keeps_no_schur_gains():
+    # the block triple (2.9 MiB) and one tile of elimination stacks; keeping
+    # every step's gain for all 9 frequencies peaked at 13.4 MiB
+    assert _traced_oracle_peak(15, 9) < 6.5 * 2**20
+
+
+def test_oracle_memory_is_flat_in_the_frequency_count():
+    # 64 frequencies go in tiles of 9 at cutoff 20; with every frequency
+    # stacked at once the peak grew by about 2.5 MiB per frequency
+    grow = _traced_oracle_peak(20, 64) - _traced_oracle_peak(20, 4)
+    assert grow < 2 * 2**20
