@@ -23,6 +23,18 @@ err=$(cavsqueeze turning --model.transverse=gaussian --model.gaussian_bins=64 --
 printf '%s\n' "$err" >&2
 test "$rc" -eq 1
 case "$err" in "error: the GaussianBins(m=64) state equation at C=1e+200, "*"beyond the float range") ;; *) exit 1 ;; esac
+# a drive whose locus or Newton terms pass the float range is the input error:
+# exit 1 with its one-line message, not X = 0.0 or no steady state (exit 0)
+rc=0
+err=$(cavsqueeze release --scan.drive_Y=5e305 --scan.duration_s=2e-05 2>&1) || rc=$?
+printf '%s\n' "$err" >&2
+test "$rc" -eq 1
+case "$err" in "error: the plane-wave state equation at C=220.0, "*"Y=5e+305 has coefficients beyond the float range") ;; *) exit 1 ;; esac
+rc=0
+err=$(cavsqueeze steady --model.transverse=gaussian --model.gaussian_bins=8 --scan.drive_Y=1e306 2>&1) || rc=$?
+printf '%s\n' "$err" >&2
+test "$rc" -eq 1
+case "$err" in "error: the GaussianBins(m=8) state equation at C=220.0, "*"Y=1e+306 has coefficients beyond the float range") ;; *) exit 1 ;; esac
 # a count past its bound stops in validation: exit 1 with the key's one-line
 # message, not a numpy traceback for a 745 GiB grid
 rc=0
@@ -53,6 +65,28 @@ t_s,c
 0.03888888888888889,6.804064775608972
 0.044444444444444446,5.157113395869568
 0.05,4.014721842257404
+EOF
+cavsqueeze fitc "$decay"
+# a fit that runs far along the tau_r tau_g valley (a 2 mm, 5 uK cloud, 10 %
+# noise, sigma_c = 1 + C) overflowed in its final Jacobian: now reported, unresolved
+cat > "$decay" <<'EOF'
+t_s,c,sigma_c
+0.0,202.35750864442417,203.35750864442417
+0.002,190.79524751395218,191.79524751395218
+0.004,214.10337530775183,215.10337530775183
+0.006,227.7200548860931,228.7200548860931
+0.008,240.80536123318683,241.80536123318683
+0.01,214.2040175638583,215.2040175638583
+0.012,193.24422853020434,194.24422853020434
+0.014,178.21281802349225,179.21281802349225
+0.016,191.1233218245109,192.1233218245109
+0.018000000000000002,183.5211012982124,184.5211012982124
+0.02,137.47903399427443,138.47903399427443
+0.022,94.30260176149561,95.30260176149561
+0.024,73.31148629837956,74.31148629837956
+0.026000000000000002,65.76774928090552,66.76774928090552
+0.028,37.10227897968183,38.10227897968183
+0.03,17.481669089962296,18.481669089962296
 EOF
 cavsqueeze fitc "$decay"
 cavsqueeze oracle --model.n_atoms=1 --model.C=0.2 --scan.drive_Y=0.01 --scan.n_omega=3

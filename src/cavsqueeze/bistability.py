@@ -208,14 +208,14 @@ def gaussian_susceptibility_limit(x_int, a_sat):
 
 
 class _Response(NamedTuple):
-    g: np.ndarray         # G, the profile-averaged susceptibility
-    g1: np.ndarray        # dG/dX
-    g2: np.ndarray        # d2G/dX2
-    absorb: np.ndarray    # 1 + 2 C G
-    disperse: np.ndarray  # theta - 2 C delta G, the effective cavity detuning
-    y: np.ndarray         # Y(X)
-    y1: np.ndarray        # dY/dX
-    y2: np.ndarray        # d2Y/dX2
+    g: np.ndarray          # G, the profile-averaged susceptibility
+    g1: np.ndarray         # dG/dX
+    g2: np.ndarray | None  # d2G/dX2
+    absorb: np.ndarray     # 1 + 2 C G
+    disperse: np.ndarray   # theta - 2 C delta G, the effective cavity detuning
+    y: np.ndarray          # Y(X)
+    y1: np.ndarray         # dY/dX
+    y2: np.ndarray | None  # d2Y/dX2
 
 
 def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
@@ -284,45 +284,35 @@ def _grid_sums(transverse: Transverse, xi_lo: float, xi_max: float):
     return out
 
 
-def _response(x_int, p: ModelParams) -> _Response:
-    """The state equation and its first two derivatives at X >= 0.
-
-    Entries are shaped like X: floats for a float X, else arrays.
+def _response(x_int, c, theta, p: ModelParams, n: int = 3) -> _Response:
+    """The state equation and its first n - 1 derivatives at X >= 0, at C
+    and theta (scalars, or arrays shaped like X: every step of a trace at
+    once) and the delta and profile of ``p``.  n is 2 or 3; at 2, G'' and
+    d2Y/dX2 are None and none of their products is formed.  A float X
+    gives floats (see ``_bin_sums``).
     """
-    return _response_at(x_int, p.c, p.theta, p)
-
-
-def _response_at(x_int, c, theta, p: ModelParams) -> _Response:
-    """``_response`` at C and theta given apart from ``p``, as scalars or as
-    arrays shaped like X: the cooperativity and detuning of every step of a
-    trace at once.  A float X stays a float (see ``_bin_sums``)."""
     x = x_int if isinstance(x_int, float) else np.asarray(x_int, dtype=float)
-    return _sums_and_response(x, c, theta, p)[1]
-
-
-def _sums_and_response(x, c, theta, p: ModelParams, n: int = 3):
-    """G and its first n - 1 derivatives at X (``_bin_sums``) and the
-    response there, for X a float or an array (``_response_at``)."""
     a_sat = 1.0 + p.delta * p.delta
-    sums = _bin_sums(x, p.transverse, a_sat, n)
-    return sums, _response_from_sums(x, *sums[:3], a_sat, c, p.delta, theta)
+    return _response_from_sums(x, _bin_sums(x, p.transverse, a_sat, n), a_sat, c, p.delta,
+                               theta)
 
 
-def _response_from_sums(x: np.ndarray, g, g1, g2, a_sat: float, c, delta: float,
-                        theta) -> _Response:
-    """The response at X from the bin sums there, for C, delta and theta.
+def _response_from_sums(x, sums, a_sat: float, c, delta: float, theta) -> _Response:
+    """The response at X from G and its derivatives there (``_bin_sums``,
+    two or more of them), for C, delta and theta.
 
     C and theta may be scalars or arrays shaped like X, as along a trace.
     Squares are written as products: Python's and numpy's powers of a
     scalar can round apart from numpy's square of an array.
     """
+    g, g1, g2 = (*sums, None)[:3]
     absorb = 1.0 + 2.0 * c * g
     disperse = theta - 2.0 * c * delta * g
     proj = absorb - delta * disperse
     factor = absorb * absorb + disperse * disperse
     y1 = factor + 4.0 * c * x * g1 * proj
-    y2 = (8.0 * c * g1 * proj + 4.0 * c * x * g2 * proj
-          + 8.0 * c * c * x * g1 * g1 * a_sat)
+    y2 = None if g2 is None else (8.0 * c * g1 * proj + 4.0 * c * x * g2 * proj
+                                  + 8.0 * c * c * x * g1 * g1 * a_sat)
     return _Response(g, g1, g2, absorb, disperse, x * factor, y1, y2)
 
 
@@ -333,7 +323,7 @@ def _root_fdf(p: ModelParams, slope: bool = False):
     theta): its roots are the folds."""
     def make(params):
         def fdf(x):
-            at = _sums_and_response(x, params[0], params[1], p)[1]
+            at = _response(x, params[0], params[1], p, 3 if slope else 2)
             return (at.y1, at.y2) if slope else (at.y - params[2], at.y1)
         return fdf
     return make
@@ -354,7 +344,9 @@ def _curvature_fdf(p: ModelParams):
         c, theta = params
 
         def fdf(x):
-            (_, g1, g2, g3), at = _sums_and_response(x, c, theta, p, 4)
+            sums = _bin_sums(x, p.transverse, a_sat, 4)
+            at = _response_from_sums(x, sums, a_sat, c, delta, theta)
+            _, g1, g2, g3 = sums
             proj = at.absorb - delta * at.disperse
             y3 = (12.0 * c * g2 * proj + 24.0 * c * c * a_sat * g1 * g1
                   + 4.0 * c * x * g3 * proj + 24.0 * c * c * a_sat * x * g1 * g2)
@@ -373,12 +365,12 @@ def state_equation(x_int, p: ModelParams):
     Accepts a scalar or array X >= 0; the map is single-valued in this
     direction even when the response X(Y) is multivalued.
     """
-    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p).y)
+    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p.c, p.theta, p).y)
 
 
 def state_equation_slope(x_int, p: ModelParams):
     """Analytic dY/dX; negative slope marks the unstable branch."""
-    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p).y1)
+    return _as_output(_response(_checked(x_int, "intracavity intensity X"), p.c, p.theta, p).y1)
 
 
 def _checked(value, name: str, positive: bool = False) -> np.ndarray:
@@ -505,13 +497,6 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
                        "200 steps; the last bracket is [{!r}, {!r}]".format(*bracket, lo, hi))
 
 
-def _newton_cells(fdf, lo: np.ndarray, hi: np.ndarray, start: np.ndarray,
-                  rising: np.ndarray) -> list[float]:
-    """``_newton`` in each of a few cells of one fdf, as Python floats."""
-    return [float(_newton(fdf, *cell)) for cell in zip(lo.tolist(), hi.tolist(),
-                                                        start.tolist(), rising.tolist())]
-
-
 # Below this many brackets a lockstep iteration, numpy's fixed cost per call
 # times some forty calls, costs more than scalar iterations of every bracket.
 _LOCKSTEP_MIN = 16
@@ -627,12 +612,11 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
     are where its C crosses the fold locus C_fold(X) and its partner root
     (``_level_crossings``, in sigma = -1/C) on the cached grid, each refined by Newton on
     dY/dX; a narrow pair's knot is ``critical_point``'s cusp, so the fold
-    count flips exactly at its C.  Where Y(X) or the 8 C^2 X of d2Y/dX2
-    could pass the float range up to the top of its fold cells
-    (``_root_bound``), a binned profile raises the input error, as a plane
-    wave does where its fold cubic would.  Returns 0, 1 or 2 points; exactly
-    2 means the response is bistable within the window (``x_max`` finite
-    and > 0).
+    count flips exactly at its C.  Where that Newton's products could pass
+    the float range up to the top of its fold cells (``_float_range``), a
+    binned profile raises the input error, as a plane wave does where its
+    fold cubic would.  Returns 0, 1 or 2 points; exactly 2 means the
+    response is bistable within the window (``x_max`` finite and > 0).
     """
     a_sat = 1.0 + p.delta * p.delta
     if x_max is None:
@@ -653,13 +637,12 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
                                                          np.array([c]))
         if lo.size > 2:
             raise RuntimeError(f"found {lo.size} folds at {p!r}, more than two")
-        # Newton on dY/dX forms Y <= X bound and, in d2Y/dX2, 8 C^2 X
         top = float(hi.max()) if hi.size else 1.0
-        if not math.isfinite(top * (_root_bound(c, theta, p) + 8.0 * c * c)):
-            raise _beyond_float_range(p.transverse, p.c, p.delta, p.theta, 0.0)
-        folds = sorted(_newton_cells(_root_fdf(p, True)((c, theta)), lo, hi, start, rising))
+        _float_range(p, c, theta, 0.0, _root_bound(c, theta, p), top, "fold")
+        params = (np.full(lo.size, c), np.full(lo.size, theta))
+        folds = sorted(_newton_many(_root_fdf(p, True), params, lo, hi, start, rising).tolist())
     points = tuple(x for x in folds if x < x_max)
-    ys = tuple(float(_response(x, p).y) for x in points)
+    ys = tuple(float(_response(x, p.c, p.theta, p).y) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
 
 
@@ -916,10 +899,10 @@ def _state_terms(x_int, y_drive, c, theta, p: ModelParams):
     """The complex amplitude x and the response at roots X of drive Y.
 
     X, Y, C and theta are scalars or arrays of one shape (see
-    ``_response_at``).  x = (X / sqrt(Y)) (absorb - i disperse) in the gauge
+    ``_response``).  x = (X / sqrt(Y)) (absorb - i disperse) in the gauge
     of a real, positive drive amplitude, and x = 0 at Y = 0.
     """
-    at = _response_at(x_int, c, theta, p)
+    at = _response(x_int, c, theta, p, 2)
     if isinstance(y_drive, np.ndarray):
         scale = np.divide(x_int, np.sqrt(y_drive), out=np.zeros_like(x_int),
                           where=y_drive > 0.0)
@@ -990,29 +973,6 @@ def solve_steady_states(y_drive: float, p: ModelParams) -> list[SteadyState]:
             for x, lab in zip(roots, _branch_labels(len(roots)))]
 
 
-def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
-    """The distinct roots at every step of a trace (lists ``y``, ``c`` and
-    ``theta``; delta and the profile of ``p``) by ``_locus_roots``, for
-    every profile, the plane wave's one bin included, as (n, 3), each row
-    ascending and padded with NaN: 31-46 ms for the default 12,500-step
-    Gaussian-64 release, the upper end where glibc's mmap threshold leaves
-    the lockstep's 512 KiB temporaries to fresh pages, and about 11 ms for
-    the plane-wave one (one BLAS thread, shared 2-core box).  A row of more
-    than one root goes through ``_distinct``."""
-    y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
-    rows = np.full((y.size, 3), np.nan)
-    rows[y == 0.0, 0] = 0.0
-    driven = np.flatnonzero(y != 0.0)
-    if driven.size:
-        rows[driven] = _locus_roots(y[driven], c[driven], theta[driven], p)
-    rows = np.sort(rows, axis=1)  # NaN last
-    many = np.flatnonzero(rows[:, 1] == rows[:, 1])
-    for i, row in zip(many.tolist(), rows[many].tolist()):
-        xs = _distinct([x for x in row if x == x])
-        rows[i] = xs + [math.nan] * (len(row) - len(xs))
-    return rows[:, :3]
-
-
 # bins times states per block of a pass over a trace: the (6, states, M) bin
 # weights of a block of ``spectra._trace_noise`` then take about 3 MB
 _BLOCK_BINS = 1 << 16
@@ -1044,9 +1004,8 @@ def _trace_states(x_int: np.ndarray, y_drive: float, c: np.ndarray, theta: np.nd
 
 def _plane_roots(y_drive: float, p: ModelParams) -> list[float]:
     # A single solve stays scalar, as do _plane_folds and _cubic_segment_roots:
-    # about 20 us at p50 against 140-150 us through the root locus, and 9-10
-    # us a fold search against about 90 us (600 random queries, one BLAS
-    # thread), numpy's fixed cost per call on the locus' whole-grid passes.
+    # through the root locus it would pay numpy's fixed cost per call on the
+    # locus' whole-grid passes.
     # F(0) = -Y A^2 < 0 and F(Y) >= 0, so every root lies in (0, Y]; F is
     # monotone between the folds.  F(Y) can round below zero only when the
     # root sits at X = Y (no atoms), hence the widened top edge.
@@ -1066,14 +1025,44 @@ def _root_bound(c, theta, p: ModelParams):
     return absorb * absorb + disperse * disperse
 
 
-def _root_locus(p: ModelParams, y: float, c: float | None, theta: float | None,
-                bound: float):
-    """The root locus at drive Y > 0, C or theta fixed (the swept one None),
-    and its vertices from X = 0 to Y in the smallest fold window at or above
-    Y (``_fold_window``), none below Y/(2 ``bound``) (``_root_bound``)."""
-    a_sat = 1.0 + p.delta * p.delta
-    return (_Locus(p, False, c, theta, y),
-            *_locus_grid(p, _fold_window(y / a_sat), y, 0.5 * y / bound))
+def _float_range(p: ModelParams, c, theta, y: float, bound, top: float, locus: str) -> None:
+    """Raise the input error ``_beyond_float_range`` unless every product
+    that a locus ("c" or "theta", the one a root locus at Y sweeps, or
+    "fold") and Newton on the response form at X up to ``top``, the top of
+    its cells, is finite, each formed as they form it (Y(X) as X ``bound``,
+    the ``_root_bound``).  C, theta and ``bound`` are floats or arrays over
+    steps that share Y: the error names the first step at fault."""
+    delta = p.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_top = top * bound
+        terms = [y_top, 4.0 * c * top]  # Y(X) and the 4 C X of dY/dX
+        if locus == "fold":  # Newton on dY/dX: the 8 C^2 X of d2Y/dX2
+            terms.append(top * (bound + 8.0 * c * c))
+        elif locus == "c":  # the discriminant's A Y and X (delta + theta)^2
+            terms += [(1.0 + delta * delta) * y, top * ((delta + theta) * (delta + theta))]
+        else:  # the discriminant 4 X (Y - X (1 + 2 C G)^2)
+            terms.append(4.0 * top * (y + y_top))
+        finite = np.isfinite(sum(0.0 * t for t in terms))  # 0 t is NaN where t is not finite
+    if not finite.all():
+        i = int(np.argmin(finite)) if np.ndim(finite) else 0
+        c, theta = (float(v[i]) if np.ndim(v) else v for v in (c, theta))
+        raise _beyond_float_range(p.transverse, c, delta, theta, y)
+
+
+def _root_locus(p: ModelParams, y: float, c, theta, sweep_theta: bool = False):
+    """The root locus at drive Y > 0 of steps at C and theta (floats, or
+    arrays over steps that share the one not swept: theta with
+    ``sweep_theta``, else C), and its vertices from X = 0 to Y in the
+    smallest fold window at or above Y (``_fold_window``), none below Y/(2
+    bound) for the steps' largest ``_root_bound``; ``_float_range`` guards."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _root_bound(c, theta, p)
+    most = bound.max() if isinstance(bound, np.ndarray) else bound  # not finite: the guard raises
+    x, sums = _locus_grid(p, _fold_window(y / (1.0 + p.delta * p.delta)), y,
+                          0.5 * y / most if most < math.inf else 0.0)
+    _float_range(p, c, theta, y, bound, float(x[-1]), "theta" if sweep_theta else "c")
+    fixed = float(np.ravel(c if sweep_theta else theta)[0])
+    return _Locus(p, False, *((fixed, None) if sweep_theta else (None, fixed)), y), x, sums
 
 
 def _too_many_crossings(count: int, y: float, c: float, theta: float,
@@ -1084,47 +1073,41 @@ def _too_many_crossings(count: int, y: float, c: float, theta: float,
 
 def _binned_roots(y: float, p: ModelParams) -> list[float]:
     """The distinct roots at drive Y > 0 of a binned profile, ascending: a
-    one-step ``_locus_roots``, where C crosses the root locus C(X) at Y, with
-    each crossing polished by ``_newton`` and none of a trace's grouping,
-    lockstep or padding."""
+    one-step ``_trace_roots``, where C crosses the root locus C(X) at Y,
+    with none of a trace's grouping or padding."""
     c, theta = float(p.c), float(p.theta)
-    bound = _root_bound(c, theta, p)
-    if not math.isfinite(bound):
-        raise _beyond_float_range(p.transverse, c, p.delta, theta, y)
-    (_, lo, hi, start, rising), _ = _level_crossings(*_root_locus(p, y, None, theta, bound),
+    (_, lo, hi, start, rising), _ = _level_crossings(*_root_locus(p, y, c, theta),
                                                      np.array([c]))
     if lo.size > 3:
         raise _too_many_crossings(lo.size, y, c, theta, p)
-    return _distinct(_newton_cells(_root_fdf(p)((c, theta, y)), lo, hi, start, rising))
+    params = (np.full(lo.size, c), np.full(lo.size, theta), np.full(lo.size, y))
+    return _distinct(_newton_many(_root_fdf(p), params, lo, hi, start, rising).tolist())
 
 
-def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
-                 p: ModelParams) -> np.ndarray:
-    """The roots at drives Y > 0, C and theta, (n,) arrays: (n, 3), each row
-    ascending, NaN where there is none.  A trace that shares Y and C crosses
-    one root locus theta(X); otherwise steps that share Y and theta cross one
-    root locus C(X) (``_level_crossings``), as a binned single solve does.
-    Each cell is polished by lockstep Newton; more than three crossings
-    raise RuntimeError.  A step whose terms of Y(X)/X overflow raises the
-    input error ``_beyond_float_range``, naming the step.
+def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:
+    """The distinct roots at every step of a trace, drives Y >= 0, C and
+    theta ((n,) arrays or lists), as (n, 3), rows ascending, padded with NaN.
+    A trace that shares Y and C crosses one root locus theta(X), else the
+    driven steps that share Y and theta one root locus C(X), as a binned
+    single solve does (``_root_locus``, which raises the input error naming
+    a step).  Lockstep Newton polishes every cell, a row of more than one
+    root goes through ``_distinct``, and more than three raise RuntimeError.
     """
-    with np.errstate(over="ignore"):
-        bound = _root_bound(c, theta, p)
-    if not np.isfinite(bound).all():
-        i = int(np.argmin(np.isfinite(bound)))
-        raise _beyond_float_range(p.transverse, float(c[i]), p.delta, float(theta[i]),
-                                  float(y[i]))
+    y, c, theta = (np.asarray(a, dtype=float) for a in (y, c, theta))
+    rows = np.full((y.size, 3), np.nan)
+    rows[y == 0.0, 0] = 0.0
+    driven = np.flatnonzero(y != 0.0)
+    if not driven.size:
+        return rows
+    y, c, theta = y[driven], c[driven], theta[driven]
     sweep_theta = (c == c[0]).all() and (y == y[0]).all() and not (theta == theta[0]).all()
     groups, cells = [np.arange(y.size)], []
     if y.size > 1 and not sweep_theta:
         o = np.lexsort((theta, y))
         groups = np.split(o, np.flatnonzero(np.diff(np.stack((y, theta))[:, o]).any(0)) + 1)
     for k in groups:
-        yk, ck, tk = float(y[k[0]]), float(c[k[0]]), float(theta[k[0]])
-        j, *cell = _level_crossings(
-            *_root_locus(p, yk, ck if sweep_theta else None, None if sweep_theta else tk,
-                         float(np.max(bound[k]))),
-            theta[k] if sweep_theta else c[k])[0]
+        j, *cell = _level_crossings(*_root_locus(p, float(y[k[0]]), c[k], theta[k], sweep_theta),
+                                    theta[k] if sweep_theta else c[k])[0]
         cells.append((k[j], *cell))
     step, lo, hi, start, rising = (np.concatenate(col) for col in zip(*cells))
     count = np.bincount(step, minlength=y.size)
@@ -1136,10 +1119,14 @@ def _locus_roots(y: np.ndarray, c: np.ndarray, theta: np.ndarray,
         s = step[b]
         roots[b] = _newton_many(_root_fdf(p), (c[s], theta[s], y[s]), lo[b], hi[b],
                                 start[b], rising[b])
-    order = np.lexsort((roots, step))
-    step, out = step[order], np.full((y.size, 3), np.nan)
-    out[step, np.arange(step.size) - np.searchsorted(step, step)] = roots[order]
-    return out
+    order = np.lexsort((roots, step))  # each row ascending, NaN last
+    step = step[order]
+    rows[driven[step], np.arange(step.size) - np.searchsorted(step, step)] = roots[order]
+    many = np.flatnonzero(rows[:, 1] == rows[:, 1])
+    for i, row in zip(many.tolist(), rows[many].tolist()):
+        xs = _distinct([x for x in row if x == x])
+        rows[i] = xs + [math.nan] * (len(row) - len(xs))
+    return rows
 
 
 def peak_transmission(y_drive: float, p: ModelParams) -> float:
@@ -1184,7 +1171,7 @@ def cooperativity_from_amplitudes(bistable_peak: float, empty_peak: float,
         return 0.0
     y = empty_peak if drive_y is None else drive_y
     _checked(y, "drive intensity Y", positive=True)
-    g = float(_response(ratio * y, p).g)
+    g = float(_response(ratio * y, p.c, p.theta, p).g)
     # a ratio or G that underflows to 0 would raise ZeroDivisionError: C = inf
     c = (1.0 / math.sqrt(ratio) - 1.0) / (2.0 * g) if ratio > 0.0 and g > 0.0 else math.inf
     if not math.isfinite(c):
@@ -1240,4 +1227,4 @@ def critical_point(p: ModelParams, x_max: float | None = None) -> tuple[float, f
     # the next float up must have a larger -1/C, or turning_points could not tell them apart
     while -1.0 / math.nextafter(c_crit, math.inf) == -1.0 / c_crit:
         c_crit = math.nextafter(c_crit, math.inf)
-    return c_crit, x_crit, float(_response_at(x_crit, c_crit, p.theta, p).y)
+    return c_crit, x_crit, float(_response(x_crit, c_crit, p.theta, p).y)

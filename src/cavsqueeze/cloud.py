@@ -331,8 +331,9 @@ def fit_cooperativity(
     message = "iteration limit reached"
     n_iter = 0
     n_free = 3
-    # a line-search trial, or a point whose tau_g overflows to the tau_g -> inf
-    # limit, may overflow; its non-finite cost is rejected, unwarned, below
+    # a line-search trial, a point whose tau_g overflows to the tau_g -> inf
+    # limit, or the covariance of a fit far along the tau_r tau_g valley may
+    # overflow: unwarned, a non-finite cost is rejected, a non-finite error named
     with np.errstate(all="ignore"):
         # the decay terms at lp: each accepted trial's are reused, so every
         # point is evaluated once
@@ -351,16 +352,19 @@ def fit_cooperativity(
                 step[:n_free] = np.linalg.solve(jw.T @ jw, jw.T @ r)
             except np.linalg.LinAlgError:
                 return failure("singular normal equations; data do not constrain the model")
-            # damped line search on the Gauss-Newton step
+            # damped line search on the Gauss-Newton step, until it rounds away
             base = float(r @ r)
-            scale = 1.0
+            scale, descent = 1.0, False
             for _ in range(25):
                 trial = lp - scale * step
+                if (trial == lp).all():
+                    break
                 trial_terms = terms_at(trial)
                 if cost(trial_terms) < base:
+                    descent = True
                     break
                 scale *= 0.5
-            else:
+            if not descent:
                 # no descent along the step: a minimum only if the step is tiny
                 converged = bool(np.max(np.abs(step)) < 1e-6)
                 message = "converged" if converged else "line search failed"
@@ -370,32 +374,34 @@ def fit_cooperativity(
                 converged, message = True, "converged"
                 break
 
-    c0, tau_r, tau_g = np.exp(lp)
-    if n_free == 2:
-        nan = math.nan
-        return FitResult(float(c0), nan, nan, float(tau_r), math.inf, nan, nan, nan,
-                         nan, n_iter, False,
-                         "fall time tau_g unresolved: the fall term is below "
-                         "round-off at every sample; C0 and tau_r fitted at tau_g -> inf")
-    m = terms[0]
-    jac = _fit_jacobian(t, lp, terms)
-    r = (m - c) * wts
-    rss = float(r @ r)
-    dof = max(t.size - 3, 1)
-    jw = jac * wts[:, None]
-    try:
-        cov = (rss / dof) * np.linalg.inv(jw.T @ jw)
-    except np.linalg.LinAlgError:
-        cov = np.full((3, 3), np.nan)
+        c0, tau_r, tau_g = np.exp(lp)
+        if n_free == 2:
+            nan = math.nan
+            return FitResult(float(c0), nan, nan, float(tau_r), math.inf, nan, nan, nan,
+                             nan, n_iter, False,
+                             "fall time tau_g unresolved: the fall term is below "
+                             "round-off at every sample; C0 and tau_r fitted at tau_g -> inf")
+        m = terms[0]
+        jac = _fit_jacobian(t, lp, terms)
+        r = (m - c) * wts
+        rss = float(r @ r)
+        dof = max(t.size - 3, 1)
+        jw = jac * wts[:, None]
+        try:
+            cov = (rss / dof) * np.linalg.inv(jw.T @ jw)
+        except np.linalg.LinAlgError:
+            cov = np.full((3, 3), np.nan)
 
-    sigma_v = g_grav * tau_g / (2.0 * math.sqrt(2.0))
-    sigma_r = sigma_v * tau_r
-    temp_k = mass_kg * sigma_v**2 / K_BOLTZMANN
-    # log-space covariance maps directly to relative errors
-    var_log_sigma_r = cov[1, 1] + cov[2, 2] + 2.0 * cov[1, 2]
-    c0_err = c0 * math.sqrt(max(cov[0, 0], 0.0))
-    sigma_r_err = sigma_r * math.sqrt(max(var_log_sigma_r, 0.0))
-    temp_k_err = temp_k * 2.0 * math.sqrt(max(cov[2, 2], 0.0))
+        sigma_v = g_grav * tau_g / (2.0 * math.sqrt(2.0))
+        sigma_r = sigma_v * tau_r
+        temp_k = mass_kg * sigma_v**2 / K_BOLTZMANN
+        # log-space covariance maps directly to relative errors
+        var_log_sigma_r = cov[1, 1] + cov[2, 2] + 2.0 * cov[1, 2]
+        c0_err = c0 * math.sqrt(max(cov[0, 0], 0.0))
+        sigma_r_err = sigma_r * math.sqrt(max(var_log_sigma_r, 0.0))
+        temp_k_err = temp_k * 2.0 * math.sqrt(max(cov[2, 2], 0.0))
+    if not all(map(math.isfinite, (c0_err, sigma_r_err, temp_k_err))):
+        message += "; the estimate is unresolved: an error is not finite"
     return FitResult(
         c0=float(c0),
         sigma_r_m=float(sigma_r),

@@ -13,7 +13,7 @@ not step by step:
    profile, the plane wave's one bin included, forms one root locus per
    trace on a cached grid, C(X) along a release and theta(X) along a piezo
    sweep; each step's roots lie in the cells where its C or theta crosses
-   it, and one Newton polishes them all (``bistability._locus_roots``).  A
+   it, and one Newton polishes them all (``bistability._trace_roots``).  A
    binned release's rows are bit for bit the roots of a single solve, which
    crosses the same C(X); a piezo sweep's, and a plane wave's, whose single
    solve takes the exact cubic, agree to round-off.
@@ -70,7 +70,7 @@ from .bistability import (
     ModelParams,
     PlaneWave,
     _branch_labels,
-    _response_at,
+    _response,
     _state_terms,
     _trace_roots,
     _trace_states,
@@ -307,7 +307,7 @@ def _run_scan(
         i = int(np.argmax(bad))
         replace(p, c=float(cs[i]), theta=float(thetas[i]))  # raises, naming the field
     _check_dephasing(p)
-    roots = _trace_roots([sc.drive_y] * n, cs.tolist(), thetas.tolist(), p)
+    roots = _trace_roots(np.full(n, sc.drive_y), cs, thetas, p)
     found = roots == roots
     step = np.nonzero(found)[0]
     amp, slope, disperse = _trace_states(roots[found], sc.drive_y, cs[step], thetas[step], p)
@@ -323,7 +323,7 @@ def _run_scan(
     if sc.noise_transverse == "plane" and not isinstance(p.transverse, PlaneWave):
         # X is a state of the plane-wave medium at its drive Y_pw(X): no solve
         p_n = replace(p, transverse=PlaneWave())
-        plane = _response_at(xs, cs, thetas, p_n)
+        plane = _response(xs, cs, thetas, p_n, 2)
         x_amp = _state_terms(xs, plane.y, cs, thetas, p_n)[0]
         unstable = np.flatnonzero(plane.y1 <= 0.0)
         if unstable.size:

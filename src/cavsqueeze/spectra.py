@@ -242,9 +242,12 @@ def _system_sums(x, x_int, c, p: ModelParams):
     one = not isinstance(c, np.ndarray)
     if one:
         alpha = g_cav * g_cav / (p.n_atoms * _sigma_cav(p, c)) if c > 0 else 0.0
+        pivot = gamma * gpar * (x.real * x.real + x.imag * x.imag)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a pivot past the float range overflows unwarned: _output_noise raises
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             alpha = np.where(c > 0, g_cav * g_cav / (p.n_atoms * _sigma_cav(p, c)), 0.0)
+            pivot = gamma * gpar * (x.real * x.real + x.imag * x.imag)
     one_bin = isinstance(dsat, float)
     w4 = wu2 * u2
     if not one_bin and dsat.ndim > 1:
@@ -260,7 +263,6 @@ def _system_sums(x, x_int, c, p: ModelParams):
         2.0 * (gamma * gpar) ** 2 * alpha,
         2.0 * gamma ** 2 * gpar * alpha,
     )
-    pivot = gamma * gpar * (x.real * x.real + x.imag * x.imag)
     dip = 2.0 * gamma ** 2 / gpar * alpha
     if one_bin:
         weights = [row * f for row, f in zip(rows, factors)]
@@ -365,8 +367,9 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     is summed in Python complex arithmetic too.  Raises RuntimeError where
     the response is singular, and where a bin with a non-zero ``w_power``
     weight has 1/|sigma_j|^2 below the smallest normal float (from X of
-    about 1e150 at delta = -20): the atoms' a a^H term of Q would lose its
-    precision, then drop out, and V fall below the vacuum.
+    about 1e150 at delta = -20), or a pivot past the float range (from
+    1.3e295): the atoms' a a^H term of Q would lose its precision, then
+    drop out, and V fall below the vacuum.
     """
     kappa, gamma = p.kappa_hz, p.gamma_hz
     one = not isinstance(x, np.ndarray)
@@ -378,18 +381,20 @@ def _output_noise(x, theta, pivot_u2, w_sigma, w_power, sat, dip, kappa_in: floa
     det_p = zg * zg + gd * gd
     pa, pb = zg / det_p, gd / det_p  # P^-1 = [[pa, pb], [-pb, pa]]
 
-    inv = 1.0 / ((z + p.gamma_par_hz) + pa * pivot_u2)  # 1 / sigma_j
-    if isinstance(inv, complex):  # one plane-wave state's one bin
+    if isinstance(pivot_u2, float):  # one plane-wave state's one bin
+        inv = 1.0 / ((z + p.gamma_par_hz) + pa * pivot_u2)  # 1 / sigma_j
         (ws0, ws1, ws2), (wp0, wp1, wp2) = w_sigma, w_power
         mag = abs(inv)
         power = mag * mag
-        underflow = power < _TINY and any(w_power)
+        underflow = not power >= _TINY and (any(w_power) or not math.isfinite(pivot_u2))
         s0, s1, s2 = ws0 * inv, ws1 * inv, ws2 * inv
         r0, r1, r2 = wp0 * power, wp1 * power, wp2 * power
     else:
+        with np.errstate(invalid="ignore"):  # a pivot past the float range: below
+            inv = 1.0 / ((z + p.gamma_par_hz) + pa * pivot_u2)
         power = np.abs(inv) ** 2
-        underflow = (power.min() < _TINY
-                     and bool(np.any((power < _TINY) & np.any(w_power != 0.0, axis=0))))
+        underflow = not power.min() >= _TINY and bool(np.any(
+            ~(power >= _TINY) & (np.any(w_power != 0.0, axis=0) | ~np.isfinite(pivot_u2))))
         if one:
             s0, s1, s2 = (w_sigma @ inv).tolist()
             r0, r1, r2 = (w_power @ power).tolist()

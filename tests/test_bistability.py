@@ -225,6 +225,64 @@ def test_a_trace_beyond_the_float_range_raises_the_input_error_naming_its_step(
                                  [-7.5, -7.4, -7.3, -7.2, -7.1], p)
 
 
+def _beyond(name, c, theta, y):
+    return "^" + re.escape(f"the {name} state equation at C={c!r}, delta=-20.0, "
+                           f"theta={theta!r}, Y={y!r} has coefficients beyond the float "
+                           "range") + "$"
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("y", [4e305, 1e306])
+def test_a_binned_solve_at_a_huge_drive_raises_the_input_error(m, y):
+    # the 4 C X of dY/dX overflows below X = Y at 4e305, and from 5e305 on the
+    # A Y of the root locus' discriminant: Gaussian-64 returned X = 4e305 with
+    # dY/dX = NaN, and at 1e306 no steady state at all
+    with pytest.raises(ValueError, match=_beyond(f"GaussianBins(m={m})", 220.0, 0.0, y)):
+        solve_steady_states(y, ModelParams(transverse=GaussianBins(m)))
+
+
+@pytest.mark.parametrize("transverse", [PlaneWave(), GaussianBins(64)], ids=["plane", "gauss64"])
+def test_a_trace_at_a_huge_drive_raises_the_input_error_naming_its_step(transverse):
+    # at 5e305 the release's root locus formed A Y = inf and wrote X = 0.0
+    name = "plane-wave" if isinstance(transverse, PlaneWave) else "GaussianBins(m=64)"
+    with pytest.raises(ValueError, match=_beyond(name, 220.0, -7.4, 5e305)):
+        bistability._trace_roots(np.array([800.0, 5e305]), np.array([220.0, 220.0]),
+                                 np.array([-7.5, -7.4]), ModelParams(transverse=transverse))
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_a_binned_solve_and_a_trace_step_agree_at_huge_drives(m):
+    # both form the same locus and Newton at the same inputs: the same roots
+    # or the same input error
+    p = ModelParams(transverse=GaussianBins(m))
+    for y in (1e305, 2e305, 3e305, 4e305, 5e305, 1e306):
+        try:
+            single = [s.intensity for s in solve_steady_states(y, p)]
+        except ValueError as exc:
+            single = str(exc)
+        try:
+            row = bistability._trace_roots([y], [p.c], [p.theta], p)[0]
+            trace = row[row == row].tolist()
+        except ValueError as exc:
+            trace = str(exc)
+        assert single == trace, y
+    (state,) = solve_steady_states(1e305, p)
+    assert (state.intensity, state.slope) == (1e305, 1.0)
+
+
+def test_a_piezo_trace_whose_discriminant_overflows_raises_the_input_error():
+    # the theta(X) locus' discriminant 4 X (Y - X (1 + 2 C G)^2) overflows from
+    # Y of about 1e154: at 1e160 every step returned X = 9.80e159, where the
+    # single solve finds 2.57e159; a C(X) trace at that drive still fits
+    p = ModelParams(c=50.0, theta=-1.7)
+    with pytest.raises(ValueError, match=_beyond("plane-wave", 50.0, -1.7, 1e160)):
+        bistability._trace_roots([1e160] * 3, [50.0] * 3, [-1.7, -1.6, -1.5], p)
+    row = bistability._trace_roots([1e160] * 2, [50.0, 60.0], [-1.7] * 2, p)[:, 0]
+    single = [solve_steady_states(1e160, dataclasses.replace(p, c=c))[0].intensity
+              for c in (50.0, 60.0)]
+    assert row.tolist() == pytest.approx(single, rel=1e-12)
+
+
 @pytest.mark.parametrize("m, c", [(64, 1e200), (8, 1e308), (8, 1e153)])
 def test_binned_folds_beyond_the_float_range_raise_the_input_error(m, c):
     # Y at the fold overflowed to inf (C = 1e200, 1e308), or 8 C^2 X in
@@ -301,7 +359,7 @@ def test_curvature_matches_finite_difference():
             x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
             h = 1e-5 * x
             fd = (state_equation_slope(x + h, p) - state_equation_slope(x - h, p)) / (2 * h)
-            assert _response(x, p).y2 == pytest.approx(fd, rel=5e-5, abs=1e-10)
+            assert _response(x, p.c, p.theta, p).y2 == pytest.approx(fd, rel=5e-5, abs=1e-10)
 
 
 def test_curvature_derivative_matches_finite_difference():
@@ -316,7 +374,7 @@ def test_curvature_derivative_matches_finite_difference():
             )
             x = float(rng.uniform(0.5, 20.0)) * (1.0 + p.delta ** 2)
             y2, y3 = _curvature_fdf(p)((p.c, p.theta))(x)
-            assert y2 == pytest.approx(_response(x, p).y2, rel=1e-12)
+            assert y2 == pytest.approx(_response(x, p.c, p.theta, p).y2, rel=1e-12)
             # Richardson-extrapolated central difference of d2Y/dX2
             f = lambda t: _curvature_fdf(p)((p.c, p.theta))(t)[0]
             h = 1e-3 * x
@@ -360,7 +418,7 @@ def test_critical_point_detuned_is_consistent():
     p = ModelParams(c=1.0, delta=-20.0, theta=0.0)
     c, x, y = critical_point(p)
     pc = ModelParams(c=c, delta=-20.0, theta=0.0)
-    at = _response(x, pc)
+    at = _response(x, pc.c, pc.theta, pc)
     assert abs(at.y1) <= 1e-6 * y / x
     assert abs(at.y2) <= 1e-6 * y / x ** 2
     assert state_equation(x, pc) == pytest.approx(y, rel=1e-12)
@@ -661,7 +719,7 @@ def test_binned_grid_sums_cache_is_transparent_and_read_only():
     xi, (tg, tp, tq, tr, ts) = _grid_sums(p.transverse, xi_lo, xi_max)
     grid, (g, *_) = _locus_grid(p, xi_max)
     assert np.array_equal(grid, 401.0 * np.geomspace(xi_lo, xi_max, 4096))
-    direct = _response(grid, p)
+    direct = _response(grid, p.c, p.theta, p)
     unit = _bin_sums(xi, p.transverse, 1.0)
     assert np.array_equal(tg, unit[0])  # the G column is the unit sum itself
     assert np.max(np.abs(g - direct.g) / direct.g) <= 4e-15
@@ -964,7 +1022,7 @@ def test_theta_eff_is_the_response_detuning_on_every_branch():
             else:
                 y = float(rng.uniform(0.01, 100.0)) * (1.0 + p.delta ** 2)
             for s in solve_steady_states(y, p):
-                assert s.theta_eff == _response(s.intensity, p).disperse
+                assert s.theta_eff == _response(s.intensity, p.c, p.theta, p).disperse
                 seen.add(s.branch)
         assert seen == set(Branch)
 

@@ -219,6 +219,23 @@ def test_a_binned_fold_beyond_the_float_range_exits_one(bins, c):
     assert "beyond the float range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, name, theta, y", [
+    (["release", "--scan.drive_Y=5e305", "--scan.duration_s=2e-05"], "plane-wave", -7.5,
+     "5e+305"),
+    (["release", "--model.transverse=gaussian", "--model.gaussian_bins=64",
+      "--scan.drive_Y=5e305", "--scan.duration_s=2e-05"], "GaussianBins(m=64)", -7.5, "5e+305"),
+    (["steady", "--model.transverse=gaussian", "--model.gaussian_bins=8",
+      "--scan.drive_Y=1e306"], "GaussianBins(m=8)", 0.0, "1e+306"),
+])
+def test_a_drive_beyond_the_float_range_exits_one(args, name, theta, y):
+    # the release wrote X = 0.0 on the lower branch and the steady state
+    # printed only its header, both exiting 0
+    rc, out, err = run_cli(args)
+    assert rc == 1 and out == ""
+    assert err == (f"error: the {name} state equation at C=220.0, delta=-20.0, "
+                   f"theta={theta!r}, Y={y} has coefficients beyond the float range\n")
+
+
 def test_a_bin_count_past_its_bound_stops_in_validation(monkeypatch):
     # rejected before any quadrature is built: 100,000 bins asked leggauss for 74.5 GiB
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
@@ -312,6 +329,28 @@ def test_fitc_roundtrip_through_files(tmp_path):
     assert abs(float(cols["sigma_r_m"]) - 4e-3) / 4e-3 < 1e-6
     assert abs(float(cols["temp_k"]) - 5e-3) / 5e-3 < 1e-6
     assert cols["converged"] == "true"
+
+
+def test_fitc_of_an_unresolved_fit_exits_zero(tmp_path):
+    # a 2 mm, 5 uK cloud with 10 % noise, weighted by 1 + C: the final
+    # Jacobian overflowed, a RuntimeWarning (a traceback under
+    # error::RuntimeWarning); the fit is reported, named unresolved
+    from cavsqueeze import CloudParams, cooperativity_decay
+
+    t = np.linspace(0.0, 0.030, 16)
+    z = np.random.default_rng(5).standard_normal(t.size)
+    c = np.maximum(cooperativity_decay(t, CloudParams(2e-3, 5e-6, 220.0)) * (1.0 + 0.1 * z),
+                   0.0)
+    data = tmp_path / "decay.csv"
+    rows = (f"{float(ti)!r},{float(ci)!r},{float(1.0 + ci)!r}\n" for ti, ci in zip(t, c))
+    data.write_text("t_s,c,sigma_c\n" + "".join(rows))
+    rc, out, err = run_cli(["fitc", str(data)])
+    assert rc == 0 and err == ""
+    header, row = out.strip().split("\n")
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert cols["sigma_r_err"] == "inf" and cols["converged"] == "false"
+    assert cols["message"] == ("line search failed; the estimate is unresolved: "
+                               "an error is not finite")
 
 
 def test_mc_cloud_matches_model_column(tmp_path):

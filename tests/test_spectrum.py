@@ -498,3 +498,17 @@ def test_atomic_noise_underflow_raises_instead_of_negative_noise(transverse):
         empty = dataclasses.replace(p, c=0.0)
         q = output_spectrum(build_fluctuation_system(_single_stable_state(y, empty), empty), 0.0)
         assert q.s_min == q.s_max == 1.0
+
+
+@pytest.mark.parametrize("transverse", list(_V_AT_1E140))
+def test_a_pivot_beyond_the_float_range_raises_the_underflow_error(transverse):
+    # from X of about 1.3e295 the pivot gamma gamma_par X overflows and
+    # 1/sigma_j is NaN, which the underflow test missed: the plane wave raised
+    # the singular-response error, the binned profile a RuntimeWarning
+    p = ModelParams(transverse=transverse)
+    ss = _single_stable_state(1e300, p)
+    with pytest.raises(RuntimeError, match="atomic noise underflows at omega_hz=0.0"):
+        output_spectrum(build_fluctuation_system(ss, p), 0.0)
+    one = [np.array([v]) for v in (ss.x, ss.intensity, p.c, p.theta)]
+    with pytest.raises(RuntimeError, match="atomic noise underflows"):
+        spectra._trace_noise(*one, p, 0.0)
