@@ -231,6 +231,8 @@ def _bin_sums(x, transverse: Transverse, a_sat: float, n: int = 3) -> list:
     if isinstance(transverse, PlaneWave):
         r = 1.0 / (x + a_sat)
         r2 = r * r
+        if n < 3:  # Newton on Y(X) - Y and the state pass: no higher power is formed
+            return [r, -r2][:n]
         r3 = r2 * r
         return [r, -r2, 2.0 * r3, -6.0 * (r3 * r)][:n]
     return _reduce_bins(x, transverse, a_sat, n)
@@ -463,17 +465,36 @@ def _cubic_fdf(coeffs):
     return lambda x: (_cubic(coeffs, x), (t3 * x + t2) * x + c1)
 
 
+# A Newton point past a bracket edge by less than this share of its step (its
+# own error there is that small) puts the root within its overshoot of that edge
+_EDGE = 2.0 ** -4
+
+
 def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
-            dx: float | None = None) -> float:
+            dx: float = math.nan, floor: bool = False) -> float:
     """Root of f on [lo, hi], over which it changes sign once, from x.
 
-    ``fdf(x)`` returns (f(x), f'(x)); ``rising`` says f(lo) < 0.  Falls back
-    to bisection whenever a Newton step leaves the bracket or fails to halve
-    the step before it, ``dx`` at the first step (default hi - lo).  Stops
-    at round-off; RuntimeError naming the bracket if 200 steps do not reach it.
+    ``fdf(x)`` returns (f(x), f'(x)); ``rising`` says f(lo) < 0.  ``dx`` is
+    the Newton step that led to x, NaN if none did, and ``floor`` says that
+    step predicted the next one at round-off.  Each evaluation shrinks the
+    bracket, then takes the Newton point x - f/f' if it lies inside and its
+    step is under half the last Newton step (any step after a bisection or
+    at the start).  A Newton point on an edge, or past it by under
+    ``_EDGE`` of its step, is moved inside by its overshoot, at least
+    eps |edge|: a root at that edge to round-off then closes the bracket in
+    an evaluation or two, where bisecting towards it took some forty.  Else
+    it bisects.
+
+    It stops where f = 0; at a Newton point whose step is at most 2 eps |x|;
+    at x itself if ``floor`` holds and the Newton point lies inside, since
+    the step to x, predicted as |dx| (dx/dx_old)^2 under quadratic
+    convergence, left a step of noise (at the floor f is a few ulps of its
+    terms, and its steps no longer shrink); or at the midpoint of a bracket
+    at most 2 eps |mid| wide.  RuntimeError naming the bracket if 200
+    evaluations do not reach it.
     """
-    if dx is None:
-        dx = hi - lo
+    eps = sys.float_info.epsilon
+    eps2 = 2.0 * eps
     bracket = lo, hi
     for _ in range(200):
         fx, dfx = fdf(x)
@@ -484,21 +505,38 @@ def _newton(fdf, lo: float, hi: float, x: float, rising: bool,
         else:
             hi = x
         dx_old, dx = dx, (fx / dfx if dfx != 0.0 else math.inf)
-        if abs(dx) <= 2.0 * sys.float_info.epsilon * abs(x):
-            return x - dx
-        x_new = x - dx
-        if not (lo < x_new < hi and abs(dx) < 0.5 * abs(dx_old)):
-            x_new = 0.5 * (lo + hi)
-            dx = x - x_new
-            if hi - lo <= 2.0 * sys.float_info.epsilon * abs(x_new):
-                return x_new
-        x = x_new
+        step, x_new, tol = abs(dx), x - dx, eps2 * abs(x)
+        if step <= tol:
+            return x_new
+        newton = not step >= 0.5 * abs(dx_old)  # true when dx_old is NaN
+        if lo < x_new < hi:
+            if floor:
+                return x
+            if newton:
+                ratio = dx / dx_old
+                floor = step * ratio * ratio <= tol
+                x = x_new
+                continue
+        floor = False
+        if newton:
+            edge = lo if x_new <= lo else hi
+            over = abs(x_new - edge)
+            if over < _EDGE * step:
+                inward = max(over, eps * abs(edge))
+                probe = edge + inward if x_new <= lo else edge - inward
+                if lo < probe < hi:
+                    dx, x = x - probe, probe
+                    continue
+        x, dx = 0.5 * (lo + hi), math.nan
+        if hi - lo <= eps2 * abs(x):
+            return x
     raise RuntimeError("Newton's method found no root to round-off in [{!r}, {!r}] in "
                        "200 steps; the last bracket is [{!r}, {!r}]".format(*bracket, lo, hi))
 
 
-# Below this many brackets a lockstep iteration, numpy's fixed cost per call
-# times some forty calls, costs more than scalar iterations of every bracket.
+# Below this many brackets a lockstep round, numpy's fixed cost per call times
+# some sixty calls (about 50 us), costs more than one scalar evaluation of each
+# (about 2 us for a plane wave, 9 us for Gaussian-64).
 _LOCKSTEP_MIN = 16
 
 
@@ -506,22 +544,31 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
                  rising: np.ndarray) -> np.ndarray:
     """``_newton`` in each of many brackets, in lockstep.
 
-    ``params`` holds arrays with one entry per bracket, and
-    ``make_fdf(params)`` gives the fdf of those brackets: on arrays for the
-    pass, on a tuple of floats for one bracket (C, theta and Y for
-    ``_root_fdf``; C and theta for its ``slope`` form).  Every bracket goes
-    through ``_newton``'s IEEE operations, bisection fallback and stopping
-    rules, so where the fdf rounds an entry of an array as it rounds a
-    float, its root equals the scalar one bit for bit.  Finished brackets
-    leave the pass; once fewer than ``_LOCKSTEP_MIN`` are left, ``_newton``
-    takes each of them on from where the pass left it, its cap of 200 steps
-    counted afresh (no bracket comes near the cap).
+    ``params`` holds arrays with one entry per bracket, or, for fewer than
+    ``_LOCKSTEP_MIN`` brackets (a single solve's few cells), floats that
+    they share, and ``make_fdf(params)`` gives the fdf of those brackets: on
+    arrays for the pass, on a tuple of floats for one bracket (C, theta and
+    Y for ``_root_fdf``; C and theta for its ``slope`` form).  Every bracket
+    goes through ``_newton``'s IEEE operations, step rule and stops, so
+    where the fdf rounds an entry of an array as it rounds a float, its root
+    equals the scalar one bit for bit.  Fewer than ``_LOCKSTEP_MIN``
+    brackets go to ``_newton`` one by one, with no array fdf.  Finished
+    brackets leave the pass; once fewer than ``_LOCKSTEP_MIN`` are left,
+    ``_newton`` takes each of them on from where the pass left it, its cap
+    of 200 evaluations counted afresh.
     """
-    eps2 = 2.0 * sys.float_info.epsilon
+    if x.size < _LOCKSTEP_MIN:
+        fdfs = ([make_fdf(params)] * x.size if isinstance(params[0], float)
+                else map(make_fdf, zip(*(a.tolist() for a in params))))
+        return np.array([_newton(fdf, *state) for fdf, *state in
+                         zip(fdfs, lo.tolist(), hi.tolist(), x.tolist(), rising.tolist())])
+    eps = sys.float_info.epsilon
+    eps2 = 2.0 * eps
     fdf = make_fdf(params)
     out = np.empty_like(x)
     k = np.arange(x.size)
-    dx = hi - lo
+    dx = np.full_like(x, math.nan)
+    floor = np.zeros(x.size, dtype=bool)
     for _ in range(200):
         if k.size < _LOCKSTEP_MIN:
             break
@@ -529,30 +576,46 @@ def _newton_many(make_fdf, params, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
         below = (fx < 0.0) == rising
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        step_old = np.abs(dx)
+        dx_old = dx
         dx = np.divide(fx, dfx, out=np.full_like(fx, math.inf), where=dfx != 0.0)
-        x_newton = x - dx
+        x_next = x - dx  # the Newton point, kept where it lies inside
         step = np.abs(dx)
-        mid = 0.5 * (lo + hi)
-        bisect = ~((lo < x_newton) & (x_newton < hi) & (step < 0.5 * step_old))
+        tol = eps2 * np.abs(x)
+        within = (lo < x_next) & (x_next < hi)
+        newton = ~(step >= 0.5 * np.abs(dx_old))
+        inside = newton & within
         zero = fx == 0.0
-        converged = step <= eps2 * np.abs(x)
-        narrow = bisect & (hi - lo <= eps2 * np.abs(mid))
-        dx = np.where(bisect, x - mid, dx)
-        x_next = np.where(bisect, mid, x_newton)
-        done = zero | converged | narrow
+        converged = step <= tol
+        done = zero | converged | (floor & within)
+        root = np.where(converged, x_next, x)  # f = 0 has dx = 0, or inf where f' = 0 too
+        ratio = np.divide(dx, dx_old, out=np.full_like(dx, math.nan), where=inside)
+        floor = step * ratio * ratio <= tol
+        rest = ~(inside | done)
+        if rest.any():  # edge probes and bisections: rare
+            low = x_next <= lo
+            edge = np.where(low, lo, hi)
+            over = np.abs(x_next - edge)
+            inward = np.maximum(over, eps * np.abs(edge))
+            probe = np.where(low, edge + inward, edge - inward)
+            probing = rest & newton & (over < _EDGE * step) & (lo < probe) & (probe < hi)
+            bisect = rest & ~probing
+            mid = 0.5 * (lo + hi)
+            narrow = bisect & (hi - lo <= eps2 * np.abs(mid))
+            x_next = np.where(probing, probe, np.where(bisect, mid, x_next))
+            dx = np.where(probing, x - probe, np.where(bisect, math.nan, dx))
+            root = np.where(narrow, mid, root)
+            done |= narrow
         if done.any():
-            # the scalar tests run in this order: f = 0, round-off step, narrow bracket
-            out[k[done]] = np.where(zero, x, np.where(converged, x_newton, mid))[done]
+            out[k[done]] = root[done]
             run = ~done
-            k, lo, hi, dx, rising = k[run], lo[run], hi[run], dx[run], rising[run]
+            k, lo, hi, x_next = k[run], lo[run], hi[run], x_next[run]
+            dx, floor, rising = dx[run], floor[run], rising[run]
             params = tuple(a[run] for a in params)
             fdf = make_fdf(params)
-            x_next = x_next[run]
         x = x_next
     for state in zip(k.tolist(), lo.tolist(), hi.tolist(), x.tolist(), rising.tolist(),
-                     dx.tolist(), *(a.tolist() for a in params)):
-        out[state[0]] = _newton(make_fdf(state[6:]), *state[1:6])
+                     dx.tolist(), floor.tolist(), *(a.tolist() for a in params)):
+        out[state[0]] = _newton(make_fdf(state[7:]), *state[1:7])
     return out
 
 
@@ -639,8 +702,8 @@ def turning_points(p: ModelParams, x_max: float | None = None) -> TurningPoints:
             raise RuntimeError(f"found {lo.size} folds at {p!r}, more than two")
         top = float(hi.max()) if hi.size else 1.0
         _float_range(p, c, theta, 0.0, _root_bound(c, theta, p), top, "fold")
-        params = (np.full(lo.size, c), np.full(lo.size, theta))
-        folds = sorted(_newton_many(_root_fdf(p, True), params, lo, hi, start, rising).tolist())
+        folds = sorted(_newton_many(_root_fdf(p, True), (c, theta), lo, hi, start,
+                                    rising).tolist())
     points = tuple(x for x in folds if x < x_max)
     ys = tuple(float(_response(x, p.c, p.theta, p).y) for x in points)
     return TurningPoints(points, ys, len(points) == 2)
@@ -1080,8 +1143,8 @@ def _binned_roots(y: float, p: ModelParams) -> list[float]:
                                                      np.array([c]))
     if lo.size > 3:
         raise _too_many_crossings(lo.size, y, c, theta, p)
-    params = (np.full(lo.size, c), np.full(lo.size, theta), np.full(lo.size, y))
-    return _distinct(_newton_many(_root_fdf(p), params, lo, hi, start, rising).tolist())
+    return _distinct(_newton_many(_root_fdf(p), (c, theta, y), lo, hi, start,
+                                  rising).tolist())
 
 
 def _trace_roots(y, c, theta, p: ModelParams) -> np.ndarray:

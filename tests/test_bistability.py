@@ -978,6 +978,92 @@ def test_newton_raises_at_its_cap_naming_the_bracket():
         bistability._newton(lambda x: (x - 1e-300, x - 1e-300), 0.0, 1.0, 1.0, True)
 
 
+def _counted(fdf):
+    """``fdf`` and the list of the points it is called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fdf(x)
+    return counted, calls
+
+
+def test_newton_spends_200_evaluations_before_its_cap():
+    fdf, calls = _counted(lambda x: (x - 1e-300, x - 1e-300))
+    with pytest.raises(RuntimeError, match="200 steps"):
+        bistability._newton(fdf, 0.0, 1.0, 1.0, True)
+    assert len(calls) == 200
+
+
+def test_newton_breaks_a_newton_cycle():
+    # from 0, plain Newton on x^3 - 2x + 2 cycles 0, 1, 0, 1, ...
+    fdf, calls = _counted(lambda x: (x * x * x - 2.0 * x + 2.0, 3.0 * x * x - 2.0))
+    x = bistability._newton(fdf, -3.0, 1.0, 0.0, True)
+    assert abs(x + 1.7692923542386314) <= 2.0 * np.spacing(1.77)
+    assert len(calls) <= 7
+
+
+# piezo_up's step at theta = -1.403 (C = 50, delta = -20, Y = 900): Y(X) - Y
+# is at its noise floor, a few ulps of Y, over some twenty floats of X around
+# its root, and 0.0 at X = 126.25178611253936
+FLOOR_STEP = ModelParams(c=50.0, delta=-20.0), (50.0, -1.403, 900.0)
+FLOOR_EDGES = [
+    # (lo, hi, evaluations from mid-cell): the root is lo (f(lo) < 0 at the
+    # float below the zero), it is hi, and three ulps inside lo and inside hi
+    (126.25178611253935, 126.2526237807717, 3),
+    (126.2509484443070, 126.25178611253938, 5),
+    (126.25178611253932, 126.2526237807717, 3),
+    (126.2509484443070, 126.25178611253942, 3),
+]
+
+
+@pytest.mark.parametrize("lo, hi, evaluations", FLOOR_EDGES)
+@pytest.mark.parametrize("rising", [True, False])
+def test_newton_takes_a_root_at_a_bracket_edge_in_a_few_evaluations(lo, hi, evaluations,
+                                                                    rising):
+    # each Newton step from mid-cell lands on the edge or just past it, or
+    # inside at twice the bisection step before it: a rule that bisects there
+    # halves its way to a root at lo, or three ulps inside it, in 33-34
+    # evaluations
+    p, params = FLOOR_STEP
+    step = bistability._root_fdf(p)(params)
+    sign = 1.0 if rising else -1.0
+    fdf, calls = _counted(lambda x: tuple(sign * v for v in step(x)))
+    assert fdf(lo)[0] * sign < 0.0 < fdf(hi)[0] * sign
+    calls.clear()
+    x = bistability._newton(fdf, lo, hi, 0.5 * (lo + hi), rising)
+    assert len(calls) <= evaluations
+    assert abs(x - 126.25178611253936) <= 12.0 * np.spacing(x)
+    assert abs(step(x)[0]) <= 4.0 * np.spacing(900.0)
+
+
+def test_critical_point_stops_within_a_few_newton_evaluations(monkeypatch):
+    # at the noise floor of d2Y/dX2 the steps stop shrinking: a Newton that
+    # waits there for a 2 eps step takes a mean of 8.9 evaluations per cusp
+    # over these draws, and up to 50
+    newton, counts = bistability._newton, []
+
+    def counting(fdf, *args):
+        counted, calls = _counted(fdf)
+        try:
+            return newton(counted, *args)
+        finally:
+            counts.append(len(calls))
+    monkeypatch.setattr(bistability, "_newton", counting)
+    rng = np.random.default_rng(20261022)
+    for profile in (PlaneWave(), GaussianBins(8), GaussianBins(64)):
+        for _ in range(60):
+            p = ModelParams(delta=float(rng.uniform(-30.0, 30.0)),
+                            theta=float(rng.uniform(-10.0, 10.0)), transverse=profile)
+            try:
+                critical_point(p)
+            except RuntimeError:  # no cusp in the window: no Newton either
+                pass
+    assert len(counts) >= 150
+    assert sum(counts) / len(counts) < 6.8
+    assert max(counts) <= 6
+
+
 @pytest.mark.parametrize("c", [1e32, 1e40, 1e100, 1e140, 1e150])
 def test_a_plane_wave_root_far_below_its_segment_is_found(c):
     # the root cubic's root, near 8.02e-60 at C = 1e32, lies below the

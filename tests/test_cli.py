@@ -423,6 +423,23 @@ def test_module_entry_points_run_the_cli(module):
     assert done.stdout.splitlines()[0] == "X,Y,branch,stable,slope"
 
 
+@pytest.mark.slow
+def test_the_console_script_smoke_run_passes(tmp_path):
+    # .github/smoke.sh, about 30 commands, with ``cavsqueeze`` a shim that runs
+    # ``python -m cavsqueeze`` from this source tree
+    src = Path(cavsqueeze.__file__).resolve().parent.parent
+    shim = tmp_path / "cavsqueeze"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m cavsqueeze "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ)
+    env["PATH"] = os.pathsep.join([str(tmp_path), env.get("PATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(["sh", str(src.parent / ".github" / "smoke.sh")], env=env,
+                          cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 # === one parser for every call, and the output file ===
 
 

@@ -210,6 +210,64 @@ def test_lockstep_binned_roots_equal_the_scalar_solve_near_folds(m):
     _assert_binned_lockstep_equals_scalar(ys, cs, -20.0, [-7.5] * len(cs), m)
 
 
+# the benchmark's piezo_up sweep: C = 50, Y = 900, theta from -1.7 at 112.5 per
+# second, 50 steps of 80 us
+PIEZO_THETAS = (-1.7 + 112.5 * 8e-5 * np.arange(50)).tolist()
+
+
+def test_lockstep_newton_equals_the_scalar_one_at_bracket_edges():
+    # the piezo sweep's cells, then brackets whose root is an edge to round-off
+    # (test_bistability's FLOOR_EDGES) from either end and mid-cell: one pass
+    # of lockstep rounds and scalar finishes
+    p = ModelParams(c=50.0, delta=-20.0)
+    loc, x, sums = bistability._root_locus(p, 900.0, 50.0, np.array(PIEZO_THETAS), True)
+    (i, lo, hi, start, rising), _ = bistability._level_crossings(loc, x, sums,
+                                                                 np.array(PIEZO_THETAS))
+    thetas = [PIEZO_THETAS[k] for k in i.tolist()]
+    lo, hi, start, rising = lo.tolist(), hi.tolist(), start.tolist(), rising.tolist()
+    for a, b in [(126.25178611253935, 126.2526237807717), (126.2509484443070, 126.25178611253938),
+                 (126.25178611253932, 126.2526237807717), (126.2509484443070, 126.25178611253942)]:
+        for x0 in (a, 0.5 * (a + b), b):
+            lo, hi, start, rising = lo + [a], hi + [b], start + [x0], rising + [True]
+            thetas.append(-1.403)
+    n = len(thetas)
+    params = (np.full(n, 50.0), np.array(thetas), np.full(n, 900.0))
+    make = bistability._root_fdf(p)
+    roots = bistability._newton_many(make, params, np.array(lo), np.array(hi), np.array(start),
+                                     np.array(rising))
+    for k, root in enumerate(roots.tolist()):
+        assert root == bistability._newton(make((50.0, thetas[k], 900.0)), lo[k], hi[k],
+                                           start[k], rising[k]), k
+    # fewer than _LOCKSTEP_MIN brackets, with the parameters as floats
+    few = slice(n - 3, n)
+    assert bistability._newton_many(
+        make, (50.0, -1.403, 900.0), *(np.array(v[few]) for v in (lo, hi, start, rising))
+    ).tolist() == roots[few].tolist()
+
+
+def test_a_piezo_trace_polishes_its_roots_in_three_lockstep_rounds(monkeypatch):
+    # a rule that bisects towards roots on their cells' edges takes five rounds
+    # here, and 14 scalar finishes of 236 evaluations, up to 36 for one root
+    make_fdf, rounds, scalar = bistability._root_fdf, [], []
+
+    def counting(p, slope=False):
+        make = make_fdf(p, slope)
+
+        def counted(params):
+            fdf = make(params)
+
+            def f(x):
+                (rounds if isinstance(x, np.ndarray) else scalar).append(np.size(x))
+                return fdf(x)
+            return f
+        return counted
+    monkeypatch.setattr(bistability, "_root_fdf", counting)
+    rows = bistability._trace_roots([900.0] * 50, [50.0] * 50, PIEZO_THETAS,
+                                    ModelParams(delta=-20.0))
+    assert np.count_nonzero(rows == rows) == 74
+    assert len(rounds) == 3 and len(scalar) <= 20
+
+
 @pytest.mark.parametrize("sweep", ["c", "theta"])
 def test_a_step_with_more_than_three_crossings_raises_naming_it(monkeypatch, sweep):
     crossings = bistability._level_crossings
